@@ -30,7 +30,7 @@ print(a.rows)
 
 # encode a vector and invert the matrix to get it back
 b = np.array([1, 3, 5])
-c = gf.mat_vec_mul(a, b)
+c = f.mat_vec(a.rows, b)
 print("\nencode  (1, 3, 5) ->", c)
 print("inverse matrix:")
 print(a.inverse())

@@ -55,9 +55,9 @@ print(f"d = 2 < 2^k, withhold one of two digits: perfect={report.perfect}, "
       f"H(S|E) = {report.h_s_given_e_bits:.1f} of {report.h_s_bits:.1f} bits")
 
 # --- splitting for perfect secrecy against an all-cloud adversary ------------
-blocks = codec.encode_stream(
+stream = codec.encode_stream(
     digits, result.grouping, gf.build_vandermonde(spec, (1, 2, 3))
 )
-local, cloud = planner.perfect_secrecy_split(blocks, w=1)
+local, cloud = planner.perfect_secrecy_split(stream, w=1)
 print("\nperfect-secrecy split, w=1: keep", local, "local,")
 print("ship", sum(d1 - d0 for *_, d0, d1 in cloud), "of 9 digits to the clouds")

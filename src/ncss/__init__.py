@@ -21,13 +21,12 @@ from .bench import BenchResult, bench_csv, bench_mul, bench_pipeline
 from .codec import (
     ALPHA_BOUNDED,
     STRICT,
-    CodedBlock,
+    CodedStream,
     DigitString,
     GroupingPlan,
     OverflowReport,
     classify_overflow,
     decode_block,
-    decode_stream,
     digit_length,
     encode_block,
     encode_stream,
@@ -50,8 +49,6 @@ from .gf import (
     build_vandermonde,
     default_points,
     get_field,
-    mat_invert,
-    mat_vec_mul,
 )
 from .optimizer import (
     CostProblem,

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import codec
-from .codec import CodedBlock, digit_length, expand_digits
+from .codec import CodedStream, digit_length, expand_digits
 from .errors import (
     ConfigError,
     EnumerationTooLargeError,
@@ -80,18 +80,13 @@ class AttackScenario:
 
 
 def scenario_from_plan(
-    blocks: list[CodedBlock],
+    stream: CodedStream,
     plan: DistributionPlan,
     matrix: EncodingMatrix,
     target: int | str,
     breach: float | None = None,
 ) -> AttackScenario:
     """Scenario for an eavesdropper holding one cloud, or every cloud ("all")."""
-    stream = (
-        np.concatenate([b.render_digits for b in blocks])
-        if blocks
-        else np.zeros(0, dtype=np.int64)
-    )
     known = np.zeros(plan.total_digits, dtype=bool)
     if target == ALL_CLOUDS:
         for runs in plan.cloud_runs:
@@ -103,11 +98,9 @@ def scenario_from_plan(
     return AttackScenario(
         matrix=matrix,
         d=plan.d,
-        true_elements=np.stack([b.elements for b in blocks])
-        if blocks
-        else np.zeros((0, matrix.n), dtype=np.int64),
+        true_elements=stream.elements.reshape(-1, matrix.n),
         render_lengths=plan.render_lengths,
-        stream=stream,
+        stream=stream.render_digits,
         unknown_positions=np.nonzero(~known)[0],
         breach=breach,
     )

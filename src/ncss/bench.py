@@ -118,15 +118,12 @@ def bench_pipeline(
     d: int = 2,
     reps: int = MIN_REPS,
     seed: int = 0,
-    parallel: bool = False,
 ) -> list[BenchResult]:
     """Time encode + plan + store of a synthetic file per (k, n) point.
 
     The security profile is left open (pu = 1) so every digit lands in a
     cloud; storage goes to an in-memory root. The recorded mul_count is
-    measured by instrumenting the field during the warm-up pass. Runs are
-    single-threaded unless parallel is set, which encodes blocks on a
-    thread pool (output is identical by the determinism contract).
+    measured by instrumenting the field during the warm-up pass.
     """
     if reps < MIN_REPS:
         raise ConfigError(f"reps must be >= {MIN_REPS}, got {reps}")
@@ -148,23 +145,19 @@ def bench_pipeline(
                 len(digits), spec, n=n, mode=mode, alpha=alpha
             )
 
-            def run(sequential: bool = False):
-                blocks = codec.encode_stream(
-                    digits, grouping, matrix,
-                    parallel=parallel and not sequential,
-                )
-                plan = planner.make_plan(blocks, profile)
+            def run():
+                stream = codec.encode_stream(digits, grouping, matrix)
+                plan = planner.make_plan(stream, profile)
                 storage.store_shards(
-                    plan, blocks, storage.MemoryRoot(p), grouping, spec,
+                    plan, stream, storage.MemoryRoot(p), grouping, spec,
                     matrix.points, profile,
                 )
 
-            # warm-up doubles as the exact work accounting; it stays
-            # sequential because the counter is not thread-safe
+            # warm-up doubles as the exact work accounting
             counter = OpCounter()
             field.counter = counter
             try:
-                run(sequential=True)
+                run()
             finally:
                 field.counter = None
             samples = []

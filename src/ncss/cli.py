@@ -203,9 +203,9 @@ def cmd_classify(args) -> int:
     elements = np.asarray(_ints(opts["elements"]), dtype=np.int64)
     digits, lengths = codec.render_elements(elements, int(opts["d"]), ALPHA_BOUNDED)
     widths = np.asarray(_ints(opts["widths"]), dtype=np.int64)
-    block = codec.CodedBlock(
+    block = codec.CodedStream(
         elements=elements, render_digits=digits, render_lengths=lengths,
-        source_widths=widths, d=int(opts["d"]), mode=ALPHA_BOUNDED,
+        n=elements.size, d=int(opts["d"]), mode=ALPHA_BOUNDED,
     )
     report = codec.classify_overflow(
         widths, block, _assignment(opts["assignment"]), float(opts["alpha"])

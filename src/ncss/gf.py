@@ -377,15 +377,3 @@ def cached_vandermonde(k: int, poly: int, points: tuple[int, ...]) -> EncodingMa
     """Memoized matrix construction for repeated store/recover cycles."""
     return build_vandermonde(get_field(k, poly), points)
 
-
-def mat_vec_mul(a: EncodingMatrix, b) -> np.ndarray:
-    """Encode: c = A b over the matrix's field."""
-    v = np.asarray(b, dtype=np.int64)
-    if v.shape != (a.n,):
-        raise DimensionMismatchError(f"expected length-{a.n} vector, got {v.shape}")
-    return a.field.mat_vec(a.rows, v)
-
-
-def mat_invert(a: EncodingMatrix) -> np.ndarray:
-    """Inverse of the encoding matrix (cached on the matrix)."""
-    return a.inverse()

@@ -45,27 +45,29 @@ def store_digits(
     alpha: float | None = None,
     points: tuple[int, ...] | None = None,
     caps: tuple[int, ...] | None = None,
-    parallel: bool = False,
 ) -> StoreResult:
     """Encode a digit string and distribute it across the root's clouds."""
     if digits.d != spec.d:
         raise ConfigError(f"digit base {digits.d} != field spec base {spec.d}")
+    if n < 1:
+        raise ConfigError(f"block size must be >= 1, got {n}")
     if points is None:
         points = default_points(n)
     if len(points) != n:
         raise ConfigError(f"{len(points)} points for block size {n}")
     if len(digits) == 0:
         grouping = _empty_grouping(spec, mode, alpha)
-        blocks: list = []
+        none = np.zeros(0, dtype=np.int64)
+        stream = codec.CodedStream(none, none, none, n=n, d=spec.d, mode=mode)
     else:
         grouping = codec.make_grouping_plan(
             len(digits), spec, n=n, mode=mode, alpha=alpha
         )
         matrix = cached_vandermonde(spec.k, spec.reduction_poly, tuple(points))
-        blocks = codec.encode_stream(digits, grouping, matrix, parallel=parallel)
-    plan = planner.make_plan(blocks, profile, caps=caps)
+        stream = codec.encode_stream(digits, grouping, matrix)
+    plan = planner.make_plan(stream, profile, caps=caps)
     manifest = storage.store_shards(
-        plan, blocks, root, grouping, spec, tuple(points), profile
+        plan, stream, root, grouping, spec, tuple(points), profile
     )
     return StoreResult(manifest=manifest, plan=plan, grouping=grouping)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodedBlock
+from .codec import CodedStream
 from .errors import BadCountError, ConfigError, TooManySecretDigitsError
 
 Run = tuple[int, int]  # half-open [start, stop) positions in the digit stream
@@ -93,40 +93,24 @@ def per_cloud_caps(
     return tuple(caps)
 
 
-def _coalesce(runs: list[Run]) -> tuple[Run, ...]:
-    out: list[Run] = []
-    for start, stop in runs:
-        if stop <= start:
-            continue
-        if out and out[-1][1] == start:
-            out[-1] = (out[-1][0], stop)
-        else:
-            out.append((start, stop))
-    return tuple(out)
+def _merge(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop empty runs from an ordered run list and join adjacent ones."""
+    keep = stops > starts
+    starts, stops = starts[keep], stops[keep]
+    joins = np.nonzero(starts[1:] == stops[:-1])[0]
+    return np.delete(starts, joins + 1), np.delete(stops, joins)
 
 
-def _slice_runs(runs, cum, lo: int, hi: int) -> tuple[Run, ...]:
-    """Sub-slice a run list at offsets [lo, hi) of its concatenated digits."""
-    if hi <= lo:
-        return ()
-    out = []
-    i = int(np.searchsorted(cum, lo, side="right")) - 1
-    while lo < hi:
-        start, stop = runs[i]
-        off = lo - int(cum[i])
-        take = min(stop - start - off, hi - lo)
-        out.append((start + off, start + off + take))
-        lo += take
-        i += 1
-    return _coalesce(out)
+def _as_runs(starts: np.ndarray, stops: np.ndarray) -> tuple[Run, ...]:
+    return tuple(zip(starts.tolist(), stops.tolist()))
 
 
 @dataclass(frozen=True)
 class DistributionPlan:
     """Concrete digit placement: cloud runs, local runs, security accounting.
 
-    Runs are half-open [start, stop) position ranges in the concatenated
-    digit rendering of all blocks; element_ranges() expands them to
+    Runs are half-open [start, stop) position ranges in the digit rendering
+    of the coded stream; element_ranges() expands them to
     (block, element, digit-range) form.
     """
 
@@ -185,7 +169,7 @@ class DistributionPlan:
 
 
 def make_plan(
-    blocks: list[CodedBlock],
+    stream: CodedStream,
     profile: SecurityProfile,
     caps: tuple[int, ...] | None = None,
 ) -> DistributionPlan:
@@ -197,18 +181,10 @@ def make_plan(
     absorb the stream, the shortfall is retained locally, one digit per
     component from the stream tail first.
     """
-    if blocks:
-        n = blocks[0].n
-        d = blocks[0].d
-        if any(b.n != n or b.d != d for b in blocks):
-            raise ConfigError("blocks disagree on n or digit base")
-        lengths = np.concatenate([b.render_lengths for b in blocks])
-    else:
-        n, d = 1, 2
-        lengths = np.zeros(0, dtype=np.int64)
-    total = int(lengths.sum())
+    lengths = stream.render_lengths
+    total = stream.total_digits
     if caps is None:
-        caps = per_cloud_caps(total, d, profile)
+        caps = per_cloud_caps(total, stream.d, profile)
     caps = tuple(int(c) for c in caps)
     if len(caps) != profile.p:
         raise ConfigError(f"{len(caps)} caps for {profile.p} clouds")
@@ -229,22 +205,12 @@ def make_plan(
             prefix[eligible[-partial:]] += 1
 
     bounds = np.concatenate([[0], np.cumsum(lengths)])
-    local_runs = _coalesce(
-        [
-            (int(bounds[e]), int(bounds[e]) + int(prefix[e]))
-            for e in np.nonzero(prefix)[0]
-        ]
-    )
+    local_runs = _as_runs(*_merge(bounds[:-1], bounds[:-1] + prefix))
 
-    # suffix of each element goes to the clouds, preserving stream order
-    starts = bounds[:-1] + prefix
-    stops = bounds[1:]
-    keep = stops > starts
-    suffix_runs = _coalesce(
-        list(zip(starts[keep].tolist(), stops[keep].tolist()))
-    )
-    run_lens = np.array([t - s for s, t in suffix_runs], dtype=np.int64)
-    run_cum = np.concatenate([[0], np.cumsum(run_lens)])
+    # suffix of each element goes to the clouds, preserving stream order;
+    # cloud i takes the digits at offsets [cut[i], cut[i+1]) of the suffixes
+    starts, stops = _merge(bounds[:-1] + prefix, bounds[1:])
+    run_cum = np.concatenate([[0], np.cumsum(stops - starts)])
 
     remaining = total - local_need
     counts = [0] * len(caps)
@@ -253,13 +219,20 @@ def make_plan(
         remaining -= counts[i]
 
     cloud_runs: list[tuple[Run, ...]] = []
-    offset = 0
-    for count in counts:
-        cloud_runs.append(_slice_runs(suffix_runs, run_cum, offset, offset + count))
-        offset += count
+    cut = np.concatenate([[0], np.cumsum(counts)])
+    for lo, hi in zip(cut[:-1].tolist(), cut[1:].tolist()):
+        if hi <= lo:
+            cloud_runs.append(())
+            continue
+        i = int(np.searchsorted(run_cum, lo, side="right")) - 1
+        j = int(np.searchsorted(run_cum, hi, side="left"))
+        s, t = starts[i:j].copy(), stops[i:j].copy()
+        s[0] += lo - run_cum[i]
+        t[-1] -= run_cum[j] - hi
+        cloud_runs.append(_as_runs(s, t))
 
     guess = tuple(
-        guess_probability(total, counts[i], d, profile.breach[i])
+        guess_probability(total, counts[i], stream.d, profile.breach[i])
         for i in range(len(caps))
     )
     return DistributionPlan(
@@ -269,14 +242,14 @@ def make_plan(
         cloud_runs=tuple(cloud_runs),
         local_runs=local_runs,
         guess_prob=guess,
-        n=n,
-        d=d,
+        n=stream.n,
+        d=stream.d,
         render_lengths=lengths,
     )
 
 
 def perfect_secrecy_split(
-    blocks: list[CodedBlock], w: int, mode: str | None = None
+    stream: CodedStream, w: int, mode: str | None = None
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int, int]]]:
     """Split digits so w per block stay local, one from each of w components.
 
@@ -284,23 +257,20 @@ def perfect_secrecy_split(
     takes the leading digit of the first w components of every block; when
     components are single digits this retains w whole components.
     """
+    if w > stream.n:
+        raise TooManySecretDigitsError(
+            f"cannot retain {w} digits from {stream.n} components"
+        )
+    if mode is not None and stream.mode != mode:
+        raise ConfigError(f"stream has mode {stream.mode!r}, expected {mode!r}")
     local: list[tuple[int, int, int]] = []
     cloud: list[tuple[int, int, int, int]] = []
-    for bi, block in enumerate(blocks):
-        if w > block.n:
-            raise TooManySecretDigitsError(
-                f"cannot retain {w} digits from {block.n} components"
-            )
-        if mode is not None and block.mode != mode:
-            raise ConfigError(
-                f"block {bi} has mode {block.mode!r}, expected {mode!r}"
-            )
-        for e in range(block.n):
-            size = int(block.render_lengths[e])
-            if e < w:
-                local.append((bi, e, 0))
-                if size > 1:
-                    cloud.append((bi, e, 1, size))
-            else:
-                cloud.append((bi, e, 0, size))
+    for i, size in enumerate(stream.render_lengths.tolist()):
+        bi, e = divmod(i, stream.n)
+        if e < w:
+            local.append((bi, e, 0))
+            if size > 1:
+                cloud.append((bi, e, 1, size))
+        else:
+            cloud.append((bi, e, 0, size))
     return local, cloud

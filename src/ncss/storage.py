@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .codec import ALPHA_BOUNDED, STRICT, CodedBlock, DigitString, GroupingPlan
+from .codec import ALPHA_BOUNDED, STRICT, CodedStream, DigitString, GroupingPlan
 from .errors import (
     BackendUnavailableError,
     ChecksumMismatchError,
@@ -201,7 +202,7 @@ class MemoryRoot:
 
 
 class DirectoryRoot:
-    """Directory-per-cloud storage root; shard writes are atomic."""
+    """Directory-per-cloud storage root; writes are atomic and durable."""
 
     def __init__(self, path: str | os.PathLike, clouds: int | None = None):
         self.path = Path(path)
@@ -220,10 +221,18 @@ class DirectoryRoot:
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(data)
+                    fh.flush()
+                    os.fsync(fh.fileno())
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)
                 raise
+            # the rename itself is durable only once the directory is synced
+            dir_fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         except OSError as exc:
             raise WriteFailureError(f"cannot write {path}: {exc}") from exc
 
@@ -274,6 +283,66 @@ class Shard:
         object.__setattr__(self, "digits", arr)
 
 
+def _count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _real(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _text(x) -> bool:
+    return type(x) is str
+
+
+def _list_of(item):
+    return lambda x: type(x) is list and all(map(item, x))
+
+
+def _run(x) -> bool:
+    return type(x) is list and len(x) == 2 and all(map(_count, x))
+
+
+_HEX = re.compile("[0-9a-f]*")
+
+# every manifest field, in order, with the check its JSON value must pass
+_MANIFEST_FIELDS = {
+    "format_version": _count,
+    "k": _count,
+    "reduction_poly": _count,
+    "d": _count,
+    "mode": _text,
+    "width": _count,
+    "r": _count,
+    "pad_count": _count,
+    "original_length": _count,
+    "alpha": lambda x: x is None or _real(x),
+    "render_lengths": lambda x: x is None or (_text(x) and bool(_HEX.fullmatch(x))),
+    "points": _list_of(_count),
+    "n": _count,
+    "block_count": _count,
+    "cloud_runs": _list_of(_list_of(_run)),
+    "local_runs": _list_of(_run),
+    "caps": _list_of(_count),
+    "stored": _list_of(_count),
+    "breach": _list_of(_real),
+    "pu": _real,
+    "checksums": _list_of(_text),
+    "local_checksum": _text,
+    "shard_name": _text,
+    "local_name": _text,
+}
+
+
+def _tuples(value):
+    """JSON lists, nested or not, as tuples."""
+    if type(value) is not list:
+        return value
+    if value and type(value[0]) is list:
+        return tuple(map(_tuples, value))
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class Manifest:
     """Self-contained description of one stored dataset."""
@@ -312,42 +381,32 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
+        """Parse and validate a manifest; any defect raises PipelineError."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise PipelineError(f"manifest is not valid JSON: {exc}") from exc
-        try:
-            return cls(
-                format_version=raw["format_version"],
-                k=raw["k"],
-                reduction_poly=raw["reduction_poly"],
-                d=raw["d"],
-                mode=raw["mode"],
-                width=raw["width"],
-                r=raw["r"],
-                pad_count=raw["pad_count"],
-                original_length=raw["original_length"],
-                alpha=raw["alpha"],
-                render_lengths=raw["render_lengths"],
-                points=tuple(raw["points"]),
-                n=raw["n"],
-                block_count=raw["block_count"],
-                cloud_runs=tuple(
-                    tuple((int(s), int(t)) for s, t in runs)
-                    for runs in raw["cloud_runs"]
-                ),
-                local_runs=tuple((int(s), int(t)) for s, t in raw["local_runs"]),
-                caps=tuple(raw["caps"]),
-                stored=tuple(raw["stored"]),
-                breach=tuple(raw["breach"]),
-                pu=raw["pu"],
-                checksums=tuple(raw["checksums"]),
-                local_checksum=raw["local_checksum"],
-                shard_name=raw.get("shard_name", SHARD_NAME),
-                local_name=raw.get("local_name", LOCAL_NAME),
+        if type(raw) is not dict:
+            raise PipelineError("manifest is not a JSON object")
+        raw = {"shard_name": SHARD_NAME, "local_name": LOCAL_NAME, **raw}
+        for name, valid in _MANIFEST_FIELDS.items():
+            if name not in raw:
+                raise PipelineError(f"manifest is missing field {name!r}")
+            if not valid(raw[name]):
+                raise PipelineError(f"manifest field {name!r} has a bad value")
+        if raw["format_version"] != FORMAT_VERSION:
+            raise PipelineError(
+                f"unsupported manifest format version {raw['format_version']}"
             )
-        except KeyError as exc:
-            raise PipelineError(f"manifest is missing field {exc}") from exc
+        if len(raw["points"]) != raw["n"]:
+            raise PipelineError(
+                f"manifest lists {len(raw['points'])} points for n={raw['n']}"
+            )
+        if raw["r"] != raw["block_count"] * raw["n"]:
+            raise PipelineError("manifest element count is not block_count * n")
+        if raw["r"] * raw["width"] - raw["pad_count"] != raw["original_length"]:
+            raise PipelineError("manifest padding does not match the message length")
+        return cls(**{name: _tuples(raw[name]) for name in _MANIFEST_FIELDS})
 
     def grouping_plan(self) -> GroupingPlan:
         return GroupingPlan(
@@ -367,12 +426,9 @@ class Manifest:
             return np.full(count, self.width, dtype=np.int64)
         if self.render_lengths is None or len(self.render_lengths) != count:
             raise PipelineError("manifest lacks per-element render lengths")
-        return np.frombuffer(
-            bytes.fromhex(
-                "".join(f"0{c}" for c in self.render_lengths)
-            ),
-            dtype=np.uint8,
-        ).astype(np.int64) + 1
+        # one lowercase hex digit per element: its length - 1
+        codes = np.frombuffer(self.render_lengths.encode(), dtype=np.uint8)
+        return codes - np.where(codes > ord("9"), ord("a") - 11, ord("0") - 1)
 
 
 def _encode_lengths(lengths: np.ndarray) -> str:
@@ -393,7 +449,7 @@ def _gather(stream: np.ndarray, runs) -> np.ndarray:
 
 def store_shards(
     plan: DistributionPlan,
-    blocks: list[CodedBlock],
+    stream: CodedStream,
     root,
     grouping: GroupingPlan,
     spec: FieldSpec,
@@ -409,18 +465,14 @@ def store_shards(
         raise ConfigError(
             f"root exposes {root.cloud_count} clouds, plan wants {plan.p}"
         )
-    if blocks:
-        stream = np.concatenate([b.render_digits for b in blocks])
-    else:
-        stream = np.zeros(0, dtype=np.int64)
-    if stream.size != plan.total_digits:
-        raise PipelineError("blocks do not match the distribution plan")
+    digits = stream.render_digits
+    if digits.size != plan.total_digits:
+        raise PipelineError("coded stream does not match the distribution plan")
 
-    payloads = []
-    for i in range(plan.p):
-        digits = _gather(stream, plan.cloud_runs[i])
-        payloads.append(pack_shard(digits, spec.d, spec.k))
-    local_payload = pack_shard(_gather(stream, plan.local_runs), spec.d, spec.k)
+    payloads = [
+        pack_shard(_gather(digits, runs), spec.d, spec.k) for runs in plan.cloud_runs
+    ]
+    local_payload = pack_shard(_gather(digits, plan.local_runs), spec.d, spec.k)
 
     for i, payload in enumerate(payloads):
         root.write_shard(i, payload)
@@ -443,7 +495,7 @@ def store_shards(
         render_lengths=render_lengths,
         points=tuple(points),
         n=len(points),
-        block_count=len(blocks),
+        block_count=stream.block_count,
         cloud_runs=plan.cloud_runs,
         local_runs=plan.local_runs,
         caps=plan.caps,
@@ -487,6 +539,11 @@ def assemble_stream(
         pos = 0
         digits = np.asarray(digits, dtype=np.int64)
         for start, stop in runs:
+            if not 0 <= start <= stop <= total:
+                raise IncompleteDataError(
+                    f"manifest run [{start}, {stop}) is outside the "
+                    f"{total}-digit stream"
+                )
             need = stop - start
             if pos + need > digits.size:
                 raise IncompleteDataError(f"{what} is shorter than its runs")

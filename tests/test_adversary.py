@@ -127,28 +127,28 @@ class TestScenarioFromPlan:
         plan_g = codec.make_grouping_plan(9, spec, n=3)
         a = gf.build_vandermonde(spec, (1, 2, 3))
         b = codec.DigitString(2, [0, 0, 1, 0, 1, 1, 1, 0, 1])
-        blocks = codec.encode_stream(b, plan_g, a)
+        stream = codec.encode_stream(b, plan_g, a)
         profile = planner.SecurityProfile(breach=(0.5, 0.25), pu=1 / 64)
-        plan = planner.make_plan(blocks, profile, caps=caps)
-        return blocks, plan, a, profile
+        plan = planner.make_plan(stream, profile, caps=caps)
+        return stream, plan, a, profile
 
     def test_single_cloud_view(self):
-        blocks, plan, a, profile = self._stored(caps=(4, 5))
-        sc = adversary.scenario_from_plan(blocks, plan, a, target=0, breach=0.5)
+        stream, plan, a, profile = self._stored(caps=(4, 5))
+        sc = adversary.scenario_from_plan(stream, plan, a, target=0, breach=0.5)
         assert sc.total_digits == 9
         assert sc.observed_count == 4
         assert sc.unknown_count == 5
         assert sc.breach == 0.5
 
     def test_all_clouds_view(self):
-        blocks, plan, a, _ = self._stored(caps=(4, 4))  # one digit stays local
-        sc = adversary.scenario_from_plan(blocks, plan, a, target=adversary.ALL_CLOUDS)
+        stream, plan, a, _ = self._stored(caps=(4, 4))  # one digit stays local
+        sc = adversary.scenario_from_plan(stream, plan, a, target=adversary.ALL_CLOUDS)
         assert sc.observed_count == 8
         assert sc.unknown_count == 1
 
     def test_guess_rate_end_to_end(self):
-        blocks, plan, a, _ = self._stored(caps=(4, 5))
-        sc = adversary.scenario_from_plan(blocks, plan, a, target=0)
+        stream, plan, a, _ = self._stored(caps=(4, 5))
+        sc = adversary.scenario_from_plan(stream, plan, a, target=0)
         trials = 120_000
         got = adversary.simulate_guess(sc, trials=trials, seed=3)
         p = 2.0**-5

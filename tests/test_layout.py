@@ -1,0 +1,89 @@
+"""Byte layout of stored datasets, pinned by SHA-256.
+
+Every shard, the local share and the manifest text of a few small fixed
+inputs must keep these digests: any change to how digits are grouped,
+encoded, rendered, planned, packed or described shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from ncss import gf, pipeline, storage
+from ncss.codec import ALPHA_BOUNDED, STRICT
+from ncss.planner import SecurityProfile
+
+
+def message(size):
+    return bytes((37 * i + 11) % 256 for i in range(size))
+
+
+CASES = {
+    # pu tight enough that 34 of the 160 digits stay local
+    "strict-d2-local": dict(
+        size=16, d=2, k=8, n=5, mode=STRICT, alpha=None,
+        breach=(0.5, 0.25, 0.1), pu=1e-36,
+    ),
+    # ten digits stay local
+    "alpha5-d2": dict(
+        size=16, d=2, k=8, n=4, mode=ALPHA_BOUNDED, alpha=5.0,
+        breach=(0.5, 0.25), pu=1e-42,
+    ),
+    "strict-d16-k16": dict(
+        size=40, d=16, k=16, n=3, mode=STRICT, alpha=None,
+        breach=(0.5, 0.25), pu=1e-12,
+    ),
+    "empty": dict(
+        size=0, d=2, k=8, n=4, mode=STRICT, alpha=None,
+        breach=(0.5, 0.25), pu=1e-6,
+    ),
+}
+
+DIGESTS = {
+    "strict-d2-local": {
+        "cloud_0": "c3313f80e292ffbb320009b0f4031055d23729a2638613c1c910ac2fd489c5b7",
+        "cloud_1": "31e7d067107bdb2817768bafeffd6e2362fb8f258bf4e4b29597967979fe8f14",
+        "cloud_2": "072b5df16457bc3754e4ea9f944e7b0d1d11c7695a0b2d489abad1c3e622cf47",
+        "local": "008375940b432fecca93ca35b88ed77be568af42d0123e1953df4b3f3d65d8da",
+        "manifest": "8436bed20f70fc737de9090c6f12e9d4643c3e79cb60f1de24a8bfb4807d784c",
+    },
+    "alpha5-d2": {
+        "cloud_0": "0036219f2271eef48333d6b4d11d703428e216e665a65646778f48d692244afc",
+        "cloud_1": "24c1711ec4c43c1dd4f6c531f905e5589888d280e18542e5f2a68b5fb77ab068",
+        "local": "18e957b329aef428859939e72cf2db7e887e98749452c53eb62ddfad8b02fcee",
+        "manifest": "8347c88ee5edd376bced855cc38a81860fc15fe43e1a1a60f355be1fec057c43",
+    },
+    "strict-d16-k16": {
+        "cloud_0": "1ae03007610c3a47b6539e8556db31573e79945a93c19c2c57864f4fbb8605ce",
+        "cloud_1": "e9da93395ce90db1f90d1152ef59b456530fdeb960e95a54089e3d2653ad663d",
+        "local": "095ffde8b663e842f7dbf9310934b2cc1ced9cc8185f08ec85101a48f897dd1f",
+        "manifest": "9064add8f98b20d1671d3ded080ace6d4e3b8265afba5d35ee9b454dec1ece4e",
+    },
+    "empty": {
+        "cloud_0": "2fae360b4d953484a729069ded9ac8c0d292334a750f7648a455c104a680db93",
+        "cloud_1": "2fae360b4d953484a729069ded9ac8c0d292334a750f7648a455c104a680db93",
+        "local": "2fae360b4d953484a729069ded9ac8c0d292334a750f7648a455c104a680db93",
+        "manifest": "c2534f6d9831d152180ad7fe9cf6dce234c4c253a9325a40e5283cbbf40287a7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stored_bytes_match_pinned_digests(name):
+    case = CASES[name]
+    profile = SecurityProfile(breach=case["breach"], pu=case["pu"])
+    root = storage.MemoryRoot(profile.p)
+    pipeline.store_digits(
+        pipeline.bytes_to_digits(message(case["size"]), case["d"]),
+        root,
+        gf.FieldSpec(k=case["k"], d=case["d"]),
+        n=case["n"],
+        profile=profile,
+        mode=case["mode"],
+        alpha=case["alpha"],
+    )
+    shards, local, text = root.snapshot()
+    got = {f"cloud_{i}": hashlib.sha256(shards[i]).hexdigest() for i in sorted(shards)}
+    got["local"] = hashlib.sha256(local).hexdigest()
+    got["manifest"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == DIGESTS[name]

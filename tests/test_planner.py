@@ -10,11 +10,11 @@ def block_from_elements(elements, d=2, mode=STRICT, width=3):
     digits, lengths = codec.render_elements(
         np.asarray(elements), d, mode, fixed_width=width
     )
-    return codec.CodedBlock(
+    return codec.CodedStream(
         elements=np.asarray(elements),
         render_digits=digits,
         render_lengths=lengths,
-        source_widths=np.full(len(elements), width or 1, dtype=np.int64),
+        n=len(elements),
         d=d,
         mode=mode,
     )
@@ -105,7 +105,7 @@ class TestPerCloudCaps:
 
 class TestMakePlan:
     def test_table3_layout(self):
-        plan = planner.make_plan([TABLE3_BLOCK], TABLE3_PROFILE, caps=(4, 5))
+        plan = planner.make_plan(TABLE3_BLOCK, TABLE3_PROFILE, caps=(4, 5))
         assert plan.total_digits == 9
         assert plan.stored == (4, 5)
         assert plan.local_count == 0
@@ -115,7 +115,7 @@ class TestMakePlan:
         assert plan.element_ranges(1) == [(0, 1, 1, 3), (0, 2, 0, 3)]
 
     def test_zero_caps_everything_local(self):
-        plan = planner.make_plan([TABLE3_BLOCK], TABLE3_PROFILE, caps=(0, 0))
+        plan = planner.make_plan(TABLE3_BLOCK, TABLE3_PROFILE, caps=(0, 0))
         assert plan.stored == (0, 0)
         assert plan.local_count == 9
         assert plan.local_runs == ((0, 9),)
@@ -123,7 +123,7 @@ class TestMakePlan:
     def test_overflow_one_digit_local(self):
         block = block_from_elements([2, 4, 1, 3], width=3)  # 12 digits
         profile = planner.SecurityProfile(breach=(0.5, 0.5), pu=1.0)
-        plan = planner.make_plan([block], profile, caps=(4, 5))
+        plan = planner.make_plan(block, profile, caps=(4, 5))
         assert plan.total_digits == 12
         assert sum(plan.stored) == 9
         assert plan.local_count == 3
@@ -136,14 +136,14 @@ class TestMakePlan:
         block = block_from_elements([5, 3, 7, 3], d=2, mode=ALPHA_BOUNDED, width=None)
         assert block.total_digits == 10
         profile = planner.SecurityProfile(breach=(0.5, 0.5), pu=1.0)
-        plan = planner.make_plan([block], profile, caps=(4, 5))
+        plan = planner.make_plan(block, profile, caps=(4, 5))
         assert sum(plan.stored) == 9
         assert plan.local_count == 1
 
     def test_descending_cap_greedy_counts(self):
         # 9 digits, caps (2, 9): the roomier cloud absorbs everything
         profile = planner.SecurityProfile(breach=(0.5, 0.5), pu=1.0)
-        plan = planner.make_plan([TABLE3_BLOCK], profile, caps=(2, 9))
+        plan = planner.make_plan(TABLE3_BLOCK, profile, caps=(2, 9))
         assert plan.stored == (0, 9)
 
     def test_conservation_and_guess_bound(self):
@@ -156,13 +156,13 @@ class TestMakePlan:
             alpha = 3.0 if mode == ALPHA_BOUNDED else None
             plan_g = codec.make_grouping_plan(m, spec, n=4, mode=mode, alpha=alpha)
             b = codec.DigitString(2, rng.integers(0, 2, size=m))
-            blocks = codec.encode_stream(b, plan_g, a)
+            stream = codec.encode_stream(b, plan_g, a)
             p = int(rng.integers(1, 4))
             profile = planner.SecurityProfile(
                 breach=tuple(rng.uniform(0.05, 1.0, size=p)),
                 pu=float(rng.uniform(1e-6, 1.0)),
             )
-            plan = planner.make_plan(blocks, profile)
+            plan = planner.make_plan(stream, profile)
             assert sum(plan.stored) + plan.local_count == plan.total_digits
             for i in range(p):
                 assert plan.stored[i] <= plan.caps[i]
@@ -174,22 +174,22 @@ class TestMakePlan:
     def test_coverage_is_exact_partition(self):
         rng = np.random.default_rng(13)
         for trial in range(30):
-            widths = rng.integers(1, 5, size=6)
+            rng.integers(1, 5, size=6)  # plain widths, unused; keeps the draws
             digits, lengths = codec.render_elements(
                 rng.integers(0, 8, size=6), 2, ALPHA_BOUNDED
             )
-            block = codec.CodedBlock(
+            block = codec.CodedStream(
                 elements=rng.integers(0, 8, size=6),
                 render_digits=digits,
                 render_lengths=lengths,
-                source_widths=widths,
+                n=6,
                 d=2,
                 mode=ALPHA_BOUNDED,
             )
             total = block.total_digits
             caps = tuple(int(c) for c in rng.integers(0, 6, size=3))
             profile = planner.SecurityProfile(breach=(0.5, 0.5, 0.5), pu=1.0)
-            plan = planner.make_plan([block], profile, caps=caps)
+            plan = planner.make_plan(block, profile, caps=caps)
             seen = np.zeros(total, dtype=int)
             for runs in plan.cloud_runs + (plan.local_runs,):
                 for start, stop in runs:
@@ -197,7 +197,9 @@ class TestMakePlan:
             assert np.all(seen == 1), (trial, caps)
 
     def test_empty_message(self):
-        plan = planner.make_plan([], TABLE3_PROFILE)
+        none = np.zeros(0, dtype=np.int64)
+        empty = codec.CodedStream(none, none, none, n=3, d=2, mode=STRICT)
+        plan = planner.make_plan(empty, TABLE3_PROFILE)
         assert plan.total_digits == 0
         assert plan.stored == (0, 0)
         assert plan.local_count == 0
@@ -207,19 +209,19 @@ class TestPerfectSecrecySplit:
     def test_single_digit_components(self):
         # d = 2^k: every component renders as one digit
         block = block_from_elements([3, 0, 2, 1], d=8, width=1)
-        local, cloud = planner.perfect_secrecy_split([block], w=1)
+        local, cloud = planner.perfect_secrecy_split(block, w=1)
         assert local == [(0, 0, 0)]
         assert cloud == [(0, 1, 0, 1), (0, 2, 0, 1), (0, 3, 0, 1)]
 
     def test_w_equals_n_single_digit(self):
         block = block_from_elements([3, 0, 2, 1], d=8, width=1)
-        local, cloud = planner.perfect_secrecy_split([block], w=4)
+        local, cloud = planner.perfect_secrecy_split(block, w=4)
         assert len(local) == 4
         assert cloud == []
 
     def test_alpha_mode_first_digits(self):
         block = block_from_elements([5, 3, 1], d=2, mode=ALPHA_BOUNDED, width=None)
-        local, cloud = planner.perfect_secrecy_split([block], w=2)
+        local, cloud = planner.perfect_secrecy_split(block, w=2)
         assert local == [(0, 0, 0), (0, 1, 0)]
         # component renders are 101, 11, 1: remaining digits go to the cloud
         assert cloud == [(0, 0, 1, 3), (0, 1, 1, 2), (0, 2, 0, 1)]
@@ -227,7 +229,7 @@ class TestPerfectSecrecySplit:
     def test_too_many_secret_digits(self):
         block = block_from_elements([1, 2], width=3)
         with pytest.raises(TooManySecretDigitsError):
-            planner.perfect_secrecy_split([block], w=3)
+            planner.perfect_secrecy_split(block, w=3)
 
     def test_never_two_local_digits_same_component(self):
         rng = np.random.default_rng(4)
@@ -237,7 +239,7 @@ class TestPerfectSecrecySplit:
                 rng.integers(0, 8, size=n), d=2, mode=ALPHA_BOUNDED, width=None
             )
             w = int(rng.integers(0, n + 1))
-            local, _ = planner.perfect_secrecy_split([block], w=w)
+            local, _ = planner.perfect_secrecy_split(block, w=w)
             components = [(b, e) for b, e, _ in local]
             assert len(components) == len(set(components)) == w
 
@@ -246,11 +248,11 @@ class TestPerfectSecrecySplit:
         block = block_from_elements([5, 3, 1], d=2, mode=ALPHA_BOUNDED, width=None)
         total = block.total_digits
         for w in range(4):
-            _, cloud = planner.perfect_secrecy_split([block], w=w)
+            _, cloud = planner.perfect_secrecy_split(block, w=w)
             stored = sum(d1 - d0 for _, _, d0, d1 in cloud)
             assert stored == total - w
 
     def test_mode_mismatch(self):
         block = block_from_elements([1, 2], width=3)
         with pytest.raises(ConfigError):
-            planner.perfect_secrecy_split([block], w=1, mode=ALPHA_BOUNDED)
+            planner.perfect_secrecy_split(block, w=1, mode=ALPHA_BOUNDED)

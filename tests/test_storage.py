@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +24,11 @@ def strict_block(elements, k=3, d=2, width=3):
     digits, lengths = codec.render_elements(
         np.asarray(elements), d, STRICT, fixed_width=width
     )
-    return codec.CodedBlock(
+    return codec.CodedStream(
         elements=np.asarray(elements),
         render_digits=digits,
         render_lengths=lengths,
-        source_widths=np.full(len(elements), width, dtype=np.int64),
+        n=len(elements),
         d=d,
         mode=STRICT,
     )
@@ -38,7 +42,7 @@ def table3_setup():
         mode=STRICT, d=2, k=3, width=3, r=3, pad_count=0
     )
     profile = SecurityProfile(breach=(0.5, 0.25), pu=1 / 64)
-    plan = planner.make_plan([block], profile, caps=(4, 5))
+    plan = planner.make_plan(block, profile, caps=(4, 5))
     return spec, block, grouping, profile, plan
 
 
@@ -113,7 +117,7 @@ class TestStoreFetch:
         spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
         manifest = storage.store_shards(
-            plan, [block], root, grouping, spec, (1, 2, 3), profile
+            plan, block, root, grouping, spec, (1, 2, 3), profile
         )
         shards, local = storage.fetch_shards(manifest, root)
         assert shards[0].digits.tolist() == [0, 1, 0, 1]
@@ -126,10 +130,12 @@ class TestStoreFetch:
             mode=STRICT, d=2, k=3, width=3, r=0, pad_count=0
         )
         profile = SecurityProfile(breach=(0.5, 0.5, 0.5), pu=0.5)
-        plan = planner.make_plan([], profile)
+        none = np.zeros(0, dtype=np.int64)
+        empty = codec.CodedStream(none, none, none, n=1, d=2, mode=STRICT)
+        plan = planner.make_plan(empty, profile)
         root = storage.MemoryRoot(3)
         manifest = storage.store_shards(
-            plan, [], root, grouping, spec, (), profile
+            plan, empty, root, grouping, spec, (), profile
         )
         shards, local = storage.fetch_shards(manifest, root)
         assert all(s.digits.size == 0 for s in shards)
@@ -142,7 +148,7 @@ class TestStoreFetch:
         root.set_available(1, False)
         with pytest.raises(BackendUnavailableError):
             storage.store_shards(
-                plan, [block], root, grouping, spec, (1, 2, 3), profile
+                plan, block, root, grouping, spec, (1, 2, 3), profile
             )
         with pytest.raises(MissingShardError):
             root.read_manifest()
@@ -151,7 +157,7 @@ class TestStoreFetch:
         spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
         manifest = storage.store_shards(
-            plan, [block], root, grouping, spec, (1, 2, 3), profile
+            plan, block, root, grouping, spec, (1, 2, 3), profile
         )
         raw = bytearray(root.read_shard(0))
         raw[-1] ^= 0x01
@@ -163,7 +169,7 @@ class TestStoreFetch:
         spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
         manifest = storage.store_shards(
-            plan, [block], root, grouping, spec, (1, 2, 3), profile
+            plan, block, root, grouping, spec, (1, 2, 3), profile
         )
         root._shards.pop(1)
         with pytest.raises(MissingShardError):
@@ -173,7 +179,7 @@ class TestStoreFetch:
         spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
         manifest = storage.store_shards(
-            plan, [block], root, grouping, spec, (1, 2, 3), profile
+            plan, block, root, grouping, spec, (1, 2, 3), profile
         )
         shards, local = storage.fetch_shards(manifest, root)
         with pytest.raises(IncompleteDataError):
@@ -183,7 +189,7 @@ class TestStoreFetch:
         spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
         manifest = storage.store_shards(
-            plan, [block], root, grouping, spec, (1, 2, 3), profile
+            plan, block, root, grouping, spec, (1, 2, 3), profile
         )
         before = root.snapshot()
         storage.fetch_shards(manifest, root)
@@ -194,7 +200,7 @@ class TestStoreFetch:
         spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
         manifest = storage.store_shards(
-            plan, [block], root, grouping, spec, (1, 2, 3), profile
+            plan, block, root, grouping, spec, (1, 2, 3), profile
         )
         text = root.read_manifest()
         again = storage.Manifest.from_json(text)
@@ -208,13 +214,26 @@ class TestStoreFetch:
         spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
         manifest = storage.store_shards(
-            plan, [block], root, grouping, spec, (1, 2, 3), profile
+            plan, block, root, grouping, spec, (1, 2, 3), profile
         )
         seen = np.zeros(9, dtype=int)
         for runs in manifest.cloud_runs + (manifest.local_runs,):
             for start, stop in runs:
                 seen[start:stop] += 1
         assert seen.tolist() == [1] * 9
+
+
+class TestDirectoryRoot:
+    def test_writes_sync_file_and_directory(self, tmp_path, monkeypatch):
+        synced = []
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), fsync(fd)))
+        root = storage.DirectoryRoot(tmp_path / "sync", clouds=1)
+        root.write_shard(0, b"shard")
+        root.write_local(b"local")
+        root.write_manifest("{}")
+        assert len(synced) == 6  # each file, then its directory
+        assert root.read_shard(0) == b"shard"
 
 
 class TestPipelineRoundTrip:
@@ -278,18 +297,6 @@ class TestPipelineRoundTrip:
         )
         assert pipeline.recover(root) == DigitString(2, [])
 
-    def test_parallel_store_is_byte_identical(self):
-        spec = gf.FieldSpec(k=8, d=2)
-        rng = np.random.default_rng(6)
-        digits = DigitString(2, rng.integers(0, 2, size=2048))
-        profile = SecurityProfile(breach=(0.5, 0.5), pu=1e-3)
-        roots = [storage.MemoryRoot(2) for _ in range(2)]
-        for root, flag in zip(roots, (False, True)):
-            pipeline.store_digits(
-                digits, root, spec, n=8, profile=profile, parallel=flag
-            )
-        assert roots[0].snapshot() == roots[1].snapshot()
-
 
 class TestByteLayer:
     def test_roundtrip(self):
@@ -314,3 +321,60 @@ class TestByteLayer:
         pipeline.store_digits(digits, root, spec, n=8, profile=profile)
         recovered = pipeline.recover(storage.DirectoryRoot(tmp_path / "bytes"))
         assert pipeline.digits_to_bytes(recovered) == payload
+
+
+# hand edits of a stored manifest that must be refused on load
+MANIFEST_PROBES = [
+    ("pad_count", 10**6),
+    ("format_version", 99),
+    ("points", ["a", "b", "c", "d"]),
+    ("width", 0),
+    ("block_count", 0),
+    ("n", 3),
+    ("cloud_runs", None),
+    ("cloud_runs", [[[600, 618]], [[18, 512]]]),  # shard sizes kept, run out of range
+]
+PROBE_IDS = [f"{field}={json.dumps(value)}" for field, value in MANIFEST_PROBES]
+
+
+class TestManifestValidation:
+    @pytest.fixture()
+    def edited_root(self, tmp_path, request):
+        field, value = request.param
+        root = storage.DirectoryRoot(tmp_path / "probe", clouds=2)
+        digits = pipeline.bytes_to_digits(bytes(range(64)), 2)
+        profile = SecurityProfile(breach=(0.5, 0.25), pu=1e-6)
+        pipeline.store_digits(
+            digits, root, gf.FieldSpec(k=8, d=2), n=4, profile=profile
+        )
+        raw = json.loads(root.read_manifest())
+        assert len(raw["points"]) == 4
+        raw[field] = value
+        root.write_manifest(json.dumps(raw))
+        return root
+
+    @pytest.mark.parametrize(
+        "edited_root", MANIFEST_PROBES, indirect=True, ids=PROBE_IDS
+    )
+    def test_recover_raises_pipeline_error(self, edited_root):
+        with pytest.raises(PipelineError):
+            pipeline.recover(edited_root)
+
+    @pytest.mark.parametrize(
+        "edited_root", MANIFEST_PROBES, indirect=True, ids=PROBE_IDS
+    )
+    def test_fetch_exits_3_without_traceback(self, edited_root, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncss.cli", "fetch",
+             "--root", str(edited_root.path), "--out", str(tmp_path / "out.bin")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("pipeline error:")
+        assert "manifest" in proc.stderr
