@@ -270,9 +270,19 @@ def _fold(groups: np.ndarray, d: int) -> np.ndarray:
 
 
 def expand_digits(values: np.ndarray, d: int, width: int) -> np.ndarray:
-    """Big-endian fixed-width digit expansion; shape (len(values), width)."""
+    """Big-endian fixed-width digit expansion; shape (len(values), width).
+
+    Power-of-two bases shift and mask in place; others divide digit by digit.
+    """
     values = np.asarray(values, dtype=np.int64)
     out = np.empty((values.size, width), dtype=np.int64)
+    if d > 0 and d & (d - 1) == 0:
+        j = d.bit_length() - 1
+        # a shift of 63 already leaves only the sign, as floor division would
+        shifts = np.minimum(j * np.arange(width - 1, -1, -1, dtype=np.int64), 63)
+        np.right_shift(values.reshape(-1, 1), shifts, out=out)
+        np.bitwise_and(out, d - 1, out=out)
+        return out
     rest = values.copy()
     for pos in range(width - 1, -1, -1):
         out[:, pos] = rest % d

@@ -1,9 +1,13 @@
 """GF(2^k) arithmetic and the Vandermonde linear algebra used for encoding.
 
 Field elements are plain integers in [0, 2^k - 1]; bit i is the coefficient
-of x^i in the polynomial basis. Multiplication goes through log/antilog
-tables built once per (k, polynomial) pair, so bulk operations vectorize
-over numpy arrays.
+of x^i in the polynomial basis. Scalar and elementwise multiplication go
+through log/antilog tables built once per (k, polynomial) pair. The batch
+matrix-vector kernel is table-driven instead: one gather of a product table
+per matrix column, XORed into a narrow accumulator. For k <= 8 the field
+keeps its full q x q product table (64 KiB at k=8); for k > 8 the kernel
+builds split tables a*t and a*(t << 8), t < 256, for each matrix entry a,
+unless the batch is shorter than those tables.
 """
 
 from __future__ import annotations
@@ -93,13 +97,19 @@ class OpCounter:
         self.muls = 0
 
 
+# split-table indices for k > 8: the low byte t and the high part t << 8
+_LOW_BYTES = np.arange(256, dtype=np.int64)
+_HIGH_BYTES = _LOW_BYTES << 8
+
+
 class Field:
     """Arithmetic over GF(2^k) via precomputed exp/log tables.
 
     The exp table is laid out twice over so that exp[log a + log b] needs
     no modular reduction. Tables are built from a verified generator of the
     multiplicative group, so any irreducible polynomial works (x itself is
-    not always a generator, e.g. for 0x11B at k=8).
+    not always a generator, e.g. for 0x11B at k=8). For k <= 8 the full
+    product table (uint8, q x q) is built as well.
     """
 
     def __init__(self, k: int, poly: int | None = None):
@@ -172,6 +182,12 @@ class Field:
         self.generator = g
         self._exp = exp
         self._log = log
+        self._product = None
+        if self.k <= 8:
+            a = np.arange(self.q, dtype=np.int64)
+            product = self._products(a[:, None], a[None, :]).astype(np.uint8)
+            product.setflags(write=False)
+            self._product = product
 
     # -- scalar operations ---------------------------------------------
 
@@ -204,17 +220,21 @@ class Field:
 
     # -- vectorized operations ------------------------------------------
 
-    def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of broadcastable integer arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+    def _products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise product of broadcastable int64 arrays, not counted."""
         out = self._exp[self._log[a] + self._log[b]]
         zero = (a == 0) | (b == 0)
         if zero.any():
             out = np.where(zero, 0, out)
+        return out
+
+    def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise product of broadcastable integer arrays."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         if self.counter is not None:
             self.counter.muls += int(np.broadcast(a, b).size)
-        return out
+        return self._products(a, b)
 
     def mat_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product c_i = XOR_j m[i,j] * v[j]."""
@@ -227,27 +247,45 @@ class Field:
         return np.bitwise_xor.reduce(self.mul_arr(m, v[None, :]), axis=1)
 
     def mat_vec_batch(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Apply mat_vec to every row of vs; returns an array of shape vs."""
+        """Apply mat_vec to every row of vs: out[b, i] = XOR_j m[i,j] * vs[b,j].
+
+        For each column j, the products m[:, j] * t for every value t form a
+        (t, row) table; one gather of it at vs[:, j] is XORed into the
+        accumulator. k <= 8 slices the field's product table. k > 8 builds
+        split tables for the low byte and the high part of t (two gathers),
+        unless the batch is shorter than those tables (256 + 2^(k-8) rows):
+        then the batch column's products are computed directly.
+        """
         m = np.asarray(m, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        if vs.ndim != 2 or m.shape[1] != vs.shape[1]:
+        if m.ndim != 2 or vs.ndim != 2 or m.shape[1] != vs.shape[1]:
             raise DimensionMismatchError(
                 f"cannot multiply {m.shape} matrix by batch of shape {vs.shape}"
             )
-        out = np.empty((vs.shape[0], m.shape[0]), dtype=np.int64)
-        for i in range(m.shape[0]):
-            out[:, i] = np.bitwise_xor.reduce(self.mul_arr(vs, m[i][None, :]), axis=1)
-        return out
+        for arr in (m, vs):
+            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.q):
+                raise ConfigError(f"operand entries outside GF(2^{self.k})")
+        (rows, cols), batch = m.shape, vs.shape[0]
+        if self.counter is not None:
+            self.counter.muls += rows * cols * batch
+        acc = np.zeros((batch, rows), dtype=np.uint8 if self.k <= 8 else np.uint16)
+        high_bytes = _HIGH_BYTES[: self.q >> 8]
+        for j in range(cols):
+            a, v = m[:, j], vs[:, j]
+            if self._product is not None:
+                acc ^= self._product[a].T.take(v, axis=0)
+            elif batch < _LOW_BYTES.size + high_bytes.size:
+                acc ^= self._products(v[:, None], a[None, :]).astype(np.uint16)
+            else:
+                low = self._products(_LOW_BYTES[:, None], a[None, :])
+                high = self._products(high_bytes[:, None], a[None, :])
+                acc ^= low.astype(np.uint16).take(v & 0xFF, axis=0)
+                acc ^= high.astype(np.uint16).take(v >> 8, axis=0)
+        return acc.astype(np.int64)
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if a.shape[1] != b.shape[0]:
-            raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-        for j in range(b.shape[1]):
-            out[:, j] = self.mat_vec(a, b[:, j])
-        return out
+        """Matrix product a @ b over the field: mat_vec_batch on b's columns."""
+        return self.mat_vec_batch(a, np.asarray(b, dtype=np.int64).T).T
 
     def mat_invert(self, m: np.ndarray) -> np.ndarray:
         """Invert a square matrix by Gaussian elimination with pivot search."""

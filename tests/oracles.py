@@ -93,3 +93,24 @@ def min_alpha_width(k: int, d: int, alpha: float) -> int:
     while s * alpha < target - 1e-12:
         s += 1
     return s
+
+
+def _crc32c_table() -> list[int]:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+        table.append(crc)
+    return table
+
+
+CRC32C_TABLE = _crc32c_table()
+
+
+def slow_crc32c(data: bytes, crc: int = 0) -> int:
+    """CRC-32C (reflected Castagnoli), one byte at a time."""
+    crc ^= 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ CRC32C_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF

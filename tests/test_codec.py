@@ -188,6 +188,24 @@ class TestUngroup:
         assert codec.ungroup(codec.regroup(b, plan), plan) == b
 
 
+class TestExpandDigits:
+    @pytest.mark.parametrize("d", [2, 3, 4, 10, 16, 256])
+    @pytest.mark.parametrize("width", [1, 8, 16])
+    def test_matches_oracle(self, d, width):
+        """Shift-and-mask (power-of-two d) and division give the same digits."""
+        rng = np.random.default_rng(d * 100 + width)
+        values = rng.integers(0, min(d**width, 1 << 62), size=200)
+        values[:2] = [0, min(d**width, 1 << 62) - 1]
+        got = codec.expand_digits(values, d, width)
+        assert got.dtype == np.int64 and got.shape == (200, width)
+        assert got.tolist() == [oracles.to_digits(int(v), d, width) for v in values]
+
+    def test_wide_power_of_two_keeps_low_digits(self):
+        """Digits above bit 63 are zero, as repeated division gives."""
+        got = codec.expand_digits(np.array([(1 << 62) + 5]), 2, 70)
+        assert got[0].tolist() == oracles.to_digits((1 << 62) + 5, 2, 70)
+
+
 class TestBlockCoding:
     def test_encode_example(self):
         spec = spec32()

@@ -207,6 +207,107 @@ class TestMatVec:
             assert batch[i].tolist() == a.field.mat_vec(a.rows, vs[i]).tolist()
 
 
+def field_for(k):
+    return gf.get_field(k, None if k in gf.DEFAULT_POLYS else gf.find_irreducible(k))
+
+
+KERNEL_KS = [2, 3, 4, 8, 9, 12, 16]
+
+
+class TestBatchKernel:
+    """mat_vec_batch is table-driven; it must agree with mat_vec and the oracle."""
+
+    @pytest.mark.parametrize("k", KERNEL_KS)
+    @pytest.mark.parametrize(
+        "rows,cols,batch",
+        [(5, 5, 40), (5, 5, 600), (3, 6, 25), (6, 3, 25), (4, 4, 1), (4, 4, 0)],
+    )
+    def test_matches_row_by_row(self, k, rows, cols, batch):
+        f = field_for(k)
+        rng = np.random.default_rng(100 * k + 10 * rows + cols + batch)
+        m = rng.integers(0, f.q, size=(rows, cols))
+        vs = rng.integers(0, f.q, size=(batch, cols))
+        m[rng.random(m.shape) < 0.25] = 0
+        vs[rng.random(vs.shape) < 0.25] = 0
+        out = f.mat_vec_batch(m, vs)
+        assert out.shape == (batch, rows) and out.dtype == np.int64
+        for b in range(batch):
+            assert out[b].tolist() == f.mat_vec(m, vs[b]).tolist()
+            assert out[b].tolist() == oracles.slow_mat_vec(
+                m.tolist(), vs[b].tolist(), f.poly, k
+            )
+
+    @pytest.mark.parametrize("k", [9, 12, 16])
+    def test_split_table_cutoff(self, k):
+        """Batches either side of the split-table row count agree with mat_vec."""
+        f = field_for(k)
+        rng = np.random.default_rng(k)
+        m = rng.integers(0, f.q, size=(2, 3))
+        for batch in (256 + (f.q >> 8) - 1, 256 + (f.q >> 8)):
+            vs = rng.integers(0, f.q, size=(batch, 3))
+            expected = [f.mat_vec(m, v).tolist() for v in vs]
+            assert f.mat_vec_batch(m, vs).tolist() == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_product_table_exhaustive(self, k):
+        """A q x 1 matrix times a q x 1 batch is the whole product table."""
+        f = field_for(k)
+        every = np.arange(f.q)[:, None]
+        table = f.mat_vec_batch(every, every)  # table[b, a] = a * b
+        assert table.tolist() == [[f.mul(a, b) for a in range(f.q)] for b in range(f.q)]
+
+    @pytest.mark.parametrize("k", KERNEL_KS)
+    def test_counts_rows_cols_batch(self, k):
+        f = field_for(k)
+        rng = np.random.default_rng(k)
+        f.counter = gf.OpCounter()
+        try:
+            f.mat_vec_batch(rng.integers(0, f.q, (3, 7)), rng.integers(0, f.q, (11, 7)))
+            assert f.counter.muls == 3 * 7 * 11
+            f.counter.reset()
+            f.mat_mul(rng.integers(0, f.q, (3, 7)), rng.integers(0, f.q, (7, 5)))
+            assert f.counter.muls == 3 * 7 * 5
+        finally:
+            f.counter = None
+
+    def test_mat_mul_matches_columns(self):
+        f = gf.get_field(8)
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(0, 256, (4, 6)), rng.integers(0, 256, (6, 5))
+        prod = f.mat_mul(a, b)
+        for j in range(5):
+            assert prod[:, j].tolist() == f.mat_vec(a, b[:, j]).tolist()
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_one_dimensional_matrix_rejected(self, k):
+        f = gf.get_field(k)
+        with pytest.raises(DimensionMismatchError):
+            f.mat_vec_batch(np.array([1, 2]), np.ones((3, 2), dtype=np.int64))
+        with pytest.raises(DimensionMismatchError):
+            f.mat_mul(np.array([1, 2]), np.ones((2, 3), dtype=np.int64))
+        with pytest.raises(DimensionMismatchError):
+            f.mat_mul(np.ones((2, 2), dtype=np.int64), np.array([1, 2]))
+
+    @pytest.mark.parametrize("bad", [256, 300, -1])
+    def test_operand_outside_field_rejected(self, bad):
+        f = gf.get_field(8)
+        m, vs = np.ones((2, 2), dtype=np.int64), np.ones((3, 2), dtype=np.int64)
+        m_bad, vs_bad = m.copy(), vs.copy()
+        m_bad[1, 0], vs_bad[2, 1] = bad, bad
+        for args in ((m_bad, vs), (m, vs_bad)):
+            with pytest.raises(ConfigError):
+                f.mat_vec_batch(*args)
+        with pytest.raises(ConfigError):
+            f.mat_mul(m_bad, m)
+        with pytest.raises(ConfigError):
+            f.mat_mul(m, m_bad)
+
+    def test_operand_outside_wide_field_rejected(self):
+        f = gf.get_field(16)
+        with pytest.raises(ConfigError):
+            f.mat_vec_batch(np.ones((2, 2), dtype=np.int64), np.full((1, 2), 1 << 16))
+
+
 class TestMatInvert:
     def test_2x2_cofactor_example(self):
         f = gf.get_field(2)
