@@ -104,9 +104,55 @@ def min_width_alpha(k: int, d: int, alpha: float) -> int:
     return s
 
 
+def digit_dtype(d: int) -> np.dtype:
+    """The smallest unsigned dtype holding d - 1 (int64 above 65536): the
+    dtype every digit array of base d is kept in."""
+    if d <= 1 << 8:
+        return np.dtype(np.uint8)
+    if d <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int64)
+
+
+def as_digits(values, d: int) -> np.ndarray:
+    """values as a one-dimensional array of base-d digits in digit_dtype(d).
+
+    Raises ConfigError for non-integer values or a digit outside [0, d);
+    the range is checked before narrowing, so nothing wraps.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ConfigError("digits must be one-dimensional")
+    if arr.size == 0:  # an empty list arrives as float64
+        return np.zeros(0, dtype=digit_dtype(d))
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ConfigError(f"digits must be integers, got dtype {arr.dtype}")
+    if (arr.dtype.kind == "i" and int(arr.min()) < 0) or int(arr.max()) >= d:
+        raise ConfigError(f"digits out of range for base {d}")
+    return arr.astype(digit_dtype(d), copy=False)
+
+
+def read_only(arr: np.ndarray, source) -> np.ndarray:
+    """arr marked read-only. If arr still shares memory with source, the
+    caller's own writable array, it is copied first so the caller may go on
+    writing to it; a producer handing over a fresh array marks it read-only
+    beforehand to skip the copy."""
+    if (
+        arr.flags.writeable
+        and isinstance(source, np.ndarray)
+        and np.may_share_memory(arr, source)
+    ):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(eq=False, frozen=True)
 class DigitString:
-    """An ordered sequence of base-d digits; the plaintext/recovered currency."""
+    """An ordered sequence of base-d digits; the plaintext/recovered currency.
+
+    digits is read-only and kept in digit_dtype(d) (uint8 for d <= 256).
+    """
 
     d: int
     digits: np.ndarray
@@ -114,12 +160,7 @@ class DigitString:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise BadBaseError(f"digit base must be >= 2, got {self.d}")
-        arr = np.asarray(self.digits, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ConfigError("digits must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.d):
-            raise ConfigError(f"digits out of range for base {self.d}")
-        arr.setflags(write=False)
+        arr = read_only(as_digits(self.digits, self.d), self.digits)
         object.__setattr__(self, "digits", arr)
 
     @property
@@ -236,9 +277,10 @@ def regroup(b: DigitString, plan: GroupingPlan) -> np.ndarray:
         raise PlanMismatchError(
             f"plan covers {plan.message_length} digits, message has {len(b)}"
         )
-    padded = np.zeros(plan.r * plan.width, dtype=np.int64)
-    padded[: len(b)] = b.digits
-    elements = _fold(padded.reshape(plan.r, plan.width), plan.d)
+    digits = b.digits
+    if plan.pad_count:
+        digits = np.concatenate([digits, np.zeros(plan.pad_count, digits.dtype)])
+    elements = fold_digits(digits.reshape(plan.r, plan.width), plan.d)
     if elements.size and int(elements.max()) >= (1 << plan.k):
         raise ElementOverflowError(
             f"a width-{plan.width} group exceeds GF(2^{plan.k}); "
@@ -258,36 +300,79 @@ def ungroup(elements: np.ndarray, plan: GroupingPlan) -> DigitString:
         raise PlanMismatchError(
             f"element exceeds width-{plan.width} base-{plan.d} capacity"
         )
-    digits = expand_digits(elements, plan.d, plan.width).reshape(-1)
+    digits = expand_digits(
+        elements, plan.d, plan.width, digit_dtype(plan.d)
+    ).reshape(-1)
     if plan.pad_count:
         digits = digits[: -plan.pad_count]
+    digits.setflags(write=False)  # fresh: DigitString need not copy it
     return DigitString(plan.d, digits)
 
 
-def _fold(groups: np.ndarray, d: int) -> np.ndarray:
-    """Big-endian value of each row of base-d digits."""
-    return groups @ d ** np.arange(groups.shape[1] - 1, -1, -1, dtype=np.int64)
+def fold_digits(groups: np.ndarray, d: int, dtype=np.int64) -> np.ndarray:
+    """Big-endian value of each row of base-d digits (each below d), in dtype.
+
+    Base 2 packs eight digits a byte first. dtype must hold every row's value.
+    """
+    groups = np.asarray(groups)
+    rows, width = groups.shape
+    if d == 2 and width % 8 == 0:
+        groups = np.packbits(groups.reshape(-1)).reshape(rows, width // 8)
+        d, width = 256, width // 8
+    if width == 1:
+        return groups[:, 0].astype(dtype, copy=False)
+    out = np.zeros(rows, dtype=dtype)
+    for column in groups.T:
+        out *= d
+        out += column
+    return out
 
 
-def expand_digits(values: np.ndarray, d: int, width: int) -> np.ndarray:
+def expand_digits(values: np.ndarray, d: int, width: int, dtype=np.int64) -> np.ndarray:
     """Big-endian fixed-width digit expansion; shape (len(values), width).
 
-    Power-of-two bases shift and mask in place; others divide digit by digit.
+    Values are taken modulo d**width and the digits returned in dtype. Base 2
+    at widths 8 and 16 unpacks big-endian bytes; other power-of-two bases
+    shift and mask in place; others divide digit by digit.
     """
-    values = np.asarray(values, dtype=np.int64)
-    out = np.empty((values.size, width), dtype=np.int64)
+    values = np.asarray(values).reshape(-1)
+    if values.dtype.kind not in "iu":
+        values = values.astype(np.int64)
+    if d == 2 and width in (8, 16):
+        octets = values.astype(f">u{width // 8}").view(np.uint8)
+        return np.unpackbits(octets).reshape(-1, width).astype(dtype, copy=False)
+    out = np.empty((values.size, width), dtype=dtype)
     if d > 0 and d & (d - 1) == 0:
         j = d.bit_length() - 1
+        values = values.astype(np.int64, copy=False)
         # a shift of 63 already leaves only the sign, as floor division would
         shifts = np.minimum(j * np.arange(width - 1, -1, -1, dtype=np.int64), 63)
-        np.right_shift(values.reshape(-1, 1), shifts, out=out)
+        np.right_shift(values.reshape(-1, 1), shifts, out=out, casting="unsafe")
         np.bitwise_and(out, d - 1, out=out)
         return out
-    rest = values.copy()
+    rest = values.astype(np.int64)
     for pos in range(width - 1, -1, -1):
         out[:, pos] = rest % d
         rest //= d
     return out
+
+
+def pack_digits(digits: np.ndarray, d: int) -> bytes:
+    """Power-of-two-base digits as log2(d) bits each, big-endian, with the
+    last byte zero-padded: the byte layout of data and of shard payloads."""
+    j = d.bit_length() - 1
+    if j > 1:
+        digits = expand_digits(digits, 2, j, np.uint8)
+    return np.packbits(digits).tobytes()
+
+
+def unpack_digits(payload: bytes, d: int, count: int) -> np.ndarray:
+    """Inverse of pack_digits: the first count digits, in digit_dtype(d).
+    payload must hold at least count * log2(d) bits."""
+    j = d.bit_length() - 1
+    octets = np.frombuffer(payload, dtype=np.uint8, count=-(-count * j // 8))
+    bits = np.unpackbits(octets, count=count * j)
+    return fold_digits(bits.reshape(count, j), 2, digit_dtype(d))
 
 
 @dataclass(eq=False, frozen=True)
@@ -309,10 +394,12 @@ class CodedStream:
     mode: str
 
     def __post_init__(self) -> None:
-        for name in ("elements", "render_digits", "render_lengths"):
+        for name in ("elements", "render_lengths"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        digits = read_only(as_digits(self.render_digits, self.d), self.render_digits)
+        object.__setattr__(self, "render_digits", digits)
 
     @property
     def block_count(self) -> int:
@@ -327,49 +414,52 @@ class CodedStream:
         return self.render_digits[start : start + int(self.render_lengths[i])]
 
 
+def _right_aligned(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Mask of the last lengths[i] of width digit slots in each row i."""
+    return np.arange(width) >= (width - lengths)[:, None]
+
+
 def render_elements(
     elements: np.ndarray, d: int, mode: str, fixed_width: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Digit rendering of encoded elements: (concatenated digits, lengths)."""
+    """Digit rendering of encoded elements: (concatenated digits in
+    digit_dtype(d), lengths)."""
     elements = np.asarray(elements, dtype=np.int64)
     if mode == STRICT:
         if fixed_width is None:
             raise ConfigError("strict rendering needs the fixed width")
-        digits = expand_digits(elements, d, fixed_width).reshape(-1)
+        digits = expand_digits(elements, d, fixed_width, digit_dtype(d)).reshape(-1)
         lengths = np.full(elements.size, fixed_width, dtype=np.int64)
         return digits, lengths
     lengths = digit_lengths(elements, d)
     wmax = int(lengths.max()) if lengths.size else 1
-    table = expand_digits(elements, d, wmax)
-    keep = np.arange(wmax)[None, :] >= (wmax - lengths)[:, None]
-    return table[keep], lengths
+    table = expand_digits(elements, d, wmax, digit_dtype(d))
+    return table[_right_aligned(lengths, wmax)], lengths
 
 
 def parse_renders(
     digits: np.ndarray, lengths: np.ndarray, d: int
 ) -> np.ndarray:
     """Inverse of render_elements: recombine digit runs into element values."""
-    digits = np.asarray(digits, dtype=np.int64)
+    digits = np.asarray(digits)
     lengths = np.asarray(lengths, dtype=np.int64)
     if int(lengths.sum()) != digits.size:
         raise PlanMismatchError("render lengths do not cover the digit run")
-    if lengths.size and np.all(lengths == lengths[0]):  # fixed width: strict mode
-        return _fold(digits.reshape(lengths.size, -1), d)
-    bounds = np.concatenate([[0], np.cumsum(lengths)])
-    starts = np.repeat(bounds[:-1], lengths)
-    offsets = np.arange(digits.size) - starts  # digit position within its element
-    elem_ids = np.repeat(np.arange(lengths.size), lengths)
-    exps = np.repeat(lengths, lengths) - 1 - offsets
-    contrib = digits * (d**exps).astype(np.int64)
-    out = np.zeros(lengths.size, dtype=np.int64)
-    np.add.at(out, elem_ids, contrib)
-    return out
+    if lengths.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if np.all(lengths == lengths[0]):  # fixed width: strict mode
+        return fold_digits(digits.reshape(lengths.size, -1), d)
+    keep = _right_aligned(lengths, int(lengths.max()))
+    table = np.zeros(keep.shape, dtype=digits.dtype)
+    table[keep] = digits
+    return fold_digits(table, d)
 
 
 def _coded(elements: np.ndarray, n: int, plan: GroupingPlan) -> CodedStream:
     digits, lengths = render_elements(
         elements, plan.d, plan.mode, fixed_width=plan.width
     )
+    digits.setflags(write=False)  # fresh: CodedStream need not copy it
     return CodedStream(
         elements=elements, render_digits=digits, render_lengths=lengths,
         n=n, d=plan.d, mode=plan.mode,
@@ -408,14 +498,14 @@ def encode_stream(
             f"plan element count {plan.r} is not a multiple of n={a.n}"
         )
     blocks = elements.reshape(-1, a.n)
-    coded = np.empty_like(blocks)
     # One Field.mat_vec call per block rather than one mat_vec_batch call
     # over the stream: acceptance criterion 9 asserts that n=100 encodes no
     # slower than n=10, which holds for per-block dispatch and not for the
     # batch kernel (n multiplications per element make large n the slower).
+    # Each coded block overwrites its plain block, which is read first.
     for i, block in enumerate(blocks):
-        coded[i] = a.field.mat_vec(a.rows, block)
-    return _coded(coded.reshape(-1), a.n, plan)
+        blocks[i] = a.field.mat_vec(a.rows, block)
+    return _coded(elements, a.n, plan)
 
 
 @dataclass(frozen=True)

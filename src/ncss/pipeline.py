@@ -84,35 +84,27 @@ def recover(root, manifest: Manifest | None = None) -> DigitString:
     return storage.reconstruct(manifest, shards, local)
 
 
+def _byte_base(d: int, what: str) -> int:
+    """log2(d), for the bases whose digits fill whole bytes."""
+    j = d.bit_length() - 1
+    if j < 1 or (1 << j) != d or 8 % j != 0:
+        raise ConfigError(f"byte {what} needs d in {{2, 4, 16, 256}}, got d={d}")
+    return j
+
+
 def bytes_to_digits(data: bytes, d: int) -> DigitString:
     """View bytes as base-d digits; d must be 2^j with j dividing 8."""
-    j = d.bit_length() - 1
-    if (1 << j) != d or 8 % j != 0:
-        raise ConfigError(
-            f"byte ingestion needs d in {{2, 4, 16, 256}}, got d={d}"
-        )
-    if d == 256:
-        return DigitString(256, np.frombuffer(data, dtype=np.uint8).astype(np.int64))
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    powers = (1 << np.arange(j - 1, -1, -1)).astype(np.int64)
-    digits = bits.reshape(-1, j).astype(np.int64) @ powers
+    j = _byte_base(d, "ingestion")
+    digits = codec.unpack_digits(data, d, len(data) * 8 // j)
+    digits.setflags(write=False)  # fresh: DigitString need not copy it
     return DigitString(d, digits)
 
 
 def digits_to_bytes(digits: DigitString) -> bytes:
     """Inverse of bytes_to_digits; digit count must fill whole bytes."""
-    d = digits.d
-    j = d.bit_length() - 1
-    if (1 << j) != d or 8 % j != 0:
-        raise ConfigError(
-            f"byte rendering needs d in {{2, 4, 16, 256}}, got d={d}"
-        )
+    j = _byte_base(digits.d, "rendering")
     if len(digits) % (8 // j):
         raise ConfigError(
-            f"{len(digits)} base-{d} digits do not fill whole bytes"
+            f"{len(digits)} base-{digits.d} digits do not fill whole bytes"
         )
-    if d == 256:
-        return digits.digits.astype(np.uint8).tobytes()
-    shifts = np.arange(j - 1, -1, -1, dtype=np.int64)
-    bits = ((digits.digits[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    return np.packbits(bits).tobytes()
+    return codec.pack_digits(digits.digits, digits.d)

@@ -190,26 +190,34 @@ def make_plan(
         raise ConfigError(f"{len(caps)} caps for {profile.p} clouds")
 
     local_need = max(0, total - sum(caps))
-    prefix = np.zeros(lengths.size, dtype=np.int64)
+    local_starts = local_stops = np.zeros(0, dtype=np.int64)
     if local_need:
-        max_len = int(lengths.max())
-        avail = np.array(
-            [int(np.count_nonzero(lengths > r)) for r in range(max_len)]
-        )
-        csum = np.concatenate([[0], np.cumsum(avail)])
-        rounds = int(np.searchsorted(csum, local_need, side="right")) - 1
-        partial = local_need - int(csum[rounds])
-        prefix = np.minimum(lengths, rounds)
+        # one digit per component from the stream tail, then a second
+        # round, ...; while local_need < component count, only the last
+        # local_need components keep a digit, so only they are looked at
+        rounds, partial = 0, local_need
+        if local_need >= lengths.size:
+            max_len = int(lengths.max())
+            avail = np.array(
+                [int(np.count_nonzero(lengths > r)) for r in range(max_len)]
+            )
+            csum = np.concatenate([[0], np.cumsum(avail)])
+            rounds = int(np.searchsorted(csum, local_need, side="right")) - 1
+            partial = local_need - int(csum[rounds])
+        tail = lengths[-partial:] if rounds == 0 else lengths
+        prefix = np.minimum(tail, rounds)
         if partial:
-            eligible = np.nonzero(lengths > rounds)[0]
+            eligible = np.nonzero(tail > rounds)[0]
             prefix[eligible[-partial:]] += 1
+        first = total - np.cumsum(tail[::-1])[::-1]  # stream start of each
+        local_starts, local_stops = _merge(first, first + prefix)
+    local_runs = _as_runs(local_starts, local_stops)
 
-    bounds = np.concatenate([[0], np.cumsum(lengths)])
-    local_runs = _as_runs(*_merge(bounds[:-1], bounds[:-1] + prefix))
-
-    # suffix of each element goes to the clouds, preserving stream order;
-    # cloud i takes the digits at offsets [cut[i], cut[i+1]) of the suffixes
-    starts, stops = _merge(bounds[:-1] + prefix, bounds[1:])
+    # the clouds hold the complement of the local runs, in stream order;
+    # cloud i takes the digits at offsets [cut[i], cut[i+1]) of these runs
+    starts, stops = _merge(
+        np.concatenate([[0], local_stops]), np.concatenate([local_starts, [total]])
+    )
     run_cum = np.concatenate([[0], np.cumsum(stops - starts)])
 
     remaining = total - local_need

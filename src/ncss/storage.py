@@ -167,27 +167,21 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
 def pack_shard(digits: np.ndarray, d: int, k: int) -> bytes:
     """Serialize a digit payload with the shard header."""
-    digits = np.asarray(digits, dtype=np.int64)
     j = d.bit_length() - 1
     power_of_two = (1 << j) == d
     if not power_of_two and d > 256:
         raise ConfigError(
             f"byte-per-digit payloads support d <= 256, got d={d}"
         )
+    digits = codec.as_digits(digits, d)
     header = (
         MAGIC
         + bytes([FORMAT_VERSION, j if power_of_two else 0, k])
         + int(digits.size).to_bytes(8, "big")
     )
-    if digits.size == 0:
-        return header
     if power_of_two:
-        shifts = np.arange(j - 1, -1, -1, dtype=np.int64)
-        bits = ((digits[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-        payload = np.packbits(bits).tobytes()
-    else:
-        payload = digits.astype(np.uint8).tobytes()
-    return header + payload
+        return header + codec.pack_digits(digits, d)
+    return header + digits.tobytes()
 
 
 def unpack_shard(raw: bytes) -> tuple[np.ndarray, int, int]:
@@ -198,21 +192,12 @@ def unpack_shard(raw: bytes) -> tuple[np.ndarray, int, int]:
     if version != FORMAT_VERSION:
         raise PipelineError(f"unsupported shard format version {version}")
     count = int.from_bytes(raw[7:15], "big")
-    payload = raw[15:]
-    if count == 0:
-        return np.zeros(0, dtype=np.int64), j, k
+    payload = memoryview(raw)[15:]
+    if len(payload) < -(-count * (j or 8) // 8):
+        raise PipelineError("shard payload shorter than its digit count")
     if j > 0:
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-        need = count * j
-        if bits.size < need:
-            raise PipelineError("shard payload shorter than its digit count")
-        powers = (1 << np.arange(j - 1, -1, -1)).astype(np.int64)
-        digits = bits[:need].reshape(count, j).astype(np.int64) @ powers
-    else:
-        if len(payload) < count:
-            raise PipelineError("shard payload shorter than its digit count")
-        digits = np.frombuffer(payload[:count], dtype=np.uint8).astype(np.int64)
-    return digits, j, k
+        return codec.unpack_digits(payload, 1 << j, count), j, k
+    return np.frombuffer(payload, dtype=np.uint8, count=count), j, k
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +327,14 @@ class DirectoryRoot:
 
 @dataclass(frozen=True)
 class Shard:
-    """One cloud's digit payload."""
+    """One cloud's digit payload, kept in the dtype it arrives in (the digit
+    dtype of its base when read by unpack_shard)."""
 
     cloud: int
     digits: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.digits, dtype=np.int64)
-        arr.setflags(write=False)
+        arr = codec.read_only(np.asarray(self.digits), self.digits)
         object.__setattr__(self, "digits", arr)
 
 
@@ -512,9 +497,8 @@ def _encode_lengths(lengths: np.ndarray) -> str:
 
 
 def _gather(stream: np.ndarray, runs) -> np.ndarray:
-    if not runs:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([stream[start:stop] for start, stop in runs])
+    parts = [stream[start:stop] for start, stop in runs] or [stream[:0]]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def store_shards(
@@ -583,37 +567,60 @@ def fetch_shards(
     manifest: Manifest, root
 ) -> tuple[list[Shard], np.ndarray]:
     """Retrieve and verify every shard plus the local share."""
+    j = manifest.d.bit_length() - 1
+    header = (j if 1 << j == manifest.d else 0, manifest.k)
+
+    def read(raw: bytes, checksum: str, what: str) -> np.ndarray:
+        if format(crc32c(raw), "08x") != checksum:
+            raise ChecksumMismatchError(f"{what} failed its checksum")
+        digits, *fields = unpack_shard(raw)
+        if tuple(fields) != header:
+            raise PipelineError(f"{what} header does not match the manifest")
+        digits.setflags(write=False)  # fresh or a view of raw: no copy needed
+        return digits
+
     shards = []
     for i in range(manifest.p):
-        raw = root.read_shard(i)
-        if format(crc32c(raw), "08x") != manifest.checksums[i]:
-            raise ChecksumMismatchError(f"cloud {i} shard failed its checksum")
-        digits, _, _ = unpack_shard(raw)
+        digits = read(root.read_shard(i), manifest.checksums[i], f"cloud {i} shard")
         shards.append(Shard(cloud=i, digits=digits))
-    raw = root.read_local()
-    if format(crc32c(raw), "08x") != manifest.local_checksum:
-        raise ChecksumMismatchError("local share failed its checksum")
-    local, _, _ = unpack_shard(raw)
+    local = read(root.read_local(), manifest.local_checksum, "local share")
     return shards, local
+
+
+def _check_cover(manifest: Manifest, total: int) -> None:
+    """The cloud and local runs together must tile [0, total) exactly."""
+    runs = [run for cloud in manifest.cloud_runs for run in cloud]
+    runs += manifest.local_runs
+    for start, stop in runs:
+        if not 0 <= start <= stop <= total:
+            raise IncompleteDataError(
+                f"manifest run [{start}, {stop}) is outside the {total}-digit stream"
+            )
+    # sorted, the runs tile [0, total) iff each nonempty one starts where the
+    # previous one stopped: a later start is a gap, an earlier one an overlap;
+    # the closing run at total checks that the last one stops there
+    pos = 0
+    for start, stop in sorted(runs) + [(total, total + 1)]:
+        if start < stop:
+            if start != pos:
+                raise IncompleteDataError(
+                    f"manifest runs do not cover the {total}-digit stream exactly once"
+                )
+            pos = stop
 
 
 def assemble_stream(
     manifest: Manifest, shards: list[Shard | None], local: np.ndarray
 ) -> np.ndarray:
-    """Scatter shard and local digits back into the full rendered stream."""
-    lengths = manifest.element_lengths()
-    total = int(lengths.sum())
-    buffer = np.full(total, -1, dtype=np.int64)
+    """Scatter shard and local digits back into the full rendered stream, in
+    the digit dtype of the manifest's base; the manifest runs must tile it."""
+    total = int(manifest.element_lengths().sum())
+    _check_cover(manifest, total)
+    buffer = np.empty(total, dtype=codec.digit_dtype(manifest.d))
 
     def fill(runs, digits, what):
         pos = 0
-        digits = np.asarray(digits, dtype=np.int64)
         for start, stop in runs:
-            if not 0 <= start <= stop <= total:
-                raise IncompleteDataError(
-                    f"manifest run [{start}, {stop}) is outside the "
-                    f"{total}-digit stream"
-                )
             need = stop - start
             if pos + need > digits.size:
                 raise IncompleteDataError(f"{what} is shorter than its runs")
@@ -628,10 +635,7 @@ def assemble_stream(
                 raise IncompleteDataError(f"cloud {i} shard is withheld")
             continue
         fill(runs, shards[i].digits, f"cloud {i} shard")
-    fill(manifest.local_runs, local, "local share")
-
-    if total and int(buffer.min()) < 0:
-        raise IncompleteDataError("digit stream has uncovered positions")
+    fill(manifest.local_runs, np.asarray(local), "local share")
     return buffer
 
 
@@ -640,16 +644,17 @@ def reconstruct(
 ) -> DigitString:
     """Reassemble the digit stream, decode every block, strip the padding."""
     buffer = assemble_stream(manifest, shards, local)
-    lengths = manifest.element_lengths()
-
     if manifest.block_count == 0:
-        return DigitString(manifest.d, np.zeros(0, dtype=np.int64))
+        return DigitString(manifest.d, [])
 
-    elements = codec.parse_renders(buffer, lengths, manifest.d)
+    elements = codec.parse_renders(buffer, manifest.element_lengths(), manifest.d)
+    del buffer  # each stage's input is as large as the message: free it early
     field = get_field(manifest.k, manifest.reduction_poly)
     if elements.size and int(elements.max()) >= field.q:
         raise PipelineError("recovered digits parse outside the field")
     matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
-    coded = elements.reshape(manifest.block_count, manifest.n)
-    decoded = field.mat_vec_batch(matrix.inverse(), coded)
+    decoded = field.mat_vec_batch(
+        matrix.inverse(), elements.reshape(manifest.block_count, manifest.n)
+    )
+    del elements
     return codec.ungroup(decoded.reshape(-1), manifest.grouping_plan())

@@ -114,3 +114,69 @@ def slow_crc32c(data: bytes, crc: int = 0) -> int:
     for byte in data:
         crc = (crc >> 8) ^ CRC32C_TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
+
+
+def slow_bytes_to_digits(data: bytes, d: int) -> list[int]:
+    """Each byte as 8 / log2(d) big-endian base-d digits, one byte at a time."""
+    per = 8 // (d.bit_length() - 1)
+    out = []
+    for byte in data:
+        out.extend(to_digits(byte, d, per))
+    return out
+
+
+def slow_pack(digits, d: int) -> bytes:
+    """Shard payload: log2(d) big-endian bits per digit for power-of-two d,
+    zero-padded to whole bytes; one byte per digit otherwise."""
+    j = d.bit_length() - 1
+    if 1 << j != d:
+        return bytes(int(x) for x in digits)
+    bits = []
+    for x in digits:
+        bits.extend(to_digits(int(x), 2, j))
+    bits.extend([0] * (-len(bits) % 8))
+    return bytes(from_digits(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _runs(owners, who):
+    """Maximal half-open runs of the positions owners marks as who."""
+    runs = []
+    for pos, owner in enumerate(owners):
+        if owner != who:
+            continue
+        if runs and runs[-1][1] == pos:
+            runs[-1][1] = pos + 1
+        else:
+            runs.append([pos, pos + 1])
+    return tuple(tuple(run) for run in runs)
+
+
+def plan_runs(lengths, caps):
+    """Cloud and local runs of a distribution plan, digit by digit.
+
+    Local digits: in rounds, one more leading digit of each component that
+    has one left, visiting components from the stream tail, until the
+    caps absorb the rest. Cloud counts: greedy in descending-cap order.
+    The non-local digits go, in stream order, to cloud 0, then cloud 1, ...
+    """
+    total = sum(lengths)
+    need = max(0, total - sum(caps))
+    prefix = [0] * len(lengths)
+    while need:
+        for e in reversed(range(len(lengths))):
+            if need and prefix[e] < lengths[e]:
+                prefix[e] += 1
+                need -= 1
+    owners = []
+    for size, kept in zip(lengths, prefix):
+        owners.extend(["local"] * kept + [None] * (size - kept))
+    remaining = total - sum(prefix)
+    counts = [0] * len(caps)
+    for i in sorted(range(len(caps)), key=lambda i: (-caps[i], i)):
+        counts[i] = min(caps[i], remaining)
+        remaining -= counts[i]
+    free = (pos for pos, owner in enumerate(owners) if owner is None)
+    for cloud, count in enumerate(counts):
+        for _ in range(count):
+            owners[next(free)] = cloud
+    return tuple(_runs(owners, c) for c in range(len(caps))), _runs(owners, "local")

@@ -9,6 +9,7 @@ from ncss.errors import (
     BadAlphaError,
     BadAssignmentError,
     BadBaseError,
+    ConfigError,
     DimensionMismatchError,
     ElementOverflowError,
     EmptyInputError,
@@ -204,6 +205,88 @@ class TestExpandDigits:
         """Digits above bit 63 are zero, as repeated division gives."""
         got = codec.expand_digits(np.array([(1 << 62) + 5]), 2, 70)
         assert got[0].tolist() == oracles.to_digits((1 << 62) + 5, 2, 70)
+
+
+class TestNarrowDigits:
+    @pytest.mark.parametrize(
+        "d,dtype",
+        [(2, np.uint8), (10, np.uint8), (256, np.uint8), (257, np.uint16),
+         (65536, np.uint16), (65537, np.int64)],
+    )
+    def test_digit_dtype(self, d, dtype):
+        b = codec.DigitString(d, np.array([0, d - 1]))
+        assert b.digits.dtype == dtype and b.digits.tolist() == [0, d - 1]
+        assert codec.DigitString(d, []).digits.dtype == dtype
+
+    def test_non_integer_rejected(self):
+        for bad in ([0.5, 1.9], ["0", "1"], [True, False], [0, 2**70]):
+            with pytest.raises(ConfigError):
+                codec.DigitString(2, bad)
+
+    def test_range_checked_before_narrowing(self):
+        with pytest.raises(ConfigError):
+            codec.DigitString(256, [300])
+        with pytest.raises(ConfigError):
+            codec.DigitString(256, np.array([-1]))
+        with pytest.raises(ConfigError):
+            codec.DigitString(2, np.array([2], dtype=np.uint8))
+
+    def test_caller_array_stays_writable(self):
+        """An input already in the digit dtype is copied, not frozen in place."""
+        mine = np.array([0, 1, 1, 0], dtype=np.uint8)
+        b = codec.DigitString(2, mine)
+        coded = codec.CodedStream(
+            elements=[0, 1], render_digits=mine, render_lengths=[2, 2],
+            n=2, d=2, mode=STRICT,
+        )
+        mine[0] = 1
+        assert mine.flags.writeable
+        assert b.digits.tolist() == coded.render_digits.tolist() == [0, 1, 1, 0]
+        assert not b.digits.flags.writeable
+        assert not coded.render_digits.flags.writeable
+
+    def test_read_only_input_shared(self):
+        frozen = np.array([1, 0, 1], dtype=np.uint8)
+        frozen.setflags(write=False)
+        assert codec.DigitString(2, frozen).digits is frozen
+
+    @pytest.mark.parametrize("d,width", [(16, 4), (4, 5), (2, 300), (8, 3)])
+    def test_expand_narrow_values(self, d, width):
+        """uint8 values expand right, shifts past their width included."""
+        values = np.array([0, 1, 0x5A, 0xAB, 0xFF], dtype=np.uint8)
+        got = codec.expand_digits(values, d, width, np.uint8)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [oracles.to_digits(int(v), d, width) for v in values]
+
+    @pytest.mark.parametrize("d,k", [(16, 16), (2, 16), (3, 16), (256, 16)])
+    def test_alpha_render_parse_roundtrip(self, d, k):
+        """Renders as long as 16 base-2 digits fold in int64, not in uint8."""
+        rng = np.random.default_rng(d + k)
+        values = rng.integers(0, 1 << k, size=500)
+        values[:3] = [0, 1, (1 << k) - 1]
+        digits, lengths = codec.render_elements(values, d, ALPHA_BOUNDED)
+        assert digits.dtype == codec.digit_dtype(d)
+        assert lengths.tolist() == [oracles.digit_len(int(v), d) for v in values]
+        want = [
+            x for v in values
+            for x in oracles.to_digits(int(v), d, oracles.digit_len(int(v), d))
+        ]
+        assert digits.tolist() == want
+        assert codec.parse_renders(digits, lengths, d).tolist() == values.tolist()
+
+    @pytest.mark.parametrize(
+        "d,width",
+        [(2, 8), (2, 16), (2, 3), (4, 4), (16, 4), (10, 2), (256, 2), (65536, 1)],
+    )
+    def test_strict_render_parse_roundtrip(self, d, width):
+        rng = np.random.default_rng(d * width)
+        values = rng.integers(0, d**width, size=300)
+        digits, lengths = codec.render_elements(values, d, STRICT, fixed_width=width)
+        assert digits.dtype == codec.digit_dtype(d)
+        want = [x for v in values for x in oracles.to_digits(int(v), d, width)]
+        assert digits.tolist() == want
+        parsed = codec.parse_renders(digits, lengths, d)
+        assert parsed.dtype == np.int64 and parsed.tolist() == values.tolist()
 
 
 class TestBlockCoding:

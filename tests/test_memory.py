@@ -1,0 +1,38 @@
+"""Memory guard: a strict store plus recover stays within a fixed number of
+bytes of Python-heap allocation per payload byte.
+
+tracemalloc sees numpy's array buffers, so its peak is a deterministic stand-in
+for the peak resident size of the data path: one int64 copy of a d=2 digit
+stream alone costs 64 bytes per payload byte.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from ncss import gf, pipeline, storage
+from ncss.planner import SecurityProfile
+
+BYTES_PER_BYTE = 64
+
+
+def test_strict_d2_round_trip_peak():
+    payload = np.random.default_rng(3).bytes(1 << 20)
+    spec = gf.FieldSpec(k=8, d=2)
+    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
+    root = storage.MemoryRoot(3)
+    pipeline.store_digits(  # fill the field, matrix and inverse caches first
+        pipeline.bytes_to_digits(payload[:64], 2), storage.MemoryRoot(3),
+        spec, n=100, profile=profile,
+    )
+    tracemalloc.start()
+    try:
+        digits = pipeline.bytes_to_digits(payload, 2)
+        pipeline.store_digits(digits, root, spec, n=100, profile=profile)
+        del digits
+        back = pipeline.digits_to_bytes(pipeline.recover(root))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == payload
+    assert peak <= BYTES_PER_BYTE * len(payload), f"{peak / len(payload):.1f} B/B"

@@ -5,6 +5,8 @@ from ncss import codec, gf, planner
 from ncss.codec import ALPHA_BOUNDED, STRICT
 from ncss.errors import BadCountError, ConfigError, TooManySecretDigitsError
 
+import oracles
+
 
 def block_from_elements(elements, d=2, mode=STRICT, width=3):
     digits, lengths = codec.render_elements(
@@ -203,6 +205,29 @@ class TestMakePlan:
         assert plan.total_digits == 0
         assert plan.stored == (0, 0)
         assert plan.local_count == 0
+
+
+class TestPlanRunsOracle:
+    def test_matches_digit_by_digit_reference(self):
+        """Random render lengths and caps, every plan keeping digits locally."""
+        rng = np.random.default_rng(21)
+        profile = planner.SecurityProfile(breach=(0.5, 0.5, 0.5), pu=1.0)
+        for trial in range(300):
+            count = int(rng.integers(1, 40))
+            lengths = rng.integers(1, 17, size=count)
+            total = int(lengths.sum())
+            caps = tuple(int(c) for c in rng.integers(0, total // 2 + 1, size=3))
+            if sum(caps) >= total:
+                caps = (caps[0], caps[1], max(0, total - 1 - caps[0] - caps[1]))
+            stream = codec.CodedStream(
+                elements=np.zeros(count, dtype=np.int64),
+                render_digits=np.zeros(total, dtype=np.int64),
+                render_lengths=lengths, n=count, d=2, mode=ALPHA_BOUNDED,
+            )
+            plan = planner.make_plan(stream, profile, caps=caps)
+            cloud, local = oracles.plan_runs(lengths.tolist(), caps)
+            assert plan.local_count > 0
+            assert (plan.cloud_runs, plan.local_runs) == (cloud, local), (trial, caps)
 
 
 class TestPerfectSecrecySplit:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -145,6 +146,96 @@ class TestShardFormat:
             storage.unpack_shard(raw[:-2])
         with pytest.raises(PipelineError):
             storage.unpack_shard(b"XXXX" + raw[4:])
+
+
+class TestNarrowPacking:
+    def test_shard_leaves_caller_array_writable(self):
+        mine = np.array([3, 0, 2], dtype=np.uint8)
+        shard = storage.Shard(0, mine)
+        mine[0] = 1
+        assert mine.flags.writeable
+        assert shard.digits.tolist() == [3, 0, 2]
+        assert not shard.digits.flags.writeable
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 10, 16, 256])
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 1001])
+    def test_pack_matches_oracle(self, d, size):
+        digits = np.random.default_rng(d * 7 + size).integers(0, d, size=size)
+        raw = storage.pack_shard(digits, d, 8)
+        assert raw[15:] == oracles.slow_pack(digits, d)
+        back, _, _ = storage.unpack_shard(raw)
+        assert back.dtype == np.uint8 and back.tolist() == digits.tolist()
+
+    @pytest.mark.parametrize("d", [8, 512, 65536])
+    def test_wide_power_of_two_bases(self, d):
+        digits = np.random.default_rng(d).integers(0, d, size=301)
+        raw = storage.pack_shard(digits, d, 16)
+        assert raw[15:] == oracles.slow_pack(digits, d)
+        back, _, _ = storage.unpack_shard(raw)
+        assert back.dtype == codec.digit_dtype(d)
+        assert back.tolist() == digits.tolist()
+
+    def test_out_of_range_digit_rejected(self):
+        with pytest.raises(ConfigError):
+            storage.pack_shard(np.array([0, 4]), 4, 8)
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 256])
+    @pytest.mark.parametrize("size", [0, 1, 7, 4097])
+    def test_byte_layer_matches_oracle(self, d, size):
+        data = np.random.default_rng(size).bytes(size)
+        digits = pipeline.bytes_to_digits(data, d)
+        assert digits.digits.dtype == np.uint8
+        assert digits.digits.tolist() == oracles.slow_bytes_to_digits(data, d)
+        assert pipeline.digits_to_bytes(digits) == data
+        wide = DigitString(d, digits.digits.astype(np.int64))
+        assert pipeline.digits_to_bytes(wide) == data
+
+    @pytest.mark.parametrize(
+        "cloud_runs,local_runs,ok",
+        [
+            ((((4, 9),), ((0, 4),)), (), True),  # clouds swapped: still a tiling
+            ((((0, 4), (6, 6)), ((4, 9),)), ((9, 9),), True),  # empty runs
+            ((((0, 9),), ((2, 7),)), (), False),  # nested overlap
+            ((((0, 4),), ((4, 9),)), ((3, 5),), False),  # overlap across clouds
+            ((((0, 4),), ((5, 9),)), (), False),  # gap
+            ((((0, 4),), ((4, 8),)), (), False),  # tail uncovered
+        ],
+    )
+    def test_runs_must_tile_the_stream(self, cloud_runs, local_runs, ok):
+        spec, block, grouping, profile, plan = table3_setup()
+        manifest = storage.store_shards(
+            plan, block, storage.MemoryRoot(2), grouping, spec, (1, 2, 3), profile
+        )
+        edited = dataclasses.replace(
+            manifest, cloud_runs=cloud_runs, local_runs=local_runs
+        )
+        digits = block.render_digits
+
+        def held(runs):
+            return np.concatenate([digits[a:b] for a, b in runs] or [digits[:0]])
+
+        shards = [storage.Shard(i, held(runs)) for i, runs in enumerate(cloud_runs)]
+        if ok:
+            got = storage.assemble_stream(edited, shards, held(local_runs))
+            assert got.tolist() == digits.tolist()
+        else:
+            with pytest.raises(IncompleteDataError, match="exactly once"):
+                storage.assemble_stream(edited, shards, held(local_runs))
+
+    def test_shard_header_must_match_manifest(self):
+        spec, block, grouping, profile, plan = table3_setup()
+        root = storage.MemoryRoot(2)
+        manifest = storage.store_shards(
+            plan, block, root, grouping, spec, (1, 2, 3), profile
+        )
+        raw = storage.pack_shard(np.zeros(4, dtype=np.int64), 4, 3)  # d=4, not 2
+        root.write_shard(0, raw)
+        edited = dataclasses.replace(
+            manifest,
+            checksums=(format(storage.crc32c(raw), "08x"),) + manifest.checksums[1:],
+        )
+        with pytest.raises(PipelineError, match="header"):
+            storage.fetch_shards(edited, root)
 
 
 class TestStoreFetch:
@@ -368,6 +459,8 @@ MANIFEST_PROBES = [
     ("n", 3),
     ("cloud_runs", None),
     ("cloud_runs", [[[600, 618]], [[18, 512]]]),  # shard sizes kept, run out of range
+    ("cloud_runs", [[[0, 18]], [[10, 504]]]),  # shard sizes kept, runs overlap
+    ("cloud_runs", [[[0, 10]], [[18, 512]]]),  # runs leave [10, 18) uncovered
 ]
 PROBE_IDS = [f"{field}={json.dumps(value)}" for field, value in MANIFEST_PROBES]
 
