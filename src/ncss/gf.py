@@ -8,6 +8,11 @@ per matrix column, XORed into a narrow accumulator. For k <= 8 the field
 keeps its full q x q product table (64 KiB at k=8); for k > 8 the kernel
 builds split tables a*t and a*(t << 8), t < 256, for each matrix entry a,
 unless the batch is shorter than those tables.
+
+For k <= 8 the same product table also yields a matrix's column table
+(Field._column_table): row j*q + t holds column j of the matrix times t, so
+that one gather of n rows and one XOR over them give a whole matrix-vector
+product. codec.encode_stream codes every k <= 8 stream with it.
 """
 
 from __future__ import annotations
@@ -220,6 +225,14 @@ class Field:
 
     # -- vectorized operations ------------------------------------------
 
+    def _in_field(self, *arrays: np.ndarray) -> None:
+        """Raise ConfigError unless every entry of every integer array is in
+        [0, q): their OR has no bit at or above k (a negative entry sets them
+        all), one reduction per array."""
+        for arr in arrays:
+            if int(np.bitwise_or.reduce(arr, axis=None)) >> self.k:
+                raise ConfigError(f"operand entries outside GF(2^{self.k})")
+
     def _products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of broadcastable int64 arrays, not counted."""
         out = self._exp[self._log[a] + self._log[b]]
@@ -232,6 +245,11 @@ class Field:
         """Elementwise product of broadcastable integer arrays."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        self._in_field(a, b)
+        return self._mul_arr(a, b)
+
+    def _mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """mul_arr of int64 operands already known to lie in the field."""
         if self.counter is not None:
             self.counter.muls += int(np.broadcast(a, b).size)
         return self._products(a, b)
@@ -244,7 +262,18 @@ class Field:
             raise DimensionMismatchError(
                 f"cannot multiply {m.shape} matrix by length-{v.shape} vector"
             )
-        return np.bitwise_xor.reduce(self.mul_arr(m, v[None, :]), axis=1)
+        self._in_field(m, v)
+        return np.bitwise_xor.reduce(self._mul_arr(m, v[None, :]), axis=1)
+
+    def _column_table(self, m: np.ndarray) -> np.ndarray:
+        """Column table of m for k <= 8, not counted: row j*q + t holds the
+        products m[:, j] * t as bytes, zero-padded to a multiple of 8 and
+        viewed as uint64. XORing the rows j*q + v[j] over every column j
+        gives mat_vec(m, v) in the first m.shape[0] bytes."""
+        rows, cols = m.shape
+        table = np.zeros((cols, self.q, -(-rows // 8) * 8), dtype=np.uint8)
+        table[:, :, :rows] = self._product[m.T].transpose(0, 2, 1)
+        return table.reshape(cols * self.q, -1).view(np.uint64)
 
     def mat_vec_batch(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Apply mat_vec to every row of vs: out[b, i] = XOR_j m[i,j] * vs[b,j].
@@ -262,9 +291,7 @@ class Field:
             raise DimensionMismatchError(
                 f"cannot multiply {m.shape} matrix by batch of shape {vs.shape}"
             )
-        for arr in (m, vs):
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.q):
-                raise ConfigError(f"operand entries outside GF(2^{self.k})")
+        self._in_field(m, vs)
         (rows, cols), batch = m.shape, vs.shape[0]
         if self.counter is not None:
             self.counter.muls += rows * cols * batch
@@ -293,6 +320,7 @@ class Field:
         n = m.shape[0]
         if m.shape != (n, n):
             raise DimensionMismatchError(f"matrix of shape {m.shape} is not square")
+        self._in_field(m)
         aug = np.concatenate([m.copy(), np.eye(n, dtype=np.int64)], axis=1)
         for col in range(n):
             pivots = np.nonzero(aug[col:, col])[0]
@@ -301,11 +329,11 @@ class Field:
             p = col + int(pivots[0])
             if p != col:
                 aug[[col, p]] = aug[[p, col]]
-            aug[col] = self.mul_arr(aug[col], self.inv(int(aug[col, col])))
+            aug[col] = self._mul_arr(aug[col], self.inv(int(aug[col, col])))
             rows = np.nonzero(aug[:, col])[0]
             rows = rows[rows != col]
             if rows.size:
-                aug[rows] ^= self.mul_arr(aug[rows, col][:, None], aug[col][None, :])
+                aug[rows] ^= self._mul_arr(aug[rows, col][:, None], aug[col][None, :])
         return aug[:, n:]
 
     def __repr__(self) -> str:
@@ -406,7 +434,7 @@ def build_vandermonde(spec: FieldSpec | Field, points) -> EncodingMatrix:
     rows = np.empty((n, n), dtype=np.int64)
     rows[0] = 1
     for i in range(1, n):
-        rows[i] = field.mul_arr(rows[i - 1], pts)
+        rows[i] = field._mul_arr(rows[i - 1], pts)  # points checked above
     return EncodingMatrix(field, points, rows)
 
 

@@ -478,7 +478,14 @@ class Manifest:
         """Per-element digit counts of the coded rendering, stream order."""
         count = self.block_count * self.n
         if self.mode == STRICT:
-            return np.full(count, self.width, dtype=np.int64)
+            # every element at the width: one int64 seen count times through
+            # a zero stride (np.broadcast_to does the same at 4x the call cost,
+            # which small recovers feel)
+            lengths = np.ndarray(
+                (count,), np.int64, np.array(self.width, np.int64), strides=(0,)
+            )
+            lengths.setflags(write=False)
+            return lengths
         if self.render_lengths is None or len(self.render_lengths) != count:
             raise PipelineError("manifest lacks per-element render lengths")
         # one lowercase hex digit per element: its length - 1
@@ -486,10 +493,14 @@ class Manifest:
         return codes - np.where(codes > ord("9"), ord("a") - 11, ord("0") - 1)
 
 
+_HEX_CODES = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
 def _encode_lengths(lengths: np.ndarray) -> str:
+    """One lowercase hex digit per element: its length - 1."""
     if lengths.size and int(lengths.max()) > 16:
         raise PipelineError("render lengths above 16 digits are not encodable")
-    return "".join(format(int(v) - 1, "x") for v in lengths)
+    return _HEX_CODES.take(np.asarray(lengths) - 1).tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,119 @@ class TestBlockCoding:
         assert codec.parse_renders(digits, lengths, 2).tolist() == vals.tolist()
 
 
+def _column_table_spy(monkeypatch):
+    """Record the n of every column table built during the test."""
+    built = []
+    real = gf.Field._column_table
+
+    def spy(self, m):
+        built.append(m.shape[1])
+        return real(self, m)
+
+    monkeypatch.setattr(gf.Field, "_column_table", spy)
+    return built
+
+
+class TestColumnTableEncode:
+    """encode_stream against a row-by-row Field.mat_vec encode and the
+    shift-and-reduce oracle: every k <= 8 stream takes the column table,
+    however short, and k > 8 takes per-block mat_vec."""
+
+    CASES = [
+        (k, n, blocks)
+        for k in (2, 3, 4, 8)
+        for n in (1, 7, 8, 9, 51)
+        if n < 1 << k
+        for blocks in (1, (1 << k) - 1, 1 << k)
+    ]
+
+    @staticmethod
+    def encode(spec, n, blocks, mode=STRICT, alpha=None, seed=0):
+        rng = np.random.default_rng(seed)
+        width = (
+            codec.strict_width(spec.k, spec.d) if mode == STRICT
+            else codec.min_width_alpha(spec.k, spec.d, alpha)
+        )
+        m = blocks * n * width - int(rng.integers(0, width))  # pads the last block
+        plan = codec.make_grouping_plan(m, spec, n=n, mode=mode, alpha=alpha)
+        b = codec.DigitString(spec.d, rng.integers(0, spec.d, size=m))
+        a = gf.build_vandermonde(spec, gf.default_points(n))
+        counter = gf.OpCounter()
+        a.field.counter = counter
+        try:
+            stream = codec.encode_stream(b, plan, a)
+        finally:
+            a.field.counter = None
+        plain = codec.regroup(b, plan).reshape(-1, n)
+        assert plain.shape[0] == blocks
+        return a, plan, plain, stream, counter.muls
+
+    def check(self, a, plan, plain, stream, muls):
+        f = a.field
+        want = np.array([f.mat_vec(a.rows, v) for v in plain])
+        assert stream.elements.reshape(plain.shape).tolist() == want.tolist()
+        rng = np.random.default_rng(len(plain))
+        sample = {0, len(plain) - 1, *rng.integers(0, len(plain), 6).tolist()}
+        for i in sorted(sample):
+            got = oracles.slow_mat_vec(a.rows.tolist(), plain[i].tolist(), f.poly, f.k)
+            assert got == want[i].tolist()
+        digits, lengths = codec.render_elements(
+            want.reshape(-1), plan.d, plan.mode, fixed_width=plan.width
+        )
+        assert stream.render_digits.tolist() == digits.tolist()
+        assert stream.render_lengths.tolist() == lengths.tolist()
+        assert muls == len(plain) * a.n * a.n
+
+    @pytest.mark.parametrize("k,n,blocks", CASES)
+    def test_matches_row_by_row(self, k, n, blocks, monkeypatch):
+        built = _column_table_spy(monkeypatch)
+        spec = gf.FieldSpec(k=k, d=2)
+        self.check(*self.encode(spec, n, blocks, seed=k * 1000 + n * 10 + blocks))
+        assert built == [n]
+
+    @pytest.mark.parametrize("blocks", [2, 255, 300])
+    def test_alpha_mode(self, blocks, monkeypatch):
+        built = _column_table_spy(monkeypatch)
+        spec = gf.FieldSpec(k=8, d=3)
+        self.check(*self.encode(spec, 5, blocks, ALPHA_BOUNDED, 2.0, seed=blocks))
+        assert built == [5]
+
+    def test_zero_blocks_and_full_range(self, monkeypatch):
+        # every element value, zeros included, in every column position
+        built = _column_table_spy(monkeypatch)
+        spec = gf.FieldSpec(k=8, d=256)
+        n = 3
+        values = np.arange(256 * n, dtype=np.int64) % 256
+        values[: n * 8] = 0  # a few all-zero blocks
+        plan = codec.make_grouping_plan(values.size, spec, n=n)
+        a = gf.build_vandermonde(spec, gf.default_points(n))
+        stream = codec.encode_stream(codec.DigitString(256, values), plan, a)
+        want = np.array([a.field.mat_vec(a.rows, v) for v in values.reshape(-1, n)])
+        assert stream.elements.reshape(-1, n).tolist() == want.tolist()
+        assert built == [n]
+
+    def test_wide_field_stays_on_mat_vec(self, monkeypatch):
+        built = _column_table_spy(monkeypatch)
+        spec = gf.FieldSpec(k=16, d=16)
+        self.check(*self.encode(spec, 3, 40, seed=16))
+        # k > 8 has no product table to slice, however long the stream
+        spec = gf.FieldSpec(k=9, d=2, reduction_poly=gf.find_irreducible(9))
+        self.check(*self.encode(spec, 3, spec.q, seed=9))
+        assert built == []
+
+    def test_column_table_rows(self):
+        f = gf.get_field(4)
+        a = gf.build_vandermonde(f, gf.default_points(9))
+        table = f._column_table(a.rows)
+        assert table.dtype == np.uint64 and table.shape == (9 * 16, 2)
+        octets = table.view(np.uint8)
+        for j in range(9):
+            for t in range(16):
+                row = octets[j * 16 + t]
+                assert row[:9].tolist() == [f.mul(int(x), t) for x in a.rows[:, j]]
+                assert not row[9:].any()
+
+
 class TestStreamRoundTrip:
     GRID = [
         (2, 2, STRICT, None),

@@ -206,6 +206,33 @@ class TestMatVec:
         for i in range(50):
             assert batch[i].tolist() == a.field.mat_vec(a.rows, vs[i]).tolist()
 
+    def test_negative_operand_rejected(self):
+        # -1 used to wrap to the last log-table entry and return [255, 26]
+        with pytest.raises(ConfigError):
+            gf.get_field(8).mat_vec([[1, 2], [3, 4]], [-1, 0])
+
+    @pytest.mark.parametrize("k,bad", [(3, 8), (3, -1), (8, 256), (8, 300), (8, -1), (16, 1 << 16)])
+    def test_operand_outside_field_rejected(self, k, bad):
+        f = gf.get_field(k)
+        m, v = np.ones((2, 2), dtype=np.int64), np.ones(2, dtype=np.int64)
+        m_bad, v_bad = m.copy(), v.copy()
+        m_bad[1, 0], v_bad[1] = bad, bad
+        for args in ((m_bad, v), (m, v_bad)):
+            with pytest.raises(ConfigError):
+                f.mat_vec(*args)
+            with pytest.raises(ConfigError):
+                f.mul_arr(*args)
+        with pytest.raises(ConfigError):
+            f.mul_arr(np.array(bad), np.array(1))
+        with pytest.raises(ConfigError):
+            f.mat_invert(m_bad)
+
+    def test_edges_of_field_accepted(self, gf8, gf8_table):
+        m = np.array([[0, 7], [7, 1]])
+        assert gf8.mat_vec(m, [7, 0]).tolist() == [0, gf8_table[7][7]]
+        assert gf8.mul_arr([0, 7], [7, 7]).tolist() == [0, gf8_table[7][7]]
+        assert gf8.mul_arr([], []).tolist() == []
+
 
 def field_for(k):
     return gf.get_field(k, None if k in gf.DEFAULT_POLYS else gf.find_irreducible(k))

@@ -37,6 +37,12 @@ CASES = {
         size=0, d=2, k=8, n=4, mode=STRICT, alpha=None,
         breach=(0.5, 0.25), pu=1e-6,
     ),
+    # 275 blocks: a stream longer than q = 256, each column's table rows
+    # gathered many times over
+    "strict-d2-275-blocks": dict(
+        size=1100, d=2, k=8, n=4, mode=STRICT, alpha=None,
+        breach=(0.5, 0.25), pu=1e-300,
+    ),
 }
 
 DIGESTS = {
@@ -64,6 +70,12 @@ DIGESTS = {
         "cloud_1": "2fae360b4d953484a729069ded9ac8c0d292334a750f7648a455c104a680db93",
         "local": "2fae360b4d953484a729069ded9ac8c0d292334a750f7648a455c104a680db93",
         "manifest": "c2534f6d9831d152180ad7fe9cf6dce234c4c253a9325a40e5283cbbf40287a7",
+    },
+    "strict-d2-275-blocks": {
+        "cloud_0": "3c3ce2de6104b21025fe69ed61a2082f58f9e2f559c19cfce3c928bb16605641",
+        "cloud_1": "9f53c0da1f1c4c0a17829345581cf691c368daecb2e5bb524d4121c8f930c83a",
+        "local": "2fae360b4d953484a729069ded9ac8c0d292334a750f7648a455c104a680db93",
+        "manifest": "e0e85af186e7c1f555dbaccd0b9b86feebb493bd9050d6f95980a1bc7ee57bbb",
     },
 }
 

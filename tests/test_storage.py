@@ -424,6 +424,48 @@ class TestPipelineRoundTrip:
         assert pipeline.recover(root) == DigitString(2, [])
 
 
+class TestRenderLengths:
+    def test_hex_field_matches_per_element_format(self):
+        rng = np.random.default_rng(11)
+        for size in (0, 1, 17, 5000):
+            lengths = rng.integers(1, 17, size=size)
+            want = "".join(format(int(v) - 1, "x") for v in lengths)
+            assert storage._encode_lengths(lengths) == want
+        assert storage._encode_lengths(np.arange(1, 17)) == "0123456789abcdef"
+
+    def test_longer_than_sixteen_digits_refused(self):
+        with pytest.raises(PipelineError, match="16 digits"):
+            storage._encode_lengths(np.array([3, 17, 2]))
+
+    def test_alpha_manifest_lengths_round_trip(self):
+        spec = gf.FieldSpec(k=16, d=2)
+        digits = DigitString(2, np.random.default_rng(4).integers(0, 2, size=900))
+        root = storage.MemoryRoot(2)
+        result = pipeline.store_digits(
+            digits, root, spec, n=3,
+            profile=SecurityProfile(breach=(0.5, 0.25), pu=1e-3),
+            mode=ALPHA_BOUNDED, alpha=1.0,
+        )
+        manifest = pipeline.load_manifest(root)
+        assert manifest.element_lengths().tolist() == result.plan.render_lengths.tolist()
+        assert pipeline.recover(root) == digits
+
+    def test_strict_lengths_are_a_view(self):
+        spec = gf.FieldSpec(k=8, d=2)
+        digits = DigitString(2, np.random.default_rng(5).integers(0, 2, size=3001))
+        root = storage.MemoryRoot(2)
+        result = pipeline.store_digits(
+            digits, root, spec, n=5,
+            profile=SecurityProfile(breach=(0.5, 0.25), pu=1e-300),
+        )
+        manifest = pipeline.load_manifest(root)
+        lengths = manifest.element_lengths()
+        # one width for every element, held once rather than per element
+        assert lengths.strides == (0,) and not lengths.flags.writeable
+        assert lengths.tolist() == result.plan.render_lengths.tolist()
+        assert pipeline.recover(root) == digits
+
+
 class TestByteLayer:
     def test_roundtrip(self):
         payload = bytes(range(256)) * 3
