@@ -9,13 +9,19 @@ what an adversary observes (whole components, or individual digits of
 fixed-width renders), and decides exactly - by integer counting, no floats -
 whether the observations carry zero information about the secret
 coordinates: H(S|E) = H(S).
+
+The enumeration is a grid of shape (q,)*n, one axis per plaintext
+coordinate. A key packing codeword components and secret coordinates in base
+q is the XOR of n tables of q keys, built from the q*n^2 products A[i, j]*v
+and broadcast along their axes. Evidence keys are counted by bincount (key
+order numbers the groups as np.unique would), joint (evidence, secret) keys
+by one np.unique, whose sort leaves each evidence group one run.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -266,10 +272,17 @@ def _entropy_bits(counts: np.ndarray, total: int) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _exact_symbols(size: int, q: int) -> int | None:
-    """log_q(size) when size is an exact power of q, else None."""
-    j = round(math.log(size, q)) if size > 1 else 0
-    return j if q**j == size else None
+def _grid_key(parts: np.ndarray, k: int) -> np.ndarray:
+    """Keys of every plaintext in F_q^n on a grid of shape (q,)*n: digit p
+    (k bits, first most significant) is the XOR over j of parts[p, j, b_j]."""
+    m, n, _ = parts.shape
+    shifts = k * np.arange(m - 1, -1, -1, dtype=np.int64)
+    tables = np.bitwise_or.reduce(parts << shifts[:, None, None], axis=0)
+    tables = tables.astype(np.min_scalar_type((1 << (k * m)) - 1))
+    key = tables[0]
+    for j in range(1, n):
+        key = key[..., None] ^ tables[j]
+    return key
 
 
 def entropy_audit(
@@ -318,40 +331,32 @@ def entropy_audit(
         sel = None
         sel_id = "components:" + ",".join(str(i) for i in observed_components)
 
-    total = q**n
-    idx = np.arange(total, dtype=np.int64)
-    b_all = np.empty((total, n), dtype=np.int64)
-    for col in range(n):
-        b_all[:, col] = (idx // q ** (n - 1 - col)) % q
-    c_all = field.mat_vec_batch(matrix.rows, b_all)
+    k, total, q_w, shift = field.k, q**n, q**w, field.k * w
+    values = np.arange(q, dtype=np.int64)
+    # products[i, j, v] = A[i, j] * v: every product the enumeration needs
+    products = field._mul_arr(matrix.rows[:, :, None], values)
+    # secret key: the secret coordinates packed in base q
+    secret_parts = np.eye(n, dtype=np.int64)[list(secret), :, None] * values
+    sec_key = _grid_key(secret_parts, k)
 
-    # secret key: pack the secret coordinates in base q
-    sec_key = np.zeros(total, dtype=np.int64)
-    for i in secret:
-        sec_key = sec_key * q + b_all[:, i]
-    q_w = q**w
-
-    # evidence ids: group rows by what the adversary sees
+    # evidence: group plaintexts by what the adversary sees
     if sel is None:
-        if t_eff == 0:
-            ev_ids = np.zeros(total, dtype=np.int64)
-        else:
-            ev_key = np.zeros(total, dtype=np.int64)
-            for i in observed_components:
-                ev_key = ev_key * q + c_all[:, i]
-            _, ev_ids = np.unique(ev_key, return_inverse=True)
+        # a repeated component adds no evidence and leaves the key order alone
+        observed = list(dict.fromkeys(observed_components))
+        joint = _grid_key(np.concatenate([products[observed], secret_parts]), k)
     else:
         if sel.d > 256:
             raise ConfigError("digit-level audit supports d <= 256")
         width = sel.resolved_width(q)
         if sel.d**width < q:
             raise ConfigError(
-                f"width {width} cannot render every element of GF(2^{field.k})"
+                f"width {width} cannot render every element of GF(2^{k})"
             )
         renders = np.empty((total, n * width), dtype=np.uint8)
         for comp in range(n):
+            c = _grid_key(products[comp : comp + 1], k).reshape(-1)
             renders[:, comp * width : (comp + 1) * width] = expand_digits(
-                c_all[:, comp], sel.d, width
+                c, sel.d, width, np.uint8
             )
         hidden = [comp * width + pos for comp, pos in sel.withheld]
         if any(not 0 <= h < n * width for h in hidden):
@@ -364,44 +369,35 @@ def entropy_audit(
                 np.dtype((np.void, observed.shape[1]))
             )
             _, ev_ids = np.unique(packed.reshape(-1), return_inverse=True)
+        joint = (ev_ids.reshape(sec_key.shape) << shift) | sec_key
 
-    ev_count = np.bincount(ev_ids)
-    n_ev = ev_count.size
-
-    joint = ev_ids * q_w + sec_key
-    jkeys, jcounts = np.unique(joint, return_counts=True)
-    j_ev = jkeys // q_w
-    support = np.bincount(j_ev, minlength=n_ev)
-    cmin = np.full(n_ev, np.iinfo(np.int64).max, dtype=np.int64)
-    cmax = np.zeros(n_ev, dtype=np.int64)
-    np.minimum.at(cmin, j_ev, jcounts)
-    np.maximum.at(cmax, j_ev, jcounts)
-    uniform = bool(np.all(cmin == cmax))
+    # evidence keys are below q^t (components) or group ids (digits)
+    ev_count = np.bincount((joint >> shift).reshape(-1).astype(np.intp))
+    seen = ev_count > 0
+    # joint keys sort by evidence, then secret: each evidence group is a run
+    jkeys, jcounts = np.unique(joint.reshape(-1), return_counts=True)
+    j_ev = (jkeys >> shift).astype(np.intp)
+    support = np.bincount(j_ev, minlength=seen.size)[seen]
+    ev_count = ev_count[seen]
+    starts = np.cumsum(support) - support
+    uniform = bool(np.array_equal(
+        np.minimum.reduceat(jcounts, starts), np.maximum.reduceat(jcounts, starts)
+    ))
     perfect = uniform and bool(np.all(support == q_w))
 
-    m_counts = np.bincount(sec_key, minlength=q_w)
+    m_counts = np.bincount(sec_key.reshape(-1), minlength=q_w)
     h_s_bits = _entropy_bits(m_counts, total)
     h_joint = _entropy_bits(jcounts, total)
     h_e = _entropy_bits(ev_count, total)
     h_se_bits = max(0.0, h_joint - h_e)
 
-    h_s_sym: Fraction | None = None
-    if np.all(m_counts == m_counts[0]):
-        j = _exact_symbols(int(np.count_nonzero(m_counts)), q)
-        if j is not None:
-            h_s_sym = Fraction(j)
-    h_se_sym: Fraction | None = None
-    if uniform:
-        sym = Fraction(0)
-        expressible = True
-        for e in range(n_ev):
-            j = _exact_symbols(int(support[e]), q)
-            if j is None:
-                expressible = False
-                break
-            sym += Fraction(int(ev_count[e]), total) * j
-        if expressible:
-            h_se_sym = sym
+    # log_q of every support size (at most q^w), -1 where it is not a power
+    log_q = np.full(q_w + 1, -1, dtype=np.int64)
+    log_q[q ** np.arange(w + 1)] = np.arange(w + 1)
+    j, js = int(log_q[np.count_nonzero(m_counts)]), log_q[support]
+    h_s_sym = Fraction(j) if j >= 0 and np.all(m_counts == m_counts[0]) else None
+    exact = uniform and bool(np.all(js >= 0))
+    h_se_sym = Fraction(int(ev_count @ js), total) if exact else None
 
     return EntropyReport(
         k=field.k,

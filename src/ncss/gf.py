@@ -225,6 +225,15 @@ class Field:
 
     # -- vectorized operations ------------------------------------------
 
+    @staticmethod
+    def _operand(x) -> np.ndarray:
+        """x as int64. Raises ConfigError for a non-integer dtype, which the
+        cast would truncate; an empty list arrives as float64 and passes."""
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "iu" and arr.size:
+            raise ConfigError(f"field operands must be integers, got dtype {arr.dtype}")
+        return arr.astype(np.int64, copy=False)
+
     def _in_field(self, *arrays: np.ndarray) -> None:
         """Raise ConfigError unless every entry of every integer array is in
         [0, q): their OR has no bit at or above k (a negative entry sets them
@@ -243,8 +252,7 @@ class Field:
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of broadcastable integer arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = self._operand(a), self._operand(b)
         self._in_field(a, b)
         return self._mul_arr(a, b)
 
@@ -256,8 +264,7 @@ class Field:
 
     def mat_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product c_i = XOR_j m[i,j] * v[j]."""
-        m = np.asarray(m, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        m, v = self._operand(m), self._operand(v)
         if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
             raise DimensionMismatchError(
                 f"cannot multiply {m.shape} matrix by length-{v.shape} vector"
@@ -285,8 +292,7 @@ class Field:
         unless the batch is shorter than those tables (256 + 2^(k-8) rows):
         then the batch column's products are computed directly.
         """
-        m = np.asarray(m, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        m, vs = self._operand(m), self._operand(vs)
         if m.ndim != 2 or vs.ndim != 2 or m.shape[1] != vs.shape[1]:
             raise DimensionMismatchError(
                 f"cannot multiply {m.shape} matrix by batch of shape {vs.shape}"
@@ -312,11 +318,11 @@ class Field:
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product a @ b over the field: mat_vec_batch on b's columns."""
-        return self.mat_vec_batch(a, np.asarray(b, dtype=np.int64).T).T
+        return self.mat_vec_batch(a, self._operand(b).T).T
 
     def mat_invert(self, m: np.ndarray) -> np.ndarray:
         """Invert a square matrix by Gaussian elimination with pivot search."""
-        m = np.asarray(m, dtype=np.int64)
+        m = self._operand(m)
         n = m.shape[0]
         if m.shape != (n, n):
             raise DimensionMismatchError(f"matrix of shape {m.shape} is not square")

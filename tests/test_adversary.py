@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from ncss import adversary, codec, gf, planner
-from ncss.adversary import AttackScenario, DigitSelection
+from ncss.adversary import AttackScenario, DigitSelection, EntropyReport
 from ncss.codec import ALPHA_BOUNDED, STRICT
 from ncss.errors import (
     ConfigError,
@@ -45,29 +46,79 @@ def make_scenario(k, d, n, seed, unknown, mode=STRICT, alpha=None):
     )
 
 
-def oracle_entropies(k, poly, points, secret, observed):
-    """Dict-counting H(S) and H(S|E) in bits over the full enumeration."""
-    q = 1 << k
+@functools.lru_cache(maxsize=None)
+def oracle_codewords(k, poly, points):
+    """Every (plaintext, codeword) pair of the Vandermonde code, naively."""
     n = len(points)
     rows = [
         [oracles.slow_pow(p, i, poly, k) for p in points] for i in range(n)
     ]
+    return tuple(
+        (b, tuple(oracles.slow_mat_vec(rows, b, poly, k)))
+        for b in itertools.product(range(1 << k), repeat=n)
+    )
+
+
+def digit_view(d, width, withheld):
+    """What an adversary sees of a codeword rendered at a fixed width:
+    every base-d digit except the withheld (component, digit) pairs."""
+
+    @functools.lru_cache(maxsize=None)
+    def view(c):
+        return tuple(
+            dig
+            for comp, value in enumerate(c)
+            for pos, dig in enumerate(oracles.to_digits(value, d, width))
+            if (comp, pos) not in withheld
+        )
+
+    return view
+
+
+def oracle_entropies(k, poly, points, secret, view):
+    """Dict-counting H(S) and H(S|E) over the full enumeration.
+
+    view maps a codeword to what the adversary sees. Returns both entropies in bits, both in base-q symbols (None unless
+    every distribution of S is uniform over a power-of-q support), and
+    whether every evidence group leaves all q^w secrets equally likely.
+    """
+    q = 1 << k
     joint, ev, marg = Counter(), Counter(), Counter()
-    for b in itertools.product(range(q), repeat=n):
-        c = oracles.slow_mat_vec(rows, b, poly, k)
-        e = tuple(c[i] for i in observed)
+    for b, c in oracle_codewords(k, poly, points):
+        e = view(c)
         s = tuple(b[i] for i in secret)
         joint[(e, s)] += 1
         ev[e] += 1
         marg[s] += 1
-    total = q**n
+    total = q ** len(points)
 
     def h(counter):
         return -sum(
             (cnt / total) * math.log2(cnt / total) for cnt in counter.values()
         )
 
-    return h(marg), h(joint) - h(ev)
+    def log_q(size):
+        j = 0
+        while q**j < size:
+            j += 1
+        return j if q**j == size else None
+
+    groups = {}
+    for (e, _), cnt in joint.items():
+        groups.setdefault(e, []).append(cnt)
+    h_s_sym = log_q(len(marg)) if len(set(marg.values())) == 1 else None
+    h_se_sym = Fraction(0)
+    for e, cnts in groups.items():
+        j = log_q(len(cnts))
+        if j is None or len(set(cnts)) > 1:
+            h_se_sym = None
+            break
+        h_se_sym += Fraction(ev[e], total) * j
+    perfect = all(
+        len(cnts) == q ** len(secret) and len(set(cnts)) == 1
+        for cnts in groups.values()
+    )
+    return h(marg), h(joint) - h(ev), h_s_sym, h_se_sym, perfect
 
 
 class TestSimulateGuess:
@@ -185,19 +236,63 @@ class TestEntropyAudit:
         report = adversary.entropy_audit(a, w=2, t=0)
         assert report.perfect is True
 
+    @staticmethod
+    def assert_matches_oracle(report, oracle):
+        h_s, h_se, h_s_sym, h_se_sym, perfect = oracle
+        assert report.h_s_bits == pytest.approx(h_s, abs=1e-9)
+        assert report.h_s_given_e_bits == pytest.approx(h_se, abs=1e-9)
+        assert report.h_s_symbols == h_s_sym
+        assert report.h_s_given_e_symbols == h_se_sym
+        assert report.perfect is perfect
+
     def test_matches_dict_counting_oracle(self):
-        f = gf.get_field(2)
-        for points in [(1, 2), (1, 2, 3), (2, 3, 1)]:
+        codes = [(2, (2, 3, 1))] + [
+            (k, gf.default_points(n)) for k in (2, 3) for n in range(1, min(5, 1 << k))
+        ]
+        for k, points in codes:
+            f = gf.get_field(k)
             n = len(points)
             a = gf.build_vandermonde(f, points)
             for w in range(1, n + 1):
                 for t in range(0, n + 1):
-                    report = adversary.entropy_audit(a, w=w, t=t)
-                    h_s, h_se = oracle_entropies(
-                        2, f.poly, points, tuple(range(w)), tuple(range(t))
+                    self.assert_matches_oracle(
+                        adversary.entropy_audit(a, w=w, t=t),
+                        oracle_entropies(
+                            k, f.poly, points, tuple(range(w)), lambda c: c[:t]
+                        ),
                     )
-                    assert report.h_s_bits == pytest.approx(h_s, abs=1e-9)
-                    assert report.h_s_given_e_bits == pytest.approx(h_se, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_digit_selections_match_oracle(self, k):
+        f = gf.get_field(k)
+        for n in range(1, min(5, f.q)):
+            points = gf.default_points(n)
+            a = gf.build_vandermonde(f, points)
+            for d in (2, 3):
+                width = oracles.digit_len(f.q - 1, d)
+                for withheld in itertools.product(range(n), range(width)):
+                    sel = DigitSelection(d=d, withheld=(withheld,))
+                    view = digit_view(d, width, {withheld})
+                    for w in range(1, n + 1):
+                        self.assert_matches_oracle(
+                            adversary.entropy_audit(a, w=w, selection=sel),
+                            oracle_entropies(k, f.poly, points, tuple(range(w)), view),
+                        )
+
+    @pytest.mark.parametrize("t,h_se_bits,h_se_symbols,perfect", [
+        (3, 8.0, Fraction(2), True),
+        (4, 4.0, Fraction(1), False),
+    ])
+    def test_k4_n5_reports_pinned(self, t, h_se_bits, h_se_symbols, perfect):
+        # the reports of the earlier row-by-row enumeration, field for field
+        a = gf.build_vandermonde(gf.FieldSpec(k=4, d=2), gf.default_points(5))
+        assert adversary.entropy_audit(a, w=2, t=t) == EntropyReport(
+            k=4, n=5, w=2, t=t,
+            selection_id="components:" + ",".join(str(i) for i in range(t)),
+            h_s_bits=8.0, h_s_given_e_bits=h_se_bits,
+            h_s_symbols=Fraction(2), h_s_given_e_symbols=h_se_symbols,
+            perfect=perfect,
+        )
 
     def test_achievability_small_grid(self):
         for k in (2, 3):
@@ -290,6 +385,22 @@ class TestDigitLevelAudit:
             report = adversary.entropy_audit(a, w=2, selection=sel)
             assert report.perfect is False
             assert report.h_s_given_e_bits <= 2 + 1e-9
+
+    def test_full_support_without_uniformity_is_not_perfect(self):
+        # decimal renders are not linear over GF(2): every evidence group
+        # still admits all q secrets, but not equally often
+        f = gf.get_field(4)
+        withheld = ((0, 1), (1, 1))
+        a = gf.build_vandermonde(f, (1, 2))
+        report = adversary.entropy_audit(
+            a, secret=(0,), selection=DigitSelection(d=10, withheld=withheld)
+        )
+        assert report.perfect is False
+        assert report.h_s_given_e_symbols is None
+        TestEntropyAudit.assert_matches_oracle(
+            report,
+            oracle_entropies(4, f.poly, (1, 2), (0,), digit_view(10, 2, set(withheld))),
+        )
 
     def test_narrow_width_rejected(self):
         a = gf.build_vandermonde(gf.get_field(3), (1, 2, 3))

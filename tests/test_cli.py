@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -191,6 +192,15 @@ class TestUtilityCommands:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3 * 4  # w in 1..3, t in 0..3
+
+    def test_audit_grid_k4_n5_csv_pinned(self, capsys):
+        # SHA-256 of the 30-row CSV as the row-by-row enumeration printed it
+        code, out, _ = run(capsys, "audit", "--k", "4", "--n", "5", "--grid")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 5 * 6
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d83c9f7f4ab5eb4507d98e1ccf9755fb79f690aed36dfa0f2a6d321b0fac4b02"
+        )
 
     def test_bench_mul_csv(self, capsys):
         code, out, _ = run(

@@ -232,6 +232,28 @@ class TestMatVec:
         assert gf8.mat_vec(m, [7, 0]).tolist() == [0, gf8_table[7][7]]
         assert gf8.mul_arr([0, 7], [7, 7]).tolist() == [0, gf8_table[7][7]]
         assert gf8.mul_arr([], []).tolist() == []
+        narrow = np.array([7, 0], dtype=np.uint8)
+        assert gf8.mat_vec(m.astype(np.uint16), narrow).tolist() == [0, gf8_table[7][7]]
+
+    @pytest.mark.parametrize("bad", [[1.7, 0.2], np.array([2.9, 1.0], dtype=np.float32),
+                                     [True, False], [1 + 0j, 2 + 0j], ["1", "2"]])
+    def test_non_integer_operand_rejected(self, gf8, bad):
+        # a float cast to int64 used to truncate: mat_vec([[1, 2]], [1.7, 0.2]) gave [1]
+        m, v = np.eye(2, dtype=np.int64), np.array([1, 2])
+        calls = [
+            lambda: gf8.mat_vec(m, bad),
+            lambda: gf8.mat_vec(np.array([bad, bad]), v),
+            lambda: gf8.mul_arr(bad, v),
+            lambda: gf8.mul_arr(v, bad),
+            lambda: gf8.mat_vec_batch(m, np.array([bad])),
+            lambda: gf8.mat_vec_batch(np.array([bad, bad]), v[None, :]),
+            lambda: gf8.mat_mul(m, np.array([bad, bad])),
+            lambda: gf8.mat_mul(np.array([bad, bad]), m),
+            lambda: gf8.mat_invert(np.array([bad, bad])),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError):
+                call()
 
 
 def field_for(k):

@@ -1,5 +1,6 @@
-"""Memory guard: a strict store plus recover stays within a fixed number of
-bytes of Python-heap allocation per payload byte.
+"""Memory guards: a strict store plus recover stays within a fixed number of
+bytes of Python-heap allocation per payload byte, and the exact secrecy audit
+within a fixed number per enumerated plaintext.
 
 tracemalloc sees numpy's array buffers, so its peak is a deterministic stand-in
 for the peak resident size of the data path: one int64 copy of a d=2 digit
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from ncss import gf, pipeline, storage
+from ncss import adversary, gf, pipeline, storage
 from ncss.planner import SecurityProfile
 
 BYTES_PER_BYTE = 64
@@ -36,3 +37,20 @@ def test_strict_d2_round_trip_peak():
         tracemalloc.stop()
     assert back == payload
     assert peak <= BYTES_PER_BYTE * len(payload), f"{peak / len(payload):.1f} B/B"
+
+
+BYTES_PER_PLAINTEXT = 96
+
+
+def test_entropy_audit_peak():
+    """The exact audit's tracemalloc peak per enumerated plaintext of F_q^n."""
+    a = gf.build_vandermonde(gf.FieldSpec(k=4, d=2), gf.default_points(5))
+    tracemalloc.start()
+    try:
+        report = adversary.entropy_audit(a, w=2, t=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    plaintexts = a.field.q**a.n
+    assert report.h_s_given_e_symbols == 1
+    assert peak <= BYTES_PER_PLAINTEXT * plaintexts, f"{peak / plaintexts:.1f} B/plaintext"
