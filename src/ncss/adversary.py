@@ -3,6 +3,15 @@
 simulate_guess plays the eavesdropper who breached some clouds: every trial
 draws the unseen digits uniformly, reassembles a candidate codeword stream,
 decodes it, and scores a success only if the decoded plaintext matches.
+A static plan, built once, lists per touched block each element holding
+unseen digits: its known part, the guess column and place value of each
+unseen digit, and whether its largest reachable value reaches q (only
+then can a guess name a digit group no element renders to, a miss). Each
+candidate column is one multiply-add per unseen digit. Blocks decode in
+stream order, each only for the trials every earlier block left alive:
+success is the AND over blocks, so the count is unchanged. The draw (int64,
+2^15 trials a chunk) and the decode through Field.mat_vec_batch are fixed,
+so a seed returns the same float bit for bit.
 
 entropy_audit enumerates every plaintext vector in F_q^n, groups them by
 what an adversary observes (whole components, or individual digits of
@@ -85,6 +94,27 @@ class AttackScenario:
         return self.total_digits - self.unknown_count
 
 
+def _cloud_index(target, p: int) -> int | None:
+    """None for every cloud (ALL_CLOUDS), else the index of one of p clouds."""
+    if target == ALL_CLOUDS:
+        return None
+    is_int = isinstance(target, (int, np.integer)) and not isinstance(target, bool)
+    if is_int and 0 <= target < p:
+        return int(target)
+    raise ConfigError(
+        f"target must be {ALL_CLOUDS!r} or a cloud in [0, {p}), got {target!r}"
+    )
+
+
+def _hidden(total: int, cloud_runs, cloud: int | None) -> np.ndarray:
+    """Stream positions outside the runs of one cloud (None: of every cloud)."""
+    known = np.zeros(total, dtype=bool)
+    for runs in cloud_runs if cloud is None else [cloud_runs[cloud]]:
+        for start, stop in runs:
+            known[start:stop] = True
+    return np.flatnonzero(~known)
+
+
 def scenario_from_plan(
     stream: CodedStream,
     plan: DistributionPlan,
@@ -93,21 +123,14 @@ def scenario_from_plan(
     breach: float | None = None,
 ) -> AttackScenario:
     """Scenario for an eavesdropper holding one cloud, or every cloud ("all")."""
-    known = np.zeros(plan.total_digits, dtype=bool)
-    if target == ALL_CLOUDS:
-        for runs in plan.cloud_runs:
-            for start, stop in runs:
-                known[start:stop] = True
-    else:
-        for start, stop in plan.cloud_runs[int(target)]:
-            known[start:stop] = True
+    cloud = _cloud_index(target, len(plan.cloud_runs))
     return AttackScenario(
         matrix=matrix,
         d=plan.d,
         true_elements=stream.elements.reshape(-1, matrix.n),
         render_lengths=plan.render_lengths,
         stream=stream.render_digits,
-        unknown_positions=np.nonzero(~known)[0],
+        unknown_positions=_hidden(plan.total_digits, plan.cloud_runs, cloud),
         breach=breach,
     )
 
@@ -122,31 +145,50 @@ def scenario_from_storage(manifest, root, target: int | str) -> AttackScenario:
     from . import storage
     from .gf import cached_vandermonde
 
+    cloud = _cloud_index(target, manifest.p)
     shards, local = storage.fetch_shards(manifest, root)
     stream = storage.assemble_stream(manifest, shards, local)
     lengths = manifest.element_lengths()
     elements = codec.parse_renders(stream, lengths, manifest.d)
     matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
-    known = np.zeros(stream.size, dtype=bool)
-    breach: float | None
-    if target == ALL_CLOUDS:
-        for runs in manifest.cloud_runs:
-            for start, stop in runs:
-                known[start:stop] = True
-        breach = None
-    else:
-        for start, stop in manifest.cloud_runs[int(target)]:
-            known[start:stop] = True
-        breach = manifest.breach[int(target)]
     return AttackScenario(
         matrix=matrix,
         d=manifest.d,
         true_elements=elements.reshape(manifest.block_count, manifest.n),
         render_lengths=lengths,
         stream=stream,
-        unknown_positions=np.nonzero(~known)[0],
-        breach=breach,
+        unknown_positions=_hidden(stream.size, manifest.cloud_runs, cloud),
+        breach=None if cloud is None else manifest.breach[cloud],
     )
+
+
+def _guess_plan(scenario: AttackScenario) -> list[tuple[int, list]]:
+    """Per touched block, in stream order: (block, slots). A slot is
+    (component, known part, [(guess column, place value)], can_overflow);
+    can_overflow holds where the element's largest reachable value,
+    known + (d-1) * sum(place), reaches q."""
+    n, d, q = scenario.matrix.n, scenario.d, scenario.matrix.field.q
+    bounds = np.concatenate([[0], np.cumsum(scenario.render_lengths)])
+    unknown = scenario.unknown_positions
+    elem_of = np.searchsorted(bounds, unknown, side="right") - 1
+    plan: list[tuple[int, list]] = []
+    for e in np.unique(elem_of).tolist():
+        start, stop = int(bounds[e]), int(bounds[e + 1])
+        cols = np.flatnonzero(elem_of == e).tolist()
+        digits = scenario.stream[start:stop].tolist()
+        places = [d ** (stop - 1 - int(unknown[j])) for j in cols]
+        for j in cols:
+            digits[int(unknown[j]) - start] = 0
+        known = 0
+        for digit in digits:
+            known = known * d + digit
+        reach = known + (d - 1) * sum(places)
+        slot = (e % n, known, list(zip(cols, places)), reach >= q)
+        if plan and plan[-1][0] == e // n:
+            plan[-1][1].append(slot)
+        else:
+            plan.append((e // n, [slot]))
+    return plan
 
 
 def simulate_guess(
@@ -159,6 +201,8 @@ def simulate_guess(
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     u = scenario.unknown_count
     if u > MAX_UNKNOWN_DIGITS:
         raise TooManyUnknownsError(
@@ -171,29 +215,7 @@ def simulate_guess(
     if u == 0:
         return 1.0
 
-    lengths = scenario.render_lengths
-    bounds = np.concatenate([[0], np.cumsum(lengths)])
-    elem_of = np.searchsorted(bounds, scenario.unknown_positions, side="right") - 1
-    touched = np.unique(elem_of)
-    # per touched element: the value contributed by its known digits, plus
-    # the place values of each unknown digit slot
-    known_base = []
-    guess_cols: list[np.ndarray] = []
-    guess_pows: list[np.ndarray] = []
-    for e in touched:
-        start, stop = int(bounds[e]), int(bounds[e + 1])
-        mask = (scenario.unknown_positions >= start) & (scenario.unknown_positions < stop)
-        cols = np.nonzero(mask)[0]
-        offsets = scenario.unknown_positions[cols] - start
-        exps = (stop - start - 1) - offsets
-        digits = scenario.stream[start:stop].copy()
-        digits[offsets] = 0
-        place = scenario.d ** np.arange(stop - start - 1, -1, -1, dtype=np.int64)
-        known_base.append(int(digits @ place))
-        guess_cols.append(cols)
-        guess_pows.append((scenario.d**exps).astype(np.int64))
-    touched_blocks = np.unique(touched // n)
-
+    plan = _guess_plan(scenario)
     rng = np.random.default_rng(seed)
     successes = 0
     left = trials
@@ -201,26 +223,36 @@ def simulate_guess(
     while left > 0:
         chunk = min(chunk_size, left)
         guesses = rng.integers(0, scenario.d, size=(chunk, u))
-        ok = np.ones(chunk, dtype=bool)
-        cand = {}
-        for i, e in enumerate(touched):
-            value = known_base[i] + guesses[:, guess_cols[i]] @ guess_pows[i]
-            # a digit group no field element renders to is a wrong guess
-            bad = value >= field.q
-            if bad.any():
-                ok &= ~bad
-                value = np.where(bad, 0, value)
-            cand[int(e)] = value
-        for blk in touched_blocks:
-            cols = np.tile(
-                scenario.true_elements[blk][None, :], (chunk, 1)
-            )
-            for e in touched:
-                if e // n == blk:
-                    cols[:, e % n] = cand[int(e)]
-            decoded = field.mat_vec_batch(inv, cols)
-            ok &= np.all(decoded == true_b[blk][None, :], axis=1)
-        successes += int(ok.sum())
+        # success is the AND over blocks: each block after the first decodes
+        # only the trials every earlier block left alive
+        for blk, slots in plan:
+            # one row per component, so each column of the batch is contiguous
+            cols = np.empty((n, guesses.shape[0]), dtype=np.int64)
+            cols[:] = scenario.true_elements[blk][:, None]
+            ok = None
+            for slot, known, terms, can_overflow in slots:
+                value = cols[slot]
+                (j, place), *rest = terms
+                np.multiply(guesses[:, j], place, out=value)
+                for j, place in rest:
+                    value += guesses[:, j] * place
+                if known:
+                    value += known
+                if can_overflow:
+                    # a digit group no field element renders to is a wrong guess
+                    bad = value >= field.q
+                    value[bad] = 0
+                    ok = ~bad if ok is None else ok & ~bad
+            decoded = field.mat_vec_batch(inv, cols.T)
+            hit = decoded[:, 0] == true_b[blk, 0]
+            for i in range(1, n):
+                hit &= decoded[:, i] == true_b[blk, i]
+            if ok is not None:
+                hit &= ok
+            guesses = guesses.take(np.flatnonzero(hit), axis=0)
+            if not guesses.shape[0]:
+                break
+        successes += guesses.shape[0]
         left -= chunk
     return successes / trials
 
@@ -305,6 +337,9 @@ def entropy_audit(
         raise EnumerationTooLargeError(
             f"q^n = {q}^{n} exceeds the enumeration bound {MAX_ENUMERATION}"
         )
+    for name, value in (("w", w), ("t", t)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     if secret is None:
         if w is None:
             raise ConfigError("need w or an explicit secret coordinate set")

@@ -242,7 +242,9 @@ def cmd_attack(args) -> int:
     opts = _merge(args, {"root": REQUIRED, "cloud": REQUIRED, "trials": 100000, "seed": 0})
     root = storage.DirectoryRoot(opts["root"])
     manifest = pipeline.load_manifest(root)
-    target = opts["cloud"] if str(opts["cloud"]) == adversary.ALL_CLOUDS else int(opts["cloud"])
+    cloud = str(opts["cloud"])
+    # anything but "all" or a decimal index is left for the scenario to refuse
+    target = int(cloud) if cloud.removeprefix("-").isdecimal() else cloud
     scenario = adversary.scenario_from_storage(manifest, root, target)
     empirical = adversary.simulate_guess(scenario, int(opts["trials"]), int(opts["seed"]))
     expected = float(manifest.d) ** -scenario.unknown_count

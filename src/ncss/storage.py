@@ -478,14 +478,7 @@ class Manifest:
         """Per-element digit counts of the coded rendering, stream order."""
         count = self.block_count * self.n
         if self.mode == STRICT:
-            # every element at the width: one int64 seen count times through
-            # a zero stride (np.broadcast_to does the same at 4x the call cost,
-            # which small recovers feel)
-            lengths = np.ndarray(
-                (count,), np.int64, np.array(self.width, np.int64), strides=(0,)
-            )
-            lengths.setflags(write=False)
-            return lengths
+            return codec.fixed_lengths(count, self.width)
         if self.render_lengths is None or len(self.render_lengths) != count:
             raise PipelineError("manifest lacks per-element render lengths")
         # one lowercase hex digit per element: its length - 1

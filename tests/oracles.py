@@ -1,11 +1,16 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately naive (shift-and-reduce products, exhaustive
-searches, full enumerations) and shares no code with src/ncss.
+searches, full enumerations) and shares no code with src/ncss. The one
+exception is slow_guess, which decodes with the scenario's own
+Field.mat_vec: the single-vector product that the field tests check
+against slow_mat_vec.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def slow_mul(a: int, b: int, poly: int, k: int) -> int:
@@ -180,3 +185,37 @@ def plan_runs(lengths, caps):
         for _ in range(count):
             owners[next(free)] = cloud
     return tuple(_runs(owners, c) for c in range(len(caps))), _runs(owners, "local")
+
+
+def slow_guess(scenario, trials: int, seed: int = 0) -> float:
+    """simulate_guess one trial at a time: the same chunked draw of the
+    unseen digits, the candidate stream parsed element by element (a digit
+    group at or above q is a miss), every block decoded on its own with
+    Field.mat_vec and compared with the decoded truth."""
+    field, n, d = scenario.matrix.field, scenario.matrix.n, scenario.d
+    inv = scenario.matrix.inverse()
+    truth = [field.mat_vec(inv, block).tolist() for block in scenario.true_elements]
+    unknown = scenario.unknown_positions.tolist()
+    if not unknown:
+        return 1.0
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(1 << 15, trials))
+    successes = 0
+    for start in range(0, trials, chunk):
+        draw = rng.integers(0, d, size=(min(chunk, trials - start), len(unknown)))
+        for guess in draw.tolist():
+            stream = scenario.stream.tolist()
+            for pos, digit in zip(unknown, guess):
+                stream[pos] = digit
+            values, pos = [], 0
+            for size in scenario.render_lengths.tolist():
+                values.append(from_digits(stream[pos : pos + size], d))
+                pos += size
+            if max(values) >= field.q:
+                continue
+            blocks = [np.array(values[i : i + n]) for i in range(0, len(values), n)]
+            successes += all(
+                field.mat_vec(inv, block).tolist() == want
+                for block, want in zip(blocks, truth)
+            )
+    return successes / trials

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ncss import adversary, codec, gf, planner
+from ncss import adversary, codec, gf, pipeline, planner, storage
 from ncss.adversary import AttackScenario, DigitSelection, EntropyReport
 from ncss.codec import ALPHA_BOUNDED, STRICT
 from ncss.errors import (
@@ -44,6 +44,54 @@ def make_scenario(k, d, n, seed, unknown, mode=STRICT, alpha=None):
         stream=block.render_digits,
         unknown_positions=np.sort(positions),
     )
+
+
+def stream_scenario(k, d, n, blocks, seed, positions):
+    """Strict multi-block scenario hiding the given stream positions."""
+    spec = gf.FieldSpec(k=k, d=d)
+    width = codec.strict_width(k, d)
+    plan = codec.GroupingPlan(
+        mode=STRICT, d=d, k=k, width=width, r=n * blocks, pad_count=0
+    )
+    a = gf.build_vandermonde(spec, gf.default_points(n))
+    b = np.random.default_rng(seed).integers(0, d, size=n * blocks * width)
+    stream = codec.encode_stream(codec.DigitString(d, b), plan, a)
+    return AttackScenario(
+        matrix=a,
+        d=d,
+        true_elements=stream.elements.reshape(blocks, n),
+        render_lengths=stream.render_lengths,
+        stream=stream.render_digits,
+        unknown_positions=np.array(positions),
+    )
+
+
+def stored_scenario(mode, alpha):
+    """Cloud 0's view of an 8-byte message stored the way the audit
+    benchmark stores one: k=8, d=2, n=4, one cloud breached surely, pu =
+    2^-10, so the local share keeps 10 digits."""
+    root = storage.MemoryRoot(1)
+    pipeline.store_digits(
+        pipeline.bytes_to_digits(b"ncss:8B!", 2), root, gf.FieldSpec(k=8, d=2),
+        n=4, profile=planner.SecurityProfile(breach=(1.0,), pu=2.0**-10),
+        mode=mode, alpha=alpha,
+    )
+    return adversary.scenario_from_storage(pipeline.load_manifest(root), root, 0)
+
+
+GUESS_SCENARIOS = {
+    "audit-strict": lambda: stored_scenario(STRICT, None),
+    "audit-alpha5": lambda: stored_scenario(ALPHA_BOUNDED, 5.0),
+    # base-3 renders of GF(8) reach 8 in two digits: guesses can overflow
+    "d3-overflow": lambda: make_scenario(
+        k=3, d=3, n=6, seed=8, unknown=4, mode=ALPHA_BOUNDED, alpha=2
+    ),
+    "k16-d16": lambda: make_scenario(k=16, d=16, n=5, seed=3, unknown=3),
+    # two hidden digits in each of three blocks
+    "three-blocks": lambda: stream_scenario(
+        k=4, d=2, n=3, blocks=3, seed=5, positions=[1, 6, 13, 14, 30, 35]
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,6 +219,63 @@ class TestSimulateGuess:
         with pytest.raises(ConfigError):
             adversary.simulate_guess(sc, trials=0)
 
+    def test_negative_seed(self):
+        sc = make_scenario(k=3, d=2, n=3, seed=6, unknown=2)
+        with pytest.raises(ConfigError, match="seed"):
+            adversary.simulate_guess(sc, trials=10, seed=-1)
+
+
+class TestGuessBitIdentity:
+    """simulate_guess is pinned to the floats of its per-element form: the
+    same chunked draw and decode give the same count of successes."""
+
+    # (scenario, trials, seed, successes), counted by the per-element form
+    PINNED = [
+        ("audit-strict", 1 << 20, 1, 1045),
+        ("audit-alpha5", 1 << 20, 2, 1018),
+        ("audit-strict", 1, 125, 1),
+        ("d3-overflow", 70001, 5, 834),
+        ("d3-overflow", 1, 5, 0),
+        ("d3-overflow", 1, 24, 1),
+        ("k16-d16", 70001, 6, 12),
+        ("k16-d16", 1, 6, 0),
+        ("three-blocks", 70001, 7, 1093),
+        ("three-blocks", 1, 1, 1),
+    ]
+
+    @pytest.mark.parametrize("name,trials,seed,successes", PINNED)
+    def test_pinned_success_counts(self, name, trials, seed, successes):
+        sc = GUESS_SCENARIOS[name]()
+        assert adversary.simulate_guess(sc, trials, seed) == successes / trials
+
+    def test_audit_shapes_hide_ten_digits(self):
+        for name in ("audit-strict", "audit-alpha5"):
+            assert GUESS_SCENARIOS[name]().unknown_count == 10
+
+    def test_overflow_case_can_overflow(self):
+        sc = GUESS_SCENARIOS["d3-overflow"]()
+        slots = [slot for _, block in adversary._guess_plan(sc) for slot in block]
+        assert any(can_overflow for *_, can_overflow in slots)
+
+    def test_three_blocks_touched(self):
+        plan = adversary._guess_plan(GUESS_SCENARIOS["three-blocks"]())
+        assert [blk for blk, _ in plan] == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", sorted(GUESS_SCENARIOS))
+    @pytest.mark.parametrize("trials", [1, 7, 3000])
+    def test_matches_trial_by_trial_oracle(self, name, trials):
+        sc = GUESS_SCENARIOS[name]()
+        for seed in (0, 11):
+            assert adversary.simulate_guess(sc, trials, seed) == oracles.slow_guess(
+                sc, trials, seed
+            )
+
+    def test_matches_oracle_across_a_chunk_boundary(self):
+        sc = GUESS_SCENARIOS["d3-overflow"]()
+        trials = (1 << 15) + 5000
+        got = adversary.simulate_guess(sc, trials, 4)
+        assert got == oracles.slow_guess(sc, trials, 4)
+
 
 class TestScenarioFromPlan:
     def _stored(self, caps):
@@ -196,6 +301,25 @@ class TestScenarioFromPlan:
         sc = adversary.scenario_from_plan(stream, plan, a, target=adversary.ALL_CLOUDS)
         assert sc.observed_count == 8
         assert sc.unknown_count == 1
+
+    @pytest.mark.parametrize("target", [2, 7, -1, "1", "x", 1.0, True, None])
+    def test_target_outside_the_clouds(self, target):
+        stream, plan, a, _ = self._stored(caps=(4, 5))
+        with pytest.raises(ConfigError, match="target"):
+            adversary.scenario_from_plan(stream, plan, a, target=target)
+
+    def test_storage_target_outside_the_clouds(self):
+        root = storage.MemoryRoot(2)
+        pipeline.store_digits(
+            pipeline.bytes_to_digits(b"ncss", 2), root, gf.FieldSpec(k=8, d=2),
+            n=4, profile=planner.SecurityProfile(breach=(0.5, 0.25), pu=2.0**-10),
+        )
+        manifest = pipeline.load_manifest(root)
+        assert adversary.scenario_from_storage(manifest, root, 1).breach == 0.25
+        assert adversary.scenario_from_storage(manifest, root, "all").breach is None
+        for target in (2, -1, "0"):
+            with pytest.raises(ConfigError, match="target"):
+                adversary.scenario_from_storage(manifest, root, target)
 
     def test_guess_rate_end_to_end(self):
         stream, plan, a, _ = self._stored(caps=(4, 5))
@@ -336,6 +460,14 @@ class TestEntropyAudit:
             adversary.entropy_audit(a, w=1)  # neither t nor selection
         with pytest.raises(ConfigError):
             adversary.entropy_audit(a, w=1, selection=(5,))
+
+    @pytest.mark.parametrize("w,t", [(1, -1), (-1, 1), (-1, 0), (0, -2)])
+    def test_negative_w_or_t_rejected(self, w, t):
+        # range(-1) is empty: unchecked, these read as w=0 or t=0 and
+        # report perfect secrecy
+        a = gf.build_vandermonde(gf.get_field(2), (1, 2))
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            adversary.entropy_audit(a, w=w, t=t)
 
 
 class TestDigitLevelAudit:

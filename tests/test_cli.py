@@ -181,6 +181,23 @@ class TestUtilityCommands:
         assert code == 2
         assert "unknown digits" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--cloud", "7"),  # the dataset has clouds 0 and 1
+        ("--cloud", "2"),
+        ("--cloud", "-1"),
+        ("--cloud", "x"),
+        ("--cloud", "1", "--seed", "-1"),
+    ], ids=["cloud-7", "cloud-p", "cloud-negative", "cloud-word", "seed-negative"])
+    def test_attack_bad_target_or_seed_exits_2(self, stored_root, capsys, flags):
+        _, _, root = stored_root
+        code, out, err = run(
+            capsys, "attack", "--root", str(root), "--trials", "10", *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid configuration:")
+        assert "Traceback" not in err
+
     def test_audit_single_and_grid(self, capsys):
         code, out, _ = run(
             capsys, "audit", "--k", "2", "--n", "3", "--w", "1", "--t", "2"

@@ -288,6 +288,18 @@ class TestNarrowDigits:
         parsed = codec.parse_renders(digits, lengths, d)
         assert parsed.dtype == np.int64 and parsed.tolist() == values.tolist()
 
+    def test_strict_lengths_are_a_read_only_zero_stride_view(self):
+        """A strict stream's lengths cost one int64, not one per element."""
+        values = np.arange(1 << 12) % 256
+        _, lengths = codec.render_elements(values, 2, STRICT, fixed_width=8)
+        assert lengths.dtype == np.int64 and lengths.shape == (values.size,)
+        assert lengths.strides == (0,) and not lengths.flags.writeable
+        assert lengths.tolist() == [8] * values.size
+        plan = codec.GroupingPlan(mode=STRICT, d=2, k=8, width=8, r=16, pad_count=0)
+        a = gf.build_vandermonde(gf.FieldSpec(k=8, d=2), gf.default_points(4))
+        stream = codec.encode_stream(codec.DigitString(2, np.ones(128, int)), plan, a)
+        assert stream.render_lengths.strides == (0,)
+
 
 class TestBlockCoding:
     def test_encode_example(self):
