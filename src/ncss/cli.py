@@ -27,16 +27,37 @@ EXIT_PIPELINE = 3
 EXIT_INFEASIBLE = 4
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in str(text).split(","))
+def _int(value, name: str) -> int:
+    """An integer option, from a flag or a config file."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in str(text).split(","))
+def _float(value, name: str) -> float:
+    """A real option, from a flag or a config file."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _floats(text: str, name: str) -> tuple[float, ...]:
+    return tuple(_float(x, name) for x in str(text).split(","))
+
+
+def _ints(text: str, name: str) -> tuple[int, ...]:
+    return tuple(_int(x, name) for x in str(text).split(","))
 
 
 def _assignment(text: str) -> list[list[int]]:
-    return [[int(x) for x in part.split(",") if x] for part in str(text).split("|")]
+    return [
+        [_int(x, "assignment") for x in part.split(",") if x]
+        for part in str(text).split("|")
+    ]
 
 
 REQUIRED = object()
@@ -71,7 +92,16 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _spec(opts: dict) -> FieldSpec:
-    return FieldSpec(k=int(opts["k"]), d=int(opts["d"]), reduction_poly=int(opts.get("poly") or 0))
+    return FieldSpec(
+        k=_int(opts["k"], "k"), d=_int(opts["d"], "d"),
+        reduction_poly=_int(opts.get("poly") or 0, "poly"),
+    )
+
+
+def _profile(opts: dict) -> SecurityProfile:
+    return SecurityProfile(
+        breach=_floats(opts["breach"], "breach"), pu=_float(opts["pu"], "pu")
+    )
 
 
 def _mode(opts: dict) -> tuple[str, float | None]:
@@ -83,17 +113,17 @@ def _mode(opts: dict) -> tuple[str, float | None]:
     alpha = opts.get("alpha")
     if mode == ALPHA_BOUNDED and alpha is None:
         raise ConfigError("alpha mode needs --alpha")
-    return mode, (float(alpha) if mode == ALPHA_BOUNDED else None)
+    return mode, (_float(alpha, "alpha") if mode == ALPHA_BOUNDED else None)
 
 
 def _resolve_n(opts: dict, digits: DigitString, profile: SecurityProfile) -> int:
     raw = opts["n"]
     if str(raw) != "auto":
-        return int(raw)
+        return _int(raw, "n")
     problem = CostProblem(
         m=max(1, len(digits)),
         d=digits.d,
-        k=int(opts["k"]),
+        k=_int(opts["k"], "k"),
         p=profile.p,
         breach=max(profile.breach),
         pu=profile.pu,
@@ -129,9 +159,9 @@ def _plan_summary(result: pipeline.StoreResult) -> dict:
 def cmd_plan(args) -> int:
     opts = _merge(args, {**_store_opts(), "infile": REQUIRED})
     mode, alpha = _mode(opts)
-    profile = SecurityProfile(breach=_floats(opts["breach"]), pu=float(opts["pu"]))
+    profile = _profile(opts)
     with open(opts["infile"], "rb") as fh:
-        digits = pipeline.bytes_to_digits(fh.read(), int(opts["d"]))
+        digits = pipeline.bytes_to_digits(fh.read(), _int(opts["d"], "d"))
     n = _resolve_n(opts, digits, profile)
     root = storage.MemoryRoot(profile.p)  # dry run, nothing persisted
     result = pipeline.store_digits(
@@ -144,9 +174,9 @@ def cmd_plan(args) -> int:
 def cmd_store(args) -> int:
     opts = _merge(args, {**_store_opts(), "infile": REQUIRED, "root": REQUIRED})
     mode, alpha = _mode(opts)
-    profile = SecurityProfile(breach=_floats(opts["breach"]), pu=float(opts["pu"]))
+    profile = _profile(opts)
     with open(opts["infile"], "rb") as fh:
-        digits = pipeline.bytes_to_digits(fh.read(), int(opts["d"]))
+        digits = pipeline.bytes_to_digits(fh.read(), _int(opts["d"], "d"))
     n = _resolve_n(opts, digits, profile)
     root = storage.DirectoryRoot(opts["root"], clouds=profile.p)
     result = pipeline.store_digits(
@@ -184,8 +214,8 @@ def cmd_fetch(args) -> int:
 def cmd_decode(args) -> int:
     opts = _merge(args, {"d": 2, "k": REQUIRED, "poly": 0, "points": REQUIRED, "elements": REQUIRED})
     spec = _spec(opts)
-    matrix = gf.build_vandermonde(spec, _ints(opts["points"]))
-    coded = np.asarray(_ints(opts["elements"]), dtype=np.int64)
+    matrix = gf.build_vandermonde(spec, _ints(opts["points"], "points"))
+    coded = np.asarray(_ints(opts["elements"], "elements"), dtype=np.int64)
     decoded = codec.decode_block(matrix, coded)
     widths = codec.digit_lengths(decoded, spec.d)
     _emit(args, json.dumps({
@@ -200,15 +230,16 @@ def cmd_classify(args) -> int:
         "d": 2, "k": REQUIRED, "poly": 0, "alpha": REQUIRED,
         "widths": REQUIRED, "elements": REQUIRED, "assignment": REQUIRED,
     })
-    elements = np.asarray(_ints(opts["elements"]), dtype=np.int64)
-    digits, lengths = codec.render_elements(elements, int(opts["d"]), ALPHA_BOUNDED)
-    widths = np.asarray(_ints(opts["widths"]), dtype=np.int64)
+    elements = np.asarray(_ints(opts["elements"], "elements"), dtype=np.int64)
+    d = _int(opts["d"], "d")
+    digits, lengths = codec.render_elements(elements, d, ALPHA_BOUNDED)
+    widths = np.asarray(_ints(opts["widths"], "widths"), dtype=np.int64)
     block = codec.CodedStream(
         elements=elements, render_digits=digits, render_lengths=lengths,
-        n=elements.size, d=int(opts["d"]), mode=ALPHA_BOUNDED,
+        n=elements.size, d=d, mode=ALPHA_BOUNDED,
     )
     report = codec.classify_overflow(
-        widths, block, _assignment(opts["assignment"]), float(opts["alpha"])
+        widths, block, _assignment(opts["assignment"]), _float(opts["alpha"], "alpha")
     )
     _emit(args, json.dumps({
         "strict": report.strict,
@@ -225,12 +256,12 @@ def cmd_optimize(args) -> int:
         "breach": REQUIRED, "pu": REQUIRED, "sweep": "",
     })
     base = CostProblem(
-        m=int(opts["m"]), d=int(opts["d"]), k=int(opts["k"]),
-        p=int(opts["p"]), breach=max(_floats(opts["breach"])),
-        pu=float(opts["pu"]),
+        m=_int(opts["m"], "m"), d=_int(opts["d"], "d"), k=_int(opts["k"], "k"),
+        p=_int(opts["p"], "p"), breach=max(_floats(opts["breach"], "breach")),
+        pu=_float(opts["pu"], "pu"),
     )
     if opts["sweep"]:
-        rows = optimizer.sweep(base, _ints(opts["sweep"]))
+        rows = optimizer.sweep(base, _ints(opts["sweep"], "sweep"))
         _emit(args, optimizer.sweep_csv(rows))
         return EXIT_OK
     solution = optimizer.solve_cost(base)
@@ -246,7 +277,8 @@ def cmd_attack(args) -> int:
     # anything but "all" or a decimal index is left for the scenario to refuse
     target = int(cloud) if cloud.removeprefix("-").isdecimal() else cloud
     scenario = adversary.scenario_from_storage(manifest, root, target)
-    empirical = adversary.simulate_guess(scenario, int(opts["trials"]), int(opts["seed"]))
+    trials = _int(opts["trials"], "trials")
+    empirical = adversary.simulate_guess(scenario, trials, _int(opts["seed"], "seed"))
     expected = float(manifest.d) ** -scenario.unknown_count
     breach = scenario.breach if scenario.breach is not None else 1.0
     _emit(args, json.dumps({
@@ -254,7 +286,7 @@ def cmd_attack(args) -> int:
         "total_digits": scenario.total_digits,
         "observed": scenario.observed_count,
         "unknown": scenario.unknown_count,
-        "trials": int(opts["trials"]),
+        "trials": trials,
         "empirical_guess_rate": empirical,
         "uniform_rate": expected,
         "breach": breach,
@@ -269,9 +301,9 @@ def cmd_audit(args) -> int:
         "k": REQUIRED, "poly": 0, "n": REQUIRED, "w": None, "t": None,
         "points": "", "selection": "", "grid": False,
     })
-    field = gf.get_field(int(opts["k"]), int(opts["poly"]) or None)
-    n = int(opts["n"])
-    points = _ints(opts["points"]) if opts["points"] else gf.default_points(n)
+    field = gf.get_field(_int(opts["k"], "k"), _int(opts["poly"], "poly") or None)
+    n = _int(opts["n"], "n")
+    points = _ints(opts["points"], "points") if opts["points"] else gf.default_points(n)
     matrix = gf.build_vandermonde(field, points)
     if opts["grid"]:
         reports = []
@@ -282,10 +314,10 @@ def cmd_audit(args) -> int:
         return EXIT_OK
     if opts["w"] is None or (opts["t"] is None and not opts["selection"]):
         raise ConfigError("audit needs --w and --t (or --selection), or --grid")
-    selection = _ints(opts["selection"]) if opts["selection"] else None
+    selection = _ints(opts["selection"], "selection") if opts["selection"] else None
     report = adversary.entropy_audit(
-        matrix, w=int(opts["w"]),
-        t=int(opts["t"]) if opts["t"] is not None else None,
+        matrix, w=_int(opts["w"], "w"),
+        t=_int(opts["t"], "t") if opts["t"] is not None else None,
         selection=selection,
     )
     _emit(args, adversary.audit_csv([report]))
@@ -300,17 +332,17 @@ def cmd_bench(args) -> int:
     })
     if opts["suite"] == "mul":
         results = bench.bench_mul(
-            _ints(opts["k"]), int(opts["mul_count"]),
-            reps=int(opts["reps"]), seed=int(opts["seed"]),
+            _ints(opts["k"], "k"), _int(opts["mul_count"], "mul_count"),
+            reps=_int(opts["reps"], "reps"), seed=_int(opts["seed"], "seed"),
         )
     elif opts["suite"] == "pipeline":
         mode, alpha = _mode(opts)
         results = bench.bench_pipeline(
-            file_bytes=int(opts["payload_bytes"]),
-            n_list=_ints(opts["n"]),
-            k_list=_ints(opts["k"]),
-            mode=mode, alpha=alpha, p=int(opts["p"]),
-            reps=int(opts["reps"]), seed=int(opts["seed"]),
+            file_bytes=_int(opts["payload_bytes"], "payload_bytes"),
+            n_list=_ints(opts["n"], "n"),
+            k_list=_ints(opts["k"], "k"),
+            mode=mode, alpha=alpha, p=_int(opts["p"], "p"),
+            reps=_int(opts["reps"], "reps"), seed=_int(opts["seed"], "seed"),
         )
     else:
         raise ConfigError(f"unknown bench suite {opts['suite']!r}")

@@ -9,16 +9,16 @@ digits form one field element:
   encoded elements at their minimal digit length, bounding the per-cloud
   expansion by the factor alpha.
 
-encode_stream codes a whole message one block at a time. For k <= 8 it
-builds the matrix's column table once per call (q rows per column; see
-gf.Field._column_table) and codes each block with one gather and one
+encode_stream codes a message one block at a time. For k <= 8 it takes the
+matrix's column table (q rows per column; see gf.Field._column_table),
+built once per matrix, and codes each block with one gather and one
 XOR-reduce; for k > 8 it takes one Field.mat_vec product per block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -371,13 +371,48 @@ def pack_digits(digits: np.ndarray, d: int) -> bytes:
     return np.packbits(digits).tobytes()
 
 
-def unpack_digits(payload: bytes, d: int, count: int) -> np.ndarray:
-    """Inverse of pack_digits: the first count digits, in digit_dtype(d).
-    payload must hold at least count * log2(d) bits."""
+def unpack_digits(payload: bytes, d: int, count: int, start: int = 0) -> np.ndarray:
+    """Inverse of pack_digits: count digits from digit start on, in
+    digit_dtype(d); only the bytes holding them are read. payload must hold
+    at least (start + count) * log2(d) bits."""
     j = d.bit_length() - 1
-    octets = np.frombuffer(payload, dtype=np.uint8, count=-(-count * j // 8))
-    bits = np.unpackbits(octets, count=count * j)
+    first, skip = divmod(start * j, 8)
+    nbits = skip + count * j
+    octets = np.frombuffer(payload, np.uint8, count=-(-nbits // 8), offset=first)
+    bits = np.unpackbits(octets, count=nbits)[skip:]
     return fold_digits(bits.reshape(count, j), 2, digit_dtype(d))
+
+
+_SEGMENT_BYTES = 256 << 10  # payload per segment of the store and recover loops
+
+
+def segments(plan: GroupingPlan, n: int):
+    """Split a message into segments of whole blocks, coded one at a time so
+    that no stage holds more than one segment.
+
+    Yields (first block, plan of the segment's blocks and digits), the
+    message's own plan when one segment holds it all. A strict segment holds
+    about _SEGMENT_BYTES of payload, rounded to whole blocks whose digits
+    fill whole bytes, so every segment but the last packs to whole bytes;
+    only the last one carries padding. An alpha-bounded message is one
+    segment, since its render lengths, which the distribution plan needs
+    first, follow from the coded values.
+    """
+    blocks = plan.r // n
+    block_digits = n * plan.width
+    step = max(1, blocks)
+    if plan.mode == STRICT:
+        bits = block_digits * max(1, (plan.d - 1).bit_length())
+        whole = 8 // math.gcd(block_digits, 8)
+        step = max(1, _SEGMENT_BYTES * 8 // bits // whole) * whole
+    if 0 < blocks <= step:
+        yield 0, plan
+        return
+    for first in range(0, blocks, step):
+        end = min(first + step, blocks)
+        digits = min(end * block_digits, plan.message_length) - first * block_digits
+        r = (end - first) * n
+        yield first, replace(plan, r=r, pad_count=r * plan.width - digits)
 
 
 @dataclass(eq=False, frozen=True)
@@ -519,7 +554,7 @@ def encode_stream(
     # coded block overwrites its plain block; regroup has already checked
     # every element to lie in the field, so no offset leaves its column.
     if field._product is not None:  # k <= 8: products from the column table
-        table = field._column_table(a.rows)
+        table = a.column_table()
         blocks += np.arange(a.n) * field.q  # column j's rows start at j * q
         # block i's coded bytes go to the front of its own 8n bytes, which
         # take() has already read

@@ -392,7 +392,8 @@ class EncodingMatrix:
     """Square Vandermonde matrix over GF(2^k): entry (i, j) = points[j]^i.
 
     Points are pairwise distinct and nonzero, so the matrix is invertible.
-    Instances are immutable; the inverse is computed lazily and cached.
+    Instances are immutable; the inverse and, for k <= 8, the column table
+    are computed lazily and cached.
     """
 
     def __init__(self, field: Field, points: tuple[int, ...], rows: np.ndarray):
@@ -403,6 +404,7 @@ class EncodingMatrix:
         rows.setflags(write=False)
         self.rows = rows
         self._inverse: np.ndarray | None = None
+        self._columns: np.ndarray | None = None
 
     def inverse(self) -> np.ndarray:
         if self._inverse is None:
@@ -410,6 +412,15 @@ class EncodingMatrix:
             inv.setflags(write=False)
             self._inverse = inv
         return self._inverse
+
+    def column_table(self) -> np.ndarray:
+        """Field._column_table of the rows (k <= 8), built once: a store
+        codes its message one segment at a time with the same table."""
+        if self._columns is None:
+            table = self.field._column_table(self.rows)
+            table.setflags(write=False)
+            self._columns = table
+        return self._columns
 
     def __repr__(self) -> str:
         return f"EncodingMatrix(n={self.n}, k={self.field.k}, points={self.points})"

@@ -1,5 +1,15 @@
 """End-to-end flows: width selection, regroup, encode, distribute, recover.
 
+store_digits and recover run over segments of whole blocks of a fixed size,
+about 256 KiB of payload each (codec.segments). A strict store plans from
+the render lengths alone, all equal to the width, then codes and renders
+one segment at a time, and storage.write_dataset packs each segment into
+the shards as it arrives; recover (storage.read_dataset) checks everything
+first, then decodes one segment at a time into the output digit array. So
+peak memory is the caller's input or output digits, plus the packed shards,
+plus one segment. An alpha-bounded message is one segment: its render
+lengths follow from the coded values, so it is coded before it is planned.
+
 The CLI is a thin wrapper over these functions; anything it can do is
 reachable through this module with identical results.
 """
@@ -57,17 +67,32 @@ def store_digits(
         raise ConfigError(f"{len(points)} points for block size {n}")
     if len(digits) == 0:
         grouping = _empty_grouping(spec, mode, alpha)
-        none = np.zeros(0, dtype=np.int64)
-        stream = codec.CodedStream(none, none, none, n=n, d=spec.d, mode=mode)
     else:
         grouping = codec.make_grouping_plan(
             len(digits), spec, n=n, mode=mode, alpha=alpha
         )
-        matrix = cached_vandermonde(spec.k, spec.reduction_poly, tuple(points))
-        stream = codec.encode_stream(digits, grouping, matrix)
-    plan = planner.make_plan(stream, profile, caps=caps)
-    manifest = storage.store_shards(
-        plan, stream, root, grouping, spec, tuple(points), profile
+
+    def coded():
+        """Each segment of the message, coded."""
+        span = n * grouping.width
+        for first, part in codec.segments(grouping, n):
+            matrix = cached_vandermonde(spec.k, spec.reduction_poly, tuple(points))
+            start = first * span
+            piece = digits.digits[start : start + part.message_length]
+            yield codec.encode_stream(DigitString(spec.d, piece), part, matrix)
+
+    streams = coded()
+    if grouping.mode == STRICT:  # every length is the width: plan first
+        lengths = codec.fixed_lengths(grouping.r, grouping.width)
+    else:  # the lengths follow the coded values: code first, one segment
+        streams = list(streams)
+        lengths = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [s.render_lengths for s in streams]
+        )
+    plan = planner.plan_lengths(lengths, n, spec.d, profile, caps=caps)
+    manifest = storage.write_dataset(
+        plan, (s.render_digits for s in streams), root, grouping, spec,
+        tuple(points), profile,
     )
     return StoreResult(manifest=manifest, plan=plan, grouping=grouping)
 
@@ -80,8 +105,7 @@ def recover(root, manifest: Manifest | None = None) -> DigitString:
     """Fetch every shard plus the local share and rebuild the digit string."""
     if manifest is None:
         manifest = load_manifest(root)
-    shards, local = storage.fetch_shards(manifest, root)
-    return storage.reconstruct(manifest, shards, local)
+    return storage.read_dataset(manifest, root)
 
 
 def _byte_base(d: int, what: str) -> int:

@@ -173,7 +173,20 @@ def make_plan(
     profile: SecurityProfile,
     caps: tuple[int, ...] | None = None,
 ) -> DistributionPlan:
-    """Assign every rendered digit to a cloud or to local retention.
+    """plan_lengths for a whole coded stream."""
+    return plan_lengths(stream.render_lengths, stream.n, stream.d, profile, caps)
+
+
+def plan_lengths(
+    lengths: np.ndarray,
+    n: int,
+    d: int,
+    profile: SecurityProfile,
+    caps: tuple[int, ...] | None = None,
+) -> DistributionPlan:
+    """Assign every rendered digit to a cloud or to local retention, given
+    only the render length of each element (stream order), the block size n
+    and the base d: a strict store plans before it codes a digit.
 
     Cloud digit counts are chosen greedily in descending-cap order; the
     stream itself is then carved into contiguous slices handed to clouds in
@@ -181,10 +194,10 @@ def make_plan(
     absorb the stream, the shortfall is retained locally, one digit per
     component from the stream tail first.
     """
-    lengths = stream.render_lengths
-    total = stream.total_digits
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
     if caps is None:
-        caps = per_cloud_caps(total, stream.d, profile)
+        caps = per_cloud_caps(total, d, profile)
     caps = tuple(int(c) for c in caps)
     if len(caps) != profile.p:
         raise ConfigError(f"{len(caps)} caps for {profile.p} clouds")
@@ -240,7 +253,7 @@ def make_plan(
         cloud_runs.append(_as_runs(s, t))
 
     guess = tuple(
-        guess_probability(total, counts[i], stream.d, profile.breach[i])
+        guess_probability(total, counts[i], d, profile.breach[i])
         for i in range(len(caps))
     )
     return DistributionPlan(
@@ -250,8 +263,8 @@ def make_plan(
         cloud_runs=tuple(cloud_runs),
         local_runs=local_runs,
         guess_prob=guess,
-        n=stream.n,
-        d=stream.d,
+        n=n,
+        d=d,
         render_lengths=lengths,
     )
 

@@ -11,20 +11,38 @@ log2(d) for power-of-two bases (0 otherwise), 1-byte k, 8-byte big-endian
 digit count, then the payload: log2(d) bits per digit packed big-endian for
 power-of-two bases, one byte per digit otherwise (d <= 256).
 
+Segments: write_dataset takes the rendered stream as consecutive segments
+(codec.segments) and hands each run piece to the packer of its cloud or of
+the local share, which packs whole bytes at once and keeps the fewer than
+one byte's worth of digits left over for the next piece. Each shard is
+finished once the stream is complete (header, payload, CRC, atomic write);
+the manifest is written last. read_dataset first checks every shard's CRC
+and header, each digit count against its runs, and that the runs tile the
+stream; then, one segment at a time, it unpacks each run piece straight
+from the packed payload, parses, range-checks, decodes and expands it into
+the one output digit array. Peak memory is the caller's digits (the input
+of a store, the output of a recover) plus the packed shards plus one
+segment.
+
 Integrity is CRC-32C per shard; confidentiality rests on the coding scheme.
-Inputs of 16 KiB and more are checksummed in 1024 numpy lanes of equal
-length whose registers are joined with zlib's crc32_combine method; shorter
-inputs and the tail run the pure-Python slice-by-8 loop.
+Inputs of 16 KiB and more run a head of len % 32 bytes through the
+pure-Python slice-by-8 loop, then checksum the 32-byte chunks side by side
+(one table lookup per byte position over every chunk) and join the chunk
+registers pairwise with zlib's crc32_combine method; shorter inputs run the
+slice-by-8 loop alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
-from dataclasses import asdict, dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +67,11 @@ SHARD_NAME = "shard_000.bin"
 LOCAL_NAME = "share.bin"
 
 # ---------------------------------------------------------------------------
-# CRC-32C (Castagnoli): slice-by-8 for short inputs and tails, numpy lanes
-# for long inputs
+# CRC-32C (Castagnoli): slice-by-8 for short inputs and the head, 32-byte
+# chunks checksummed side by side for long inputs
 
-_LANES = 1024  # lanes stepped together; a power of two, so they join pairwise
+_LANES = 1024  # inputs of 16 * _LANES bytes and more take the chunked path
+_CHUNK = 32
 
 
 def _make_crc_tables() -> list[list[int]]:
@@ -73,6 +92,21 @@ def _make_crc_tables() -> list[list[int]]:
 _CRC_TABLES = _make_crc_tables()
 _CRC_T0 = np.array(_CRC_TABLES[0], dtype=np.uint32)
 _BITS = np.arange(32, dtype=np.uint32)
+
+
+def _make_position_tables() -> np.ndarray:
+    """Row p maps a byte at position p of a chunk, all else zero, to the
+    chunk's register (zero register in): T0 of it, advanced over the
+    _CHUNK - 1 - p zero bytes behind it. 32 KB in all."""
+    tables = np.empty((_CHUNK, 256), dtype=np.uint32)
+    tables[-1] = _CRC_T0
+    for p in range(_CHUNK - 2, -1, -1):
+        prev = tables[p + 1]
+        tables[p] = (prev >> 8) ^ _CRC_T0.take(prev & 0xFF)
+    return tables
+
+
+_POSITION_TABLES = _make_position_tables()
 
 
 def _apply_gf2(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
@@ -107,29 +141,35 @@ def _zeros_tables(nbytes: int) -> np.ndarray:
     return tables
 
 
-def _crc_lanes(data: memoryview, reg: int) -> tuple[int, int]:
-    """Run the register over the longest prefix of data that splits into
-    _LANES lanes of equal length, one byte of every lane per step, then join
-    the lane registers pairwise. Returns the register and the prefix length."""
-    width = len(data) // _LANES
-    lanes = np.frombuffer(data, dtype=np.uint8, count=_LANES * width)
-    regs = np.zeros(_LANES, dtype=np.uint32)
-    regs[0] = reg
-    index = np.empty(_LANES, dtype=np.uint8)
-    for column in lanes.reshape(_LANES, width).T:
-        np.bitwise_xor(regs, column, out=index, casting="unsafe")  # low byte
-        regs >>= 8
-        regs ^= _CRC_T0.take(index)
-    span = width
+def _advance(t: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """Registers advanced over the zero bytes whose _zeros_tables t is."""
+    return (
+        t[0].take(regs & 0xFF) ^ t[1].take((regs >> 8) & 0xFF)
+        ^ t[2].take((regs >> 16) & 0xFF) ^ t[3].take(regs >> 24)
+    )
+
+
+def _crc_chunks(data: memoryview, reg: int) -> int:
+    """Register after data, whose length is a multiple of _CHUNK: each
+    chunk's register from zero is an XOR of one position-table lookup per
+    byte, taken for every chunk at once; the chunk registers are joined
+    pairwise, and the incoming register is advanced over the whole length."""
+    chunks = np.frombuffer(data, dtype=np.uint8).reshape(-1, _CHUNK)
+    regs = _POSITION_TABLES[0].take(chunks[:, 0])
+    for p in range(1, _CHUNK):
+        regs ^= _POSITION_TABLES[p].take(chunks[:, p])
+    span = _CHUNK
     while regs.size > 1:
-        t, head = _zeros_tables(span), regs[0::2]
-        regs = (
-            t[0].take(head & 0xFF) ^ t[1].take((head >> 8) & 0xFF)
-            ^ t[2].take((head >> 16) & 0xFF) ^ t[3].take(head >> 24)
-            ^ regs[1::2]
-        )
+        if regs.size % 2:  # a zero register in front: zeros keep it zero
+            regs = np.concatenate([np.zeros(1, dtype=np.uint32), regs])
+        regs = _advance(_zeros_tables(span), regs[0::2]) ^ regs[1::2]
         span *= 2
-    return int(regs[0]), _LANES * width
+    # over len(data) zero bytes, one power-of-two run per set bit of it
+    incoming = np.array([reg], dtype=np.uint32)
+    for bit in range(len(data).bit_length()):
+        if len(data) >> bit & 1:
+            incoming = _advance(_zeros_tables(1 << bit), incoming)
+    return int(incoming[0] ^ regs[0])
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
@@ -137,13 +177,14 @@ def crc32c(data: bytes, crc: int = 0) -> int:
     crc32c(b, crc32c(a)) == crc32c(a + b)."""
     t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
     crc ^= 0xFFFFFFFF
-    view = memoryview(data)
-    if len(view) >= 16 * _LANES:
-        crc, done = _crc_lanes(view, crc)
-        view = view[done:]
-    n8 = len(view) // 8
+    view = memoryview(data).cast("B")
+    # inputs of 16 * _LANES bytes and more: a head of len % _CHUNK bytes
+    # here, then the chunks
+    chunked = len(view) >= 16 * _LANES
+    head = view[: len(view) % _CHUNK] if chunked else view
+    n8 = len(head) // 8
     for i in range(n8):
-        chunk = view[8 * i : 8 * i + 8]
+        chunk = head[8 * i : 8 * i + 8]
         low = int.from_bytes(chunk[:4], "little") ^ crc
         high = int.from_bytes(chunk[4:], "little")
         crc = (
@@ -156,48 +197,105 @@ def crc32c(data: bytes, crc: int = 0) -> int:
             ^ t1[(high >> 16) & 0xFF]
             ^ t0[high >> 24]
         )
-    for b in view[n8 * 8 :]:
+    for b in head[n8 * 8 :]:
         crc = (crc >> 8) ^ t0[(crc ^ b) & 0xFF]
+    if chunked:
+        crc = _crc_chunks(view[len(head) :], crc)
     return crc ^ 0xFFFFFFFF
 
 
 # ---------------------------------------------------------------------------
 # shard packing
 
+_HEADER_BYTES = 15
+
+
+class _ShardPacker:
+    """One shard's bytes, packed as its digits arrive in stream order. Digits
+    that do not yet fill a whole byte wait for the next piece; the header,
+    whose count is known last, is written by finish()."""
+
+    def __init__(self, d: int, k: int):
+        j = d.bit_length() - 1
+        if (1 << j) != d and d > 256:
+            raise ConfigError(
+                f"byte-per-digit payloads support d <= 256, got d={d}"
+            )
+        self.d, self.k = d, k
+        self.j = j if (1 << j) == d else 0
+        # the fewest digits that fill whole bytes
+        self.whole = 8 // math.gcd(self.j, 8) if self.j else 1
+        self.buf = bytearray(_HEADER_BYTES)
+        self.count = 0
+        self.carry = np.zeros(0, dtype=np.uint8)
+
+    def add(self, digits: np.ndarray) -> None:
+        """Append base-d digits in digit_dtype(d), each known to be below d."""
+        self.count += digits.size
+        if not self.j:
+            self.buf += memoryview(np.ascontiguousarray(digits))
+            return
+        if self.carry.size:
+            digits = np.concatenate([self.carry, digits])
+        cut = digits.size - digits.size % self.whole
+        self.buf += codec.pack_digits(digits[:cut], self.d)
+        self.carry = digits[cut:].copy()  # not a view pinning the segment
+
+    def finish(self) -> bytearray:
+        if self.carry.size:  # the last byte zero-padded, as pack_digits does
+            self.buf += codec.pack_digits(self.carry, self.d)
+            self.carry = self.carry[:0]
+        self.buf[:_HEADER_BYTES] = (
+            MAGIC + bytes([FORMAT_VERSION, self.j, self.k])
+            + self.count.to_bytes(8, "big")
+        )
+        return self.buf
+
 
 def pack_shard(digits: np.ndarray, d: int, k: int) -> bytes:
     """Serialize a digit payload with the shard header."""
-    j = d.bit_length() - 1
-    power_of_two = (1 << j) == d
-    if not power_of_two and d > 256:
-        raise ConfigError(
-            f"byte-per-digit payloads support d <= 256, got d={d}"
-        )
-    digits = codec.as_digits(digits, d)
-    header = (
-        MAGIC
-        + bytes([FORMAT_VERSION, j if power_of_two else 0, k])
-        + int(digits.size).to_bytes(8, "big")
-    )
-    if power_of_two:
-        return header + codec.pack_digits(digits, d)
-    return header + digits.tobytes()
+    packer = _ShardPacker(d, k)
+    packer.add(codec.as_digits(digits, d))
+    return bytes(packer.finish())
 
 
-def unpack_shard(raw: bytes) -> tuple[np.ndarray, int, int]:
-    """Parse a shard; returns (digits, d-or-0 for byte mode, k)."""
-    if len(raw) < 15 or raw[:4] != MAGIC:
+class _Payload:
+    """A shard payload seen as its digit array: slicing unpacks only the
+    digits asked for, read-only, in the digit dtype of the shard's base."""
+
+    def __init__(self, payload: memoryview, j: int, count: int):
+        self.payload, self.j, self.size = payload, j, count
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        start, stop, _ = part.indices(self.size)
+        count = max(0, stop - start)
+        if self.j in (0, 8):  # a digit per byte: the bytes themselves
+            digits = np.frombuffer(self.payload, np.uint8, count, start)
+        else:
+            digits = codec.unpack_digits(self.payload, 1 << self.j, count, start)
+        digits.setflags(write=False)
+        return digits
+
+
+def _parse_shard(raw: bytes) -> tuple[_Payload, int, int]:
+    """(payload, log2(d) or 0 for byte mode, k) of a shard; the header must be
+    whole and the payload as long as its digit count needs."""
+    if len(raw) < _HEADER_BYTES or raw[:4] != MAGIC:
         raise PipelineError("not a shard: bad magic or truncated header")
     version, j, k = raw[4], raw[5], raw[6]
     if version != FORMAT_VERSION:
         raise PipelineError(f"unsupported shard format version {version}")
-    count = int.from_bytes(raw[7:15], "big")
-    payload = memoryview(raw)[15:]
+    count = int.from_bytes(raw[7:_HEADER_BYTES], "big")
+    payload = memoryview(raw)[_HEADER_BYTES:]
     if len(payload) < -(-count * (j or 8) // 8):
         raise PipelineError("shard payload shorter than its digit count")
-    if j > 0:
-        return codec.unpack_digits(payload, 1 << j, count), j, k
-    return np.frombuffer(payload, dtype=np.uint8, count=count), j, k
+    return _Payload(payload, j, count), j, k
+
+
+def unpack_shard(raw: bytes) -> tuple[np.ndarray, int, int]:
+    """Parse a shard; returns (digits, d-or-0 for byte mode, k)."""
+    payload, j, k = _parse_shard(raw)
+    return payload[:], j, k
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +530,10 @@ class Manifest:
         return len(self.cloud_runs)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
+        # shallow: json writes the nested tuples as lists, as asdict's deep
+        # copy of them would
+        fields_ = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(fields_, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
@@ -457,6 +558,8 @@ class Manifest:
             raise PipelineError(
                 f"manifest lists {len(raw['points'])} points for n={raw['n']}"
             )
+        if raw["width"] < 1:
+            raise PipelineError("manifest element width is below 1")
         if raw["r"] != raw["block_count"] * raw["n"]:
             raise PipelineError("manifest element count is not block_count * n")
         if raw["r"] * raw["width"] - raw["pad_count"] != raw["original_length"]:
@@ -500,14 +603,83 @@ def _encode_lengths(lengths: np.ndarray) -> str:
 # store / fetch / reconstruct
 
 
-def _gather(stream: np.ndarray, runs) -> np.ndarray:
-    parts = [stream[start:stop] for start, stop in runs] or [stream[:0]]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+class _RunTable:
+    """The runs of every owner (each cloud, then the local share) as one
+    table in stream order. The runs must tile [0, total) exactly once, and
+    each owner must list its runs in stream order, as make_plan does: an
+    owner's digits are then the digits of its runs in stream order, and
+    sizes[owner] counts them."""
+
+    def __init__(self, owners, total: int):
+        rows = []
+        self.sizes = []
+        for owner, runs in enumerate(owners):
+            offset = last = 0
+            for start, stop in runs:
+                if not 0 <= start <= stop <= total:
+                    raise IncompleteDataError(
+                        f"manifest run [{start}, {stop}) is outside the "
+                        f"{total}-digit stream"
+                    )
+                if start < stop:
+                    if start < last:
+                        raise IncompleteDataError(
+                            f"manifest run [{start}, {stop}) is listed after a "
+                            "later run of the same shard"
+                        )
+                    last = stop
+                    rows.append((start, stop, owner, offset))
+                offset += stop - start
+            self.sizes.append(offset)
+        rows.sort()
+        # sorted, the nonempty runs tile [0, total) iff each one starts where
+        # the previous one stopped (a later start is a gap, an earlier one an
+        # overlap) and the last one stops at total
+        pos = 0
+        for start, stop, _, _ in rows + [(total, None, None, None)]:
+            if start != pos:
+                raise IncompleteDataError(
+                    f"manifest runs do not cover the {total}-digit stream exactly once"
+                )
+            pos = stop
+        self.rows = rows
+        self.total = total
+
+    def pieces(self, lo: int, hi: int) -> dict[int, list]:
+        """owner -> [first, end, parts]: the owner's digits [first, end) lie
+        in [lo, hi), in its parts (stream start, stream stop) in order."""
+        out: dict[int, list] = {}
+        first = bisect_right(self.rows, lo, key=itemgetter(1))
+        end = bisect_left(self.rows, hi, key=itemgetter(0))
+        for start, stop, owner, offset in self.rows[first:end]:
+            if start < lo:
+                offset += lo - start
+                start = lo
+            if stop > hi:
+                stop = hi
+            entry = out.get(owner)
+            if entry is None:
+                out[owner] = entry = [offset, offset, []]
+            entry[1] += stop - start
+            entry[2].append((start, stop))
+        return out
+
+    def assemble(self, sources, lo: int, hi: int, dtype) -> np.ndarray:
+        """Digits [lo, hi) of the stream, taken from sources[owner], each a
+        digit array or a _Payload: one slice per owner, then one copy per run."""
+        out = np.empty(hi - lo, dtype=dtype)
+        for owner, (first, end, parts) in self.pieces(lo, hi).items():
+            held = sources[owner][first:end]
+            at = 0
+            for start, stop in parts:
+                out[start - lo : stop - lo] = held[at : at + stop - start]
+                at += stop - start
+        return out
 
 
-def store_shards(
+def write_dataset(
     plan: DistributionPlan,
-    stream: CodedStream,
+    segments,
     root,
     grouping: GroupingPlan,
     spec: FieldSpec,
@@ -516,25 +688,35 @@ def store_shards(
 ) -> Manifest:
     """Write one shard per cloud plus the local share; returns the manifest.
 
-    The manifest is persisted last, so a backend failure leaves no manifest
+    segments yields the rendered digit stream as consecutive arrays, which
+    are packed into the shards as they arrive, so no more than one of them
+    is held unpacked. Each shard is finished and written once the stream is
+    complete; the manifest is persisted last, so a failure leaves no manifest
     behind and the partial dataset reads as absent.
     """
     if root.cloud_count != plan.p:
         raise ConfigError(
             f"root exposes {root.cloud_count} clouds, plan wants {plan.p}"
         )
-    digits = stream.render_digits
-    if digits.size != plan.total_digits:
+    table = _RunTable([*plan.cloud_runs, plan.local_runs], plan.total_digits)
+    packers = [_ShardPacker(spec.d, spec.k) for _ in table.sizes]
+    pos = 0
+    for digits in segments:
+        lo, pos = pos, pos + digits.size
+        if pos > plan.total_digits:
+            continue  # a stream too long for the plan, refused below
+        for owner, (_, _, parts) in table.pieces(lo, pos).items():
+            pieces = [digits[a - lo : b - lo] for a, b in parts]
+            packers[owner].add(
+                pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            )
+    if pos != plan.total_digits:
         raise PipelineError("coded stream does not match the distribution plan")
 
-    payloads = [
-        pack_shard(_gather(digits, runs), spec.d, spec.k) for runs in plan.cloud_runs
-    ]
-    local_payload = pack_shard(_gather(digits, plan.local_runs), spec.d, spec.k)
-
-    for i, payload in enumerate(payloads):
+    payloads = [packer.finish() for packer in packers]
+    for i, payload in enumerate(payloads[:-1]):
         root.write_shard(i, payload)
-    root.write_local(local_payload)
+    root.write_local(payloads[-1])
 
     render_lengths = None
     if grouping.mode == ALPHA_BOUNDED:
@@ -553,112 +735,154 @@ def store_shards(
         render_lengths=render_lengths,
         points=tuple(points),
         n=len(points),
-        block_count=stream.block_count,
+        block_count=grouping.r // plan.n,
         cloud_runs=plan.cloud_runs,
         local_runs=plan.local_runs,
         caps=plan.caps,
         stored=plan.stored,
         breach=profile.breach,
         pu=profile.pu,
-        checksums=tuple(format(crc32c(p), "08x") for p in payloads),
-        local_checksum=format(crc32c(local_payload), "08x"),
+        checksums=tuple(format(crc32c(p), "08x") for p in payloads[:-1]),
+        local_checksum=format(crc32c(payloads[-1]), "08x"),
     )
     root.write_manifest(manifest.to_json())
     return manifest
 
 
-def fetch_shards(
-    manifest: Manifest, root
-) -> tuple[list[Shard], np.ndarray]:
-    """Retrieve and verify every shard plus the local share."""
+def store_shards(
+    plan: DistributionPlan,
+    stream: CodedStream,
+    root,
+    grouping: GroupingPlan,
+    spec: FieldSpec,
+    points: tuple[int, ...],
+    profile: SecurityProfile,
+) -> Manifest:
+    """write_dataset of a whole coded stream, as one segment."""
+    return write_dataset(
+        plan, [stream.render_digits], root, grouping, spec, points, profile
+    )
+
+
+def _fetch_payloads(manifest: Manifest, root) -> list[_Payload]:
+    """Every shard's payload, then the local share's, each read once and
+    checked against its checksum and the manifest's header fields; nothing
+    is unpacked."""
     j = manifest.d.bit_length() - 1
     header = (j if 1 << j == manifest.d else 0, manifest.k)
 
-    def read(raw: bytes, checksum: str, what: str) -> np.ndarray:
+    def read(raw: bytes, checksum: str, what: str) -> _Payload:
         if format(crc32c(raw), "08x") != checksum:
             raise ChecksumMismatchError(f"{what} failed its checksum")
-        digits, *fields = unpack_shard(raw)
-        if tuple(fields) != header:
+        payload, j, k = _parse_shard(raw)
+        if (j, k) != header:
             raise PipelineError(f"{what} header does not match the manifest")
-        digits.setflags(write=False)  # fresh or a view of raw: no copy needed
-        return digits
+        return payload
 
-    shards = []
-    for i in range(manifest.p):
-        digits = read(root.read_shard(i), manifest.checksums[i], f"cloud {i} shard")
-        shards.append(Shard(cloud=i, digits=digits))
-    local = read(root.read_local(), manifest.local_checksum, "local share")
-    return shards, local
+    payloads = [
+        read(root.read_shard(i), manifest.checksums[i], f"cloud {i} shard")
+        for i in range(manifest.p)
+    ]
+    payloads.append(read(root.read_local(), manifest.local_checksum, "local share"))
+    return payloads
 
 
-def _check_cover(manifest: Manifest, total: int) -> None:
-    """The cloud and local runs together must tile [0, total) exactly."""
-    runs = [run for cloud in manifest.cloud_runs for run in cloud]
-    runs += manifest.local_runs
-    for start, stop in runs:
-        if not 0 <= start <= stop <= total:
-            raise IncompleteDataError(
-                f"manifest run [{start}, {stop}) is outside the {total}-digit stream"
-            )
-    # sorted, the runs tile [0, total) iff each nonempty one starts where the
-    # previous one stopped: a later start is a gap, an earlier one an overlap;
-    # the closing run at total checks that the last one stops there
-    pos = 0
-    for start, stop in sorted(runs) + [(total, total + 1)]:
-        if start < stop:
-            if start != pos:
-                raise IncompleteDataError(
-                    f"manifest runs do not cover the {total}-digit stream exactly once"
-                )
-            pos = stop
+def fetch_shards(
+    manifest: Manifest, root
+) -> tuple[list[Shard], np.ndarray]:
+    """Retrieve and verify every shard plus the local share, unpacked."""
+    *clouds, local = _fetch_payloads(manifest, root)
+    return [Shard(cloud=i, digits=p[:]) for i, p in enumerate(clouds)], local[:]
+
+
+def _checked_runs(manifest: Manifest, sources: list) -> tuple[_RunTable, np.ndarray]:
+    """The run table and element lengths of a manifest whose runs tile its
+    stream exactly once and hold exactly sources[owner].size digits of each
+    owner (each cloud, then the local share; None for a withheld shard)."""
+    lengths = manifest.element_lengths()
+    table = _RunTable(
+        [*manifest.cloud_runs, manifest.local_runs], int(lengths.sum())
+    )
+    for i, (need, source) in enumerate(zip(table.sizes, sources)):
+        what = f"cloud {i} shard" if i < manifest.p else "local share"
+        if source is None:
+            if need:
+                raise IncompleteDataError(f"{what} is withheld")
+        elif source.size < need:
+            raise IncompleteDataError(f"{what} is shorter than its runs")
+        elif source.size > need:
+            raise IncompleteDataError(f"{what} holds digits outside its runs")
+    return table, lengths
+
+
+def _sources(manifest: Manifest, shards: list[Shard | None], local) -> list:
+    clouds = [
+        shards[i].digits if i < len(shards) and shards[i] is not None else None
+        for i in range(manifest.p)
+    ]
+    return [*clouds, np.asarray(local)]
 
 
 def assemble_stream(
     manifest: Manifest, shards: list[Shard | None], local: np.ndarray
 ) -> np.ndarray:
-    """Scatter shard and local digits back into the full rendered stream, in
-    the digit dtype of the manifest's base; the manifest runs must tile it."""
-    total = int(manifest.element_lengths().sum())
-    _check_cover(manifest, total)
-    buffer = np.empty(total, dtype=codec.digit_dtype(manifest.d))
+    """The full rendered stream, rebuilt from shard and local digits in the
+    digit dtype of the manifest's base; the manifest runs must tile it."""
+    sources = _sources(manifest, shards, local)
+    table, _ = _checked_runs(manifest, sources)
+    return table.assemble(sources, 0, table.total, codec.digit_dtype(manifest.d))
 
-    def fill(runs, digits, what):
-        pos = 0
-        for start, stop in runs:
-            need = stop - start
-            if pos + need > digits.size:
-                raise IncompleteDataError(f"{what} is shorter than its runs")
-            buffer[start:stop] = digits[pos : pos + need]
-            pos += need
-        if pos != digits.size:
-            raise IncompleteDataError(f"{what} holds digits outside its runs")
 
-    for i, runs in enumerate(manifest.cloud_runs):
-        if i >= len(shards) or shards[i] is None:
-            if any(stop > start for start, stop in runs):
-                raise IncompleteDataError(f"cloud {i} shard is withheld")
-            continue
-        fill(runs, shards[i].digits, f"cloud {i} shard")
-    fill(manifest.local_runs, np.asarray(local), "local share")
-    return buffer
+def _decode(manifest: Manifest, sources: list) -> DigitString:
+    """The message of a dataset, given each cloud's digits and then the local
+    share's (arrays or _Payloads; None for a withheld shard).
+
+    Every check on the runs and counts comes first. Then each segment of
+    whole blocks (codec.segments) is assembled from the run pieces it
+    covers, parsed, range-checked, decoded, expanded and written into the
+    one output digit array.
+    """
+    table, lengths = _checked_runs(manifest, sources)
+    if manifest.r == 0:  # no blocks, or blocks of no elements
+        return DigitString(manifest.d, [])
+    field = get_field(manifest.k, manifest.reduction_poly)
+    inverse = cached_vandermonde(
+        manifest.k, manifest.reduction_poly, manifest.points
+    ).inverse()
+    grouping = manifest.grouping_plan()
+    n, block_digits = manifest.n, manifest.n * manifest.width
+    dtype = codec.digit_dtype(manifest.d)
+    out = None
+    lo = 0
+    for first, part in codec.segments(grouping, n):
+        part_lengths = lengths[first * n : first * n + part.r]
+        hi = table.total if part is grouping else lo + int(part_lengths.sum())
+        stream = table.assemble(sources, lo, hi, dtype)
+        elements = codec.parse_renders(stream, part_lengths, manifest.d)
+        if int(elements.max()) >= field.q:
+            raise PipelineError("recovered digits parse outside the field")
+        decoded = field.mat_vec_batch(inverse, elements.reshape(-1, n))
+        digits = codec.ungroup(decoded.reshape(-1), part)
+        if part is grouping:  # one segment: its digits are the message
+            return digits
+        if out is None:
+            out = np.empty(grouping.message_length, dtype=dtype)
+        out[first * block_digits : first * block_digits + len(digits)] = digits.digits
+        lo = hi
+    out.setflags(write=False)  # fresh: DigitString need not copy it
+    return DigitString(manifest.d, out)
 
 
 def reconstruct(
     manifest: Manifest, shards: list[Shard | None], local: np.ndarray
 ) -> DigitString:
-    """Reassemble the digit stream, decode every block, strip the padding."""
-    buffer = assemble_stream(manifest, shards, local)
-    if manifest.block_count == 0:
-        return DigitString(manifest.d, [])
+    """Decode a dataset from its unpacked shard and local digits; a withheld
+    shard (None) must hold no run."""
+    return _decode(manifest, _sources(manifest, shards, local))
 
-    elements = codec.parse_renders(buffer, manifest.element_lengths(), manifest.d)
-    del buffer  # each stage's input is as large as the message: free it early
-    field = get_field(manifest.k, manifest.reduction_poly)
-    if elements.size and int(elements.max()) >= field.q:
-        raise PipelineError("recovered digits parse outside the field")
-    matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
-    decoded = field.mat_vec_batch(
-        matrix.inverse(), elements.reshape(manifest.block_count, manifest.n)
-    )
-    del elements
-    return codec.ungroup(decoded.reshape(-1), manifest.grouping_plan())
+
+def read_dataset(manifest: Manifest, root) -> DigitString:
+    """Fetch and check every shard and the local share, then decode them one
+    segment at a time, unpacking from each payload only the digits the
+    segment needs."""
+    return _decode(manifest, _fetch_payloads(manifest, root))

@@ -245,6 +245,36 @@ class TestConfigHandling:
         assert code == 0
         assert out.strip() != "n=2 l=1 f=96"
 
+    @pytest.mark.parametrize("command,config", [
+        ("attack", {"seed": "x"}),
+        ("store", {"k": "8x"}),
+        ("store", {"pu": "abc"}),
+        ("store", {"breach": "0.5,x"}),
+        ("store", {"k": 8.5}),
+        ("store", {"k": [8]}),
+    ], ids=[
+        "attack-seed", "store-k", "store-pu", "store-breach",
+        "store-k-fraction", "store-k-list",
+    ])
+    def test_bad_number_in_config_exits_2(
+        self, tmp_path, stored_root, capsys, command, config
+    ):
+        _, infile, root = stored_root
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        if command == "attack":
+            flags = ["--root", str(root), "--cloud", "1", "--trials", "10"]
+        else:
+            settings = {"k": 8, "pu": 1e-6, "breach": "0.5,0.25", **config}
+            cfg.write_text(json.dumps(settings))
+            flags = ["--in", str(infile), "--root", str(tmp_path / "r"), "--n", "4"]
+        code, out, err = run(capsys, command, "--config", str(cfg), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid configuration:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "optimize", "--m", "100")
         assert code == 2

@@ -39,6 +39,43 @@ def test_strict_d2_round_trip_peak():
     assert peak <= BYTES_PER_BYTE * len(payload), f"{peak / len(payload):.1f} B/B"
 
 
+# growth of the store and the recover peaks from 1 MiB to 8 MiB of payload,
+# per added payload byte: the recovered d=2 digit array alone takes 8, the
+# packed shards about 1; one segment's working set does not grow
+GROWTH_PER_BYTE = 10
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_store_and_recover_peaks_grow_by_the_data_alone():
+    spec = gf.FieldSpec(k=8, d=2)
+    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
+    rng = np.random.default_rng(8)
+    peaks = {}
+    for size in (1 << 20, 8 << 20):
+        digits = pipeline.bytes_to_digits(rng.bytes(size), 2)
+        root = storage.MemoryRoot(3)
+        store = _peak(lambda: pipeline.store_digits(
+            digits, root, spec, n=100, profile=profile
+        ))
+        back = []
+        recover = _peak(lambda: back.append(pipeline.recover(root)))
+        assert back[0] == digits
+        peaks[size] = store, recover
+        del digits, root, back
+    added = (8 << 20) - (1 << 20)
+    for name, small, large in zip(("store", "recover"), *peaks.values()):
+        growth = (large - small) / added
+        assert growth <= GROWTH_PER_BYTE, f"{name}: {growth:.1f} B/B"
+
+
 BYTES_PER_PLAINTEXT = 96
 
 

@@ -103,6 +103,34 @@ class TestCrc32cLanes:
         assert oracles.slow_crc32c(b"123456789") == 0xE3069283
 
 
+class TestCrc32cChunks:
+    """Long inputs: a head of len % 32 bytes byte by byte, then 32-byte
+    chunks checksummed side by side and joined pairwise."""
+
+    CHUNK = 32
+    BASE = 16 * LANES  # the shortest input that takes the chunked path
+
+    @pytest.mark.parametrize("chunks", [513, 515, 1023, 1025, 3 * 1024 + 1])
+    def test_odd_chunk_counts(self, chunks):
+        data = np.random.default_rng(chunks).bytes(chunks * self.CHUNK)
+        assert storage.crc32c(data) == oracles.slow_crc32c(data)
+
+    @pytest.mark.parametrize("head", [1, 7, 8, 9, 16, 31])
+    def test_short_head(self, head):
+        data = np.random.default_rng(head).bytes(self.BASE + self.CHUNK + head)
+        assert storage.crc32c(data) == oracles.slow_crc32c(data)
+
+    @pytest.mark.parametrize("cut", [5, 17, 31])
+    def test_continuation_split_inside_a_chunk(self, cut):
+        data = np.random.default_rng(cut).bytes(3 * self.BASE + 3 * self.CHUNK)
+        # both parts are long enough to be chunked, and the split falls
+        # inside a chunk of the whole input
+        split = self.BASE + 4 * self.CHUNK + cut
+        a, b = data[:split], data[split:]
+        assert storage.crc32c(b, storage.crc32c(a)) == storage.crc32c(data)
+        assert storage.crc32c(data) == oracles.slow_crc32c(data)
+
+
 class TestShardFormat:
     @pytest.mark.parametrize("d", [2, 4, 16, 256])
     def test_roundtrip_power_of_two(self, d):
@@ -336,6 +364,18 @@ class TestStoreFetch:
         assert parsed["points"] == [1, 2, 3]
         assert parsed["breach"] == [0.5, 0.25]
 
+    @pytest.mark.parametrize("case", ["strict", "alpha", "empty"])
+    def test_manifest_json_is_the_asdict_text(self, case):
+        spec = gf.FieldSpec(k=8, d=2)
+        profile = SecurityProfile(breach=(0.5, 0.25), pu=1e-30)
+        mode, alpha = (ALPHA_BOUNDED, 5.0) if case == "alpha" else (STRICT, None)
+        digits = np.random.default_rng(4).integers(0, 2, 0 if case == "empty" else 200)
+        manifest = pipeline.store_digits(
+            DigitString(2, digits), storage.MemoryRoot(2), spec, n=4,
+            profile=profile, mode=mode, alpha=alpha,
+        ).manifest
+        assert manifest.to_json() == json.dumps(dataclasses.asdict(manifest), indent=1)
+
     def test_manifest_coverage_partition(self):
         spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
@@ -503,6 +543,8 @@ MANIFEST_PROBES = [
     ("cloud_runs", [[[600, 618]], [[18, 512]]]),  # shard sizes kept, run out of range
     ("cloud_runs", [[[0, 18]], [[10, 504]]]),  # shard sizes kept, runs overlap
     ("cloud_runs", [[[0, 10]], [[18, 512]]]),  # runs leave [10, 18) uncovered
+    ("cloud_runs", [[[0, 18]], [[100, 512], [18, 100]]]),  # out of stream order
+    ("cloud_runs", [[[0, 18]], [[18, 10**30]]]),  # beyond any integer dtype
 ]
 PROBE_IDS = [f"{field}={json.dumps(value)}" for field, value in MANIFEST_PROBES]
 
