@@ -7,11 +7,17 @@ A static plan, built once, lists per touched block each element holding
 unseen digits: its known part, the guess column and place value of each
 unseen digit, and whether its largest reachable value reaches q (only
 then can a guess name a digit group no element renders to, a miss). Each
-candidate column is one multiply-add per unseen digit. Blocks decode in
-stream order, each only for the trials every earlier block left alive:
-success is the AND over blocks, so the count is unchanged. The draw (int64,
-2^15 trials a chunk) and the decode through Field.mat_vec_batch are fixed,
-so a seed returns the same float bit for bit.
+candidate column is one multiply-add per unseen digit, decoded through
+Field.mat_vec_batch. A block with u_b unseen digits has d^u_b candidates;
+when they number at most one chunk's trials, min(trials, 2^15), each is
+decoded once, up front, into a table of hits, and a trial looks up its key
+sum(guess[columns[i]] * d^i). Larger blocks decode trial by trial. Blocks
+run in stream order, each only for the trials every earlier block left
+alive: success is the AND over blocks, the same function of a trial's
+digits on both paths, so the draw (int64, 2^15 trials a chunk) fixes the
+count and a seed returns the same float bit for bit. Where every touched
+block takes the table, the multiplications a field's OpCounter counts do
+not depend on the seed.
 
 entropy_audit enumerates every plaintext vector in F_q^n, groups them by
 what an adversary observes (whole components, or individual digits of
@@ -191,6 +197,47 @@ def _guess_plan(scenario: AttackScenario) -> list[tuple[int, list]]:
     return plan
 
 
+def _block_hits(field, inv, elements, truth, slots, guesses) -> np.ndarray:
+    """Whether each row of guesses (digits by guess column) decodes one
+    block to its plaintext truth. Each candidate column is one multiply-add
+    per unseen digit on the block's true elements, a can_overflow group
+    reaching q is a miss, and one Field.mat_vec_batch decodes them all."""
+    n = elements.size
+    # one row per component, so each column of the batch is contiguous
+    cols = np.empty((n, guesses.shape[0]), dtype=np.int64)
+    cols[:] = elements[:, None]
+    ok = None
+    for slot, known, terms, can_overflow in slots:
+        value = cols[slot]
+        (j, place), *rest = terms
+        np.multiply(guesses[:, j], place, out=value)
+        for j, place in rest:
+            value += guesses[:, j] * place
+        if known:
+            value += known
+        if can_overflow:
+            # a digit group no field element renders to is a wrong guess
+            bad = value >= field.q
+            value[bad] = 0
+            ok = ~bad if ok is None else ok & ~bad
+    decoded = field.mat_vec_batch(inv, cols.T)
+    hit = decoded[:, 0] == truth[0]
+    for i in range(1, n):
+        hit &= decoded[:, i] == truth[i]
+    if ok is not None:
+        hit &= ok
+    return hit
+
+
+def _checked_count(value, name: str, low: int) -> int:
+    """value as an int of at least low; a bool or a non-integer is refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def simulate_guess(
     scenario: AttackScenario, trials: int, seed: int = 0
 ) -> float:
@@ -199,10 +246,8 @@ def simulate_guess(
     Deterministic for a fixed seed. The breach factor is not simulated;
     multiply by scenario.breach for the end-to-end guess probability.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    trials = _checked_count(trials, "trials", 1)
+    seed = _checked_count(seed, "seed", 0)
     u = scenario.unknown_count
     if u > MAX_UNKNOWN_DIGITS:
         raise TooManyUnknownsError(
@@ -210,45 +255,50 @@ def simulate_guess(
         )
     field = scenario.matrix.field
     inv = scenario.matrix.inverse()
-    n = scenario.matrix.n
+    n, d = scenario.matrix.n, scenario.d
     true_b = field.mat_vec_batch(inv, scenario.true_elements.reshape(-1, n))
     if u == 0:
         return 1.0
 
-    plan = _guess_plan(scenario)
+    chunk_size = min(1 << 15, trials)
+    # per touched block, in stream order: (block, slots, columns, powers,
+    # table). A block of at most chunk_size digit patterns decodes each
+    # pattern once into table; a trial then looks up its pattern's key,
+    # sum(guess[columns[i]] * d^i). Other blocks decode trial by trial.
+    steps = []
+    for blk, slots in _guess_plan(scenario):
+        columns = sorted({j for *_, terms, _ in slots for j, _ in terms})
+        powers = d ** np.arange(len(columns), dtype=np.int64)
+        table = None
+        if d ** len(columns) <= chunk_size:
+            local = {j: i for i, j in enumerate(columns)}
+            table = _block_hits(
+                field, inv, scenario.true_elements[blk], true_b[blk],
+                [(c, known, [(local[j], place) for j, place in terms], over)
+                 for c, known, terms, over in slots],
+                np.arange(d ** len(columns))[:, None] // powers % d,
+            )
+        # sorted unknown positions give each block one run of columns
+        if columns[-1] - columns[0] == len(columns) - 1:
+            columns = slice(columns[0], columns[-1] + 1)
+        steps.append((blk, slots, columns, powers, table))
+
     rng = np.random.default_rng(seed)
     successes = 0
     left = trials
-    chunk_size = max(1, min(1 << 15, trials))
     while left > 0:
         chunk = min(chunk_size, left)
-        guesses = rng.integers(0, scenario.d, size=(chunk, u))
-        # success is the AND over blocks: each block after the first decodes
+        guesses = rng.integers(0, d, size=(chunk, u))
+        # success is the AND over blocks: each block after the first sees
         # only the trials every earlier block left alive
-        for blk, slots in plan:
-            # one row per component, so each column of the batch is contiguous
-            cols = np.empty((n, guesses.shape[0]), dtype=np.int64)
-            cols[:] = scenario.true_elements[blk][:, None]
-            ok = None
-            for slot, known, terms, can_overflow in slots:
-                value = cols[slot]
-                (j, place), *rest = terms
-                np.multiply(guesses[:, j], place, out=value)
-                for j, place in rest:
-                    value += guesses[:, j] * place
-                if known:
-                    value += known
-                if can_overflow:
-                    # a digit group no field element renders to is a wrong guess
-                    bad = value >= field.q
-                    value[bad] = 0
-                    ok = ~bad if ok is None else ok & ~bad
-            decoded = field.mat_vec_batch(inv, cols.T)
-            hit = decoded[:, 0] == true_b[blk, 0]
-            for i in range(1, n):
-                hit &= decoded[:, i] == true_b[blk, i]
-            if ok is not None:
-                hit &= ok
+        for blk, slots, columns, powers, table in steps:
+            if table is None:
+                hit = _block_hits(
+                    field, inv, scenario.true_elements[blk], true_b[blk],
+                    slots, guesses,
+                )
+            else:
+                hit = table[guesses[:, columns] @ powers]
             guesses = guesses.take(np.flatnonzero(hit), axis=0)
             if not guesses.shape[0]:
                 break

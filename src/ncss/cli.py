@@ -28,8 +28,10 @@ EXIT_INFEASIBLE = 4
 
 
 def _int(value, name: str) -> int:
-    """An integer option, from a flag or a config file."""
+    """An integer option, from a flag or a config file; not a boolean."""
     try:
+        if isinstance(value, bool):
+            raise ValueError
         if isinstance(value, float) and not value.is_integer():
             raise ValueError
         return int(value)
@@ -38,19 +40,26 @@ def _int(value, name: str) -> int:
 
 
 def _float(value, name: str) -> float:
-    """A real option, from a flag or a config file."""
+    """A real option, from a flag or a config file; not a boolean."""
     try:
+        if isinstance(value, bool):
+            raise ValueError
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
-def _floats(text: str, name: str) -> tuple[float, ...]:
-    return tuple(_float(x, name) for x in str(text).split(","))
+def _items(value) -> list:
+    """A list option: a JSON list from a config file, else comma-separated."""
+    return value if isinstance(value, list) else str(value).split(",")
 
 
-def _ints(text: str, name: str) -> tuple[int, ...]:
-    return tuple(_int(x, name) for x in str(text).split(","))
+def _floats(value, name: str) -> tuple[float, ...]:
+    return tuple(_float(x, name) for x in _items(value))
+
+
+def _ints(value, name: str) -> tuple[int, ...]:
+    return tuple(_int(x, name) for x in _items(value))
 
 
 def _assignment(text: str) -> list[list[int]]:

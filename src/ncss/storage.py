@@ -798,11 +798,16 @@ def fetch_shards(
 def _checked_runs(manifest: Manifest, sources: list) -> tuple[_RunTable, np.ndarray]:
     """The run table and element lengths of a manifest whose runs tile its
     stream exactly once and hold exactly sources[owner].size digits of each
-    owner (each cloud, then the local share; None for a withheld shard)."""
+    owner (each cloud, then the local share; None for a withheld shard).
+    A strict stream is r * width digits long: summing its zero-stride
+    lengths would walk block_count * n entries, as many as an edited
+    manifest claims, before any run is checked."""
     lengths = manifest.element_lengths()
-    table = _RunTable(
-        [*manifest.cloud_runs, manifest.local_runs], int(lengths.sum())
-    )
+    if manifest.mode == STRICT:
+        total = manifest.r * manifest.width
+    else:
+        total = int(lengths.sum())
+    table = _RunTable([*manifest.cloud_runs, manifest.local_runs], total)
     for i, (need, source) in enumerate(zip(table.sizes, sources)):
         what = f"cloud {i} shard" if i < manifest.p else "local share"
         if source is None:

@@ -224,6 +224,21 @@ class TestSimulateGuess:
         with pytest.raises(ConfigError, match="seed"):
             adversary.simulate_guess(sc, trials=10, seed=-1)
 
+    @pytest.mark.parametrize("trials,seed", [
+        (2.5, 0), ("10", 0), (True, 0), (None, 0),
+        (10, 1.5), (10, "3"), (10, True), (10, None),
+    ])
+    def test_trials_and_seed_must_be_integers(self, trials, seed):
+        sc = make_scenario(k=3, d=2, n=3, seed=6, unknown=2)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            adversary.simulate_guess(sc, trials=trials, seed=seed)
+
+    def test_numpy_integers_are_integers(self):
+        sc = make_scenario(k=3, d=2, n=3, seed=6, unknown=2)
+        got = adversary.simulate_guess(sc, trials=np.int64(500), seed=np.uint32(3))
+        assert got == adversary.simulate_guess(sc, trials=500, seed=3)
+        assert type(got) is float
+
 
 class TestGuessBitIdentity:
     """simulate_guess is pinned to the floats of its per-element form: the
@@ -275,6 +290,108 @@ class TestGuessBitIdentity:
         trials = (1 << 15) + 5000
         got = adversary.simulate_guess(sc, trials, 4)
         assert got == oracles.slow_guess(sc, trials, 4)
+
+
+def edge_scenario(hidden):
+    """Two k=8, d=2, n=2 blocks of 16 digits: `hidden` unseen digits at the
+    head of block 0, one in block 1."""
+    return stream_scenario(
+        k=8, d=2, n=2, blocks=2, seed=3, positions=[*range(hidden), 20]
+    )
+
+
+def spy_block_hits(monkeypatch):
+    """The shape of the guesses every _block_hits call is given: a table
+    build passes its d^u_b patterns over the block's u_b columns."""
+    shapes = []
+    real = adversary._block_hits
+
+    def spy(*args):
+        shapes.append(args[-1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(adversary, "_block_hits", spy)
+    return shapes
+
+
+class TestGuessMemo:
+    """A block of at most min(trials, 2^15) digit patterns decodes each
+    pattern once; its trials look their pattern up. Blocks with more
+    patterns decode trial by trial. Both give the oracle's count."""
+
+    # 2, 3 and 1 unseen digits in blocks 0, 1 and 2 (4, 8 and 2 patterns)
+    MIXED = dict(k=4, d=2, n=3, blocks=3, seed=5, positions=[2, 7, 13, 14, 20, 30])
+    PATTERNS = {0: (4, 2), 1: (8, 3), 2: (2, 1)}
+
+    @pytest.mark.parametrize("trials,tabled", [
+        (1, []), (3, [2]), (4, [0, 2]), (7, [0, 2]), (8, [0, 1, 2]),
+        (3000, [0, 1, 2]),
+    ])
+    def test_mixed_selection_matches_oracle(self, monkeypatch, trials, tabled):
+        sc = stream_scenario(**self.MIXED)
+        shapes = spy_block_hits(monkeypatch)
+        for seed in (0, 11):
+            shapes.clear()
+            assert adversary.simulate_guess(sc, trials, seed) == oracles.slow_guess(
+                sc, trials, seed
+            )
+            tables = [shape for shape in shapes if shape[1] < sc.unknown_count]
+            assert tables == [self.PATTERNS[blk] for blk in tabled]
+
+    def test_unsorted_positions_match_oracle(self):
+        # guess columns follow the listed positions: block 0's are 1 and 3
+        sc = stream_scenario(**{**self.MIXED, "positions": [30, 2, 14, 7, 13, 20]})
+        for trials, seed in ((8, 0), (3000, 11)):
+            assert adversary.simulate_guess(sc, trials, seed) == oracles.slow_guess(
+                sc, trials, seed
+            )
+
+    @pytest.mark.parametrize("trials", [7, 3000])
+    def test_overflow_onto_a_zero_element_is_a_miss(self, trials):
+        # base-3 pairs render GF(8); "22" reads 8, which the candidate
+        # column stores as 0, the true element: only the overflow mask
+        # keeps that guess a miss
+        a = gf.build_vandermonde(gf.FieldSpec(k=3, d=3), gf.default_points(3))
+        sc = AttackScenario(
+            matrix=a, d=3, true_elements=np.zeros((1, 3)),
+            render_lengths=[2, 2, 2], stream=np.zeros(6), unknown_positions=[0, 1],
+        )
+        for seed in (0, 11):
+            got = adversary.simulate_guess(sc, trials, seed)
+            assert got == oracles.slow_guess(sc, trials, seed)
+        assert abs(adversary.simulate_guess(sc, 90_000, 1) - 1 / 9) < 0.01
+
+    @pytest.mark.parametrize("hidden,tabled", [(15, True), (16, False)])
+    def test_pattern_count_at_the_chunk_size(self, monkeypatch, hidden, tabled):
+        # 2^15 patterns fill one chunk and take the table; 2^16 do not
+        sc = edge_scenario(hidden)
+        trials = (1 << 16) + 3
+        shapes = spy_block_hits(monkeypatch)
+        got = adversary.simulate_guess(sc, trials, 3)
+        assert got == oracles.slow_guess(sc, trials, 3)
+        assert got > 0
+        assert ((1 << hidden, hidden) in shapes) == tabled
+        assert (2, 1) in shapes  # the one-digit block always takes the table
+
+    @pytest.mark.parametrize("name,patterns", [
+        ("audit-strict", 16 + 64), ("audit-alpha5", 4 + 16 + 16),
+    ])
+    def test_traced_muls_do_not_depend_on_the_seed(self, name, patterns):
+        sc = GUESS_SCENARIOS[name]()
+        field, n = sc.matrix.field, sc.matrix.n
+        sc.matrix.inverse()  # cached on the matrix: its products count once
+        counts = []
+        field.counter = gf.OpCounter()
+        try:
+            for seed in (1, 2):
+                field.counter.reset()
+                adversary.simulate_guess(sc, 1 << 20, seed)
+                counts.append(field.counter.muls)
+        finally:
+            field.counter = None
+        # the decoded truth of every block, then each block's patterns once
+        blocks = sc.true_elements.shape[0]
+        assert counts == [n * n * (blocks + patterns)] * 2
 
 
 class TestScenarioFromPlan:

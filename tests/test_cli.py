@@ -252,9 +252,17 @@ class TestConfigHandling:
         ("store", {"breach": "0.5,x"}),
         ("store", {"k": 8.5}),
         ("store", {"k": [8]}),
+        ("store", {"pu": True}),
+        ("store", {"k": True}),
+        ("attack", {"seed": True}),
+        ("store", {"breach": [0.5, True]}),
+        ("store", {"breach": [0.5, "x"]}),
+        ("store", {"breach": [[0.5], 0.25]}),
     ], ids=[
         "attack-seed", "store-k", "store-pu", "store-breach",
-        "store-k-fraction", "store-k-list",
+        "store-k-fraction", "store-k-list", "store-pu-bool", "store-k-bool",
+        "attack-seed-bool", "store-breach-list-bool",
+        "store-breach-list-word", "store-breach-nested-list",
     ])
     def test_bad_number_in_config_exits_2(
         self, tmp_path, stored_root, capsys, command, config
@@ -274,6 +282,30 @@ class TestConfigHandling:
         assert err.startswith("invalid configuration:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_list_valued_config_round_trip(self, tmp_path, stored_root, capsys):
+        payload, infile, root = stored_root
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "d": 2, "k": 8, "mode": "strict", "n": 4,
+            "pu": 1e-6, "breach": [0.5, 0.25],
+        }))
+        listed = tmp_path / "listed"
+        code, _, err = run(
+            capsys, "store", "--config", str(cfg), "--in", str(infile),
+            "--root", str(listed),
+        )
+        assert code == 0, err
+        # the same dataset as the comma-separated flag stores
+        assert (listed / "manifest.json").read_text() == (
+            root / "manifest.json"
+        ).read_text()
+        outfile = tmp_path / "listed.bin"
+        code, _, _ = run(
+            capsys, "fetch", "--root", str(listed), "--out", str(outfile)
+        )
+        assert code == 0
+        assert outfile.read_bytes() == payload
 
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "optimize", "--m", "100")

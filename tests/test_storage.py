@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -545,14 +546,18 @@ MANIFEST_PROBES = [
     ("cloud_runs", [[[0, 10]], [[18, 512]]]),  # runs leave [10, 18) uncovered
     ("cloud_runs", [[[0, 18]], [[100, 512], [18, 100]]]),  # out of stream order
     ("cloud_runs", [[[0, 18]], [[18, 10**30]]]),  # beyond any integer dtype
+    # r, original_length and pad_count kept consistent, so the manifest loads
+    # and the runs are checked against a 3.2e13-digit stream
+    ("block_count", 10**12, {"r": 4 * 10**12, "original_length": 32 * 10**12}),
 ]
-PROBE_IDS = [f"{field}={json.dumps(value)}" for field, value in MANIFEST_PROBES]
+PROBE_IDS = [f"{field}={json.dumps(value)}" for field, value, *_ in MANIFEST_PROBES]
+HUGE_BLOCK_COUNT = MANIFEST_PROBES[-1]
 
 
 class TestManifestValidation:
     @pytest.fixture()
     def edited_root(self, tmp_path, request):
-        field, value = request.param
+        field, value, *kept = request.param
         root = storage.DirectoryRoot(tmp_path / "probe", clouds=2)
         digits = pipeline.bytes_to_digits(bytes(range(64)), 2)
         profile = SecurityProfile(breach=(0.5, 0.25), pu=1e-6)
@@ -562,8 +567,20 @@ class TestManifestValidation:
         raw = json.loads(root.read_manifest())
         assert len(raw["points"]) == 4
         raw[field] = value
+        raw.update(*kept)
         root.write_manifest(json.dumps(raw))
         return root
+
+    @pytest.mark.parametrize(
+        "edited_root", [HUGE_BLOCK_COUNT], indirect=True, ids=["block_count"]
+    )
+    def test_huge_block_count_is_refused_at_once(self, edited_root):
+        # the stream length comes from r * width, not from a sum over
+        # block_count * n render lengths
+        start = time.perf_counter()
+        with pytest.raises(IncompleteDataError, match="do not cover"):
+            pipeline.recover(edited_root)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "edited_root", MANIFEST_PROBES, indirect=True, ids=PROBE_IDS
