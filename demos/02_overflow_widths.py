@@ -24,7 +24,8 @@ print("regroup 001 011 101 ->", elements.tolist())
 matrix = gf.build_vandermonde(spec, (1, 2, 3))
 block = codec.encode_block(matrix, elements, plan)
 print("encoded elements:", block.elements.tolist())
-print("fixed-width renders:", [block.digit_render(i).tolist() for i in range(3)])
+renders = block.render_digits.reshape(3, s)
+print("fixed-width renders:", renders.tolist())
 print("total digits in = total digits out:", block.total_digits, "== 9")
 
 # --- a mismatched width shows the overflow ----------------------------------

@@ -80,7 +80,7 @@ from .storage import (
     DirectoryRoot,
     Manifest,
     MemoryRoot,
-    Shard,
+    Payload,
     crc32c,
     fetch_shards,
     reconstruct,

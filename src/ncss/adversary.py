@@ -3,11 +3,13 @@
 simulate_guess plays the eavesdropper who breached some clouds: every trial
 draws the unseen digits uniformly, reassembles a candidate codeword stream,
 decodes it, and scores a success only if the decoded plaintext matches.
-A static plan, built once, lists per touched block each element holding
-unseen digits: its known part, the guess column and place value of each
-unseen digit, and whether its largest reachable value reaches q (only
-then can a guess name a digit group no element renders to, a miss). Each
-candidate column is one multiply-add per unseen digit, decoded through
+Only the blocks holding an unseen digit (the touched blocks) are decoded to
+their plaintext truth; with no unseen digit every guess succeeds and
+nothing is decoded. A static plan, built once, lists per touched block each
+element holding unseen digits: its known part, the guess column and place
+value of each unseen digit, and whether its largest reachable value reaches
+q (only then can a guess name a digit group no element renders to, a miss).
+Each candidate column is one multiply-add per unseen digit, decoded through
 Field.mat_vec_batch. A block with u_b unseen digits has d^u_b candidates;
 when they number at most one chunk's trials, min(trials, 2^15), each is
 decoded once, up front, into a table of hits, and a trial looks up its key
@@ -152,8 +154,7 @@ def scenario_from_storage(manifest, root, target: int | str) -> AttackScenario:
     from .gf import cached_vandermonde
 
     cloud = _cloud_index(target, manifest.p)
-    shards, local = storage.fetch_shards(manifest, root)
-    stream = storage.assemble_stream(manifest, shards, local)
+    stream = storage.assemble_stream(manifest, *storage.fetch_shards(manifest, root))
     lengths = manifest.element_lengths()
     elements = codec.parse_renders(stream, lengths, manifest.d)
     matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
@@ -253,27 +254,32 @@ def simulate_guess(
         raise TooManyUnknownsError(
             f"{u} unknown digits exceed the {MAX_UNKNOWN_DIGITS}-digit bound"
         )
-    field = scenario.matrix.field
-    inv = scenario.matrix.inverse()
-    n, d = scenario.matrix.n, scenario.d
-    true_b = field.mat_vec_batch(inv, scenario.true_elements.reshape(-1, n))
     if u == 0:
         return 1.0
+    field = scenario.matrix.field
+    inv = scenario.matrix.inverse()
+    d = scenario.d
+    touched = _guess_plan(scenario)
+    # the plaintext truth of the touched blocks only
+    truths = field.mat_vec_batch(
+        inv, scenario.true_elements[[blk for blk, _ in touched]]
+    )
 
     chunk_size = min(1 << 15, trials)
-    # per touched block, in stream order: (block, slots, columns, powers,
-    # table). A block of at most chunk_size digit patterns decodes each
-    # pattern once into table; a trial then looks up its pattern's key,
-    # sum(guess[columns[i]] * d^i). Other blocks decode trial by trial.
+    # per touched block, in stream order: (elements, truth, slots, columns,
+    # powers, table). A block of at most chunk_size digit patterns decodes
+    # each pattern once into table; a trial then looks up its pattern's
+    # key, sum(guess[columns[i]] * d^i). Other blocks decode trial by trial.
     steps = []
-    for blk, slots in _guess_plan(scenario):
+    for (blk, slots), truth in zip(touched, truths):
+        elements = scenario.true_elements[blk]
         columns = sorted({j for *_, terms, _ in slots for j, _ in terms})
         powers = d ** np.arange(len(columns), dtype=np.int64)
         table = None
         if d ** len(columns) <= chunk_size:
             local = {j: i for i, j in enumerate(columns)}
             table = _block_hits(
-                field, inv, scenario.true_elements[blk], true_b[blk],
+                field, inv, elements, truth,
                 [(c, known, [(local[j], place) for j, place in terms], over)
                  for c, known, terms, over in slots],
                 np.arange(d ** len(columns))[:, None] // powers % d,
@@ -281,7 +287,7 @@ def simulate_guess(
         # sorted unknown positions give each block one run of columns
         if columns[-1] - columns[0] == len(columns) - 1:
             columns = slice(columns[0], columns[-1] + 1)
-        steps.append((blk, slots, columns, powers, table))
+        steps.append((elements, truth, slots, columns, powers, table))
 
     rng = np.random.default_rng(seed)
     successes = 0
@@ -291,12 +297,9 @@ def simulate_guess(
         guesses = rng.integers(0, d, size=(chunk, u))
         # success is the AND over blocks: each block after the first sees
         # only the trials every earlier block left alive
-        for blk, slots, columns, powers, table in steps:
+        for elements, truth, slots, columns, powers, table in steps:
             if table is None:
-                hit = _block_hits(
-                    field, inv, scenario.true_elements[blk], true_b[blk],
-                    slots, guesses,
-                )
+                hit = _block_hits(field, inv, elements, truth, slots, guesses)
             else:
                 hit = table[guesses[:, columns] @ powers]
             guesses = guesses.take(np.flatnonzero(hit), axis=0)

@@ -147,10 +147,10 @@ def bench_pipeline(
 
             def run():
                 stream = codec.encode_stream(digits, grouping, matrix)
-                plan = planner.make_plan(stream, profile)
+                plan = planner.make_plan(stream.render_lengths, n, d, profile)
                 storage.store_shards(
-                    plan, stream, storage.MemoryRoot(p), grouping, spec,
-                    matrix.points, profile,
+                    plan, [stream.render_digits], storage.MemoryRoot(p), grouping,
+                    spec, matrix.points, profile,
                 )
 
             # warm-up doubles as the exact work accounting

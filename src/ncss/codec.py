@@ -449,10 +449,6 @@ class CodedStream:
     def total_digits(self) -> int:
         return int(self.render_digits.size)
 
-    def digit_render(self, i: int) -> np.ndarray:
-        start = int(self.render_lengths[:i].sum())
-        return self.render_digits[start : start + int(self.render_lengths[i])]
-
 
 def fixed_lengths(count: int, width: int) -> np.ndarray:
     """count render lengths, each the width: one read-only int64 seen count

@@ -3,12 +3,14 @@
 store_digits and recover run over segments of whole blocks of a fixed size,
 about 256 KiB of payload each (codec.segments). A strict store plans from
 the render lengths alone, all equal to the width, then codes and renders
-one segment at a time, and storage.write_dataset packs each segment into
-the shards as it arrives; recover (storage.read_dataset) checks everything
-first, then decodes one segment at a time into the output digit array. So
-peak memory is the caller's input or output digits, plus the packed shards,
-plus one segment. An alpha-bounded message is one segment: its render
-lengths follow from the coded values, so it is coded before it is planned.
+one segment at a time, and storage.store_shards packs each segment into
+the shards as it arrives. recover is reconstruct(manifest,
+*fetch_shards(manifest, root)): fetch_shards checks every shard and returns
+lazy payload views, and reconstruct checks the runs, then decodes one
+segment at a time into the output digit array. So peak memory is the
+caller's input or output digits, plus the packed shards, plus one segment.
+An alpha-bounded message is one segment: its render lengths follow from
+the coded values, so it is coded before it is planned.
 
 The CLI is a thin wrapper over these functions; anything it can do is
 reachable through this module with identical results.
@@ -89,8 +91,8 @@ def store_digits(
         lengths = np.concatenate(
             [np.zeros(0, dtype=np.int64)] + [s.render_lengths for s in streams]
         )
-    plan = planner.plan_lengths(lengths, n, spec.d, profile, caps=caps)
-    manifest = storage.write_dataset(
+    plan = planner.make_plan(lengths, n, spec.d, profile, caps=caps)
+    manifest = storage.store_shards(
         plan, (s.render_digits for s in streams), root, grouping, spec,
         tuple(points), profile,
     )
@@ -105,7 +107,7 @@ def recover(root, manifest: Manifest | None = None) -> DigitString:
     """Fetch every shard plus the local share and rebuild the digit string."""
     if manifest is None:
         manifest = load_manifest(root)
-    return storage.read_dataset(manifest, root)
+    return storage.reconstruct(manifest, *storage.fetch_shards(manifest, root))
 
 
 def _byte_base(d: int, what: str) -> int:

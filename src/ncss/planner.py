@@ -110,8 +110,8 @@ class DistributionPlan:
     """Concrete digit placement: cloud runs, local runs, security accounting.
 
     Runs are half-open [start, stop) position ranges in the digit rendering
-    of the coded stream; element_ranges() expands them to
-    (block, element, digit-range) form.
+    of the coded stream: a cloud holds the digits of its runs, in stream
+    order.
     """
 
     total_digits: int
@@ -137,47 +137,8 @@ class DistributionPlan:
     def local_count(self) -> int:
         return sum(stop - start for start, stop in self.local_runs)
 
-    def _bounds(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.render_lengths)])
-
-    def _expand(self, runs: tuple[Run, ...]) -> list[tuple[int, int, int, int]]:
-        bounds = self._bounds()
-        out = []
-        for start, stop in runs:
-            e = int(np.searchsorted(bounds, start, side="right")) - 1
-            pos = start
-            while pos < stop:
-                elem_end = int(bounds[e + 1])
-                take = min(elem_end, stop) - pos
-                d0 = pos - int(bounds[e])
-                out.append((e // self.n, e % self.n, d0, d0 + take))
-                pos += take
-                e += 1
-        return out
-
-    def element_ranges(self, cloud: int) -> list[tuple[int, int, int, int]]:
-        """Cloud's digits as (block, element, digit start, digit stop) tuples."""
-        return self._expand(self.cloud_runs[cloud])
-
-    def local_positions(self) -> list[tuple[int, int, int]]:
-        """Locally retained digits as (block, element, digit index) tuples."""
-        return [
-            (blk, elem, dig)
-            for blk, elem, d0, d1 in self._expand(self.local_runs)
-            for dig in range(d0, d1)
-        ]
-
 
 def make_plan(
-    stream: CodedStream,
-    profile: SecurityProfile,
-    caps: tuple[int, ...] | None = None,
-) -> DistributionPlan:
-    """plan_lengths for a whole coded stream."""
-    return plan_lengths(stream.render_lengths, stream.n, stream.d, profile, caps)
-
-
-def plan_lengths(
     lengths: np.ndarray,
     n: int,
     d: int,

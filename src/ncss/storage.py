@@ -11,18 +11,18 @@ log2(d) for power-of-two bases (0 otherwise), 1-byte k, 8-byte big-endian
 digit count, then the payload: log2(d) bits per digit packed big-endian for
 power-of-two bases, one byte per digit otherwise (d <= 256).
 
-Segments: write_dataset takes the rendered stream as consecutive segments
+Segments: store_shards takes the rendered stream as consecutive segments
 (codec.segments) and hands each run piece to the packer of its cloud or of
 the local share, which packs whole bytes at once and keeps the fewer than
 one byte's worth of digits left over for the next piece. Each shard is
 finished once the stream is complete (header, payload, CRC, atomic write);
-the manifest is written last. read_dataset first checks every shard's CRC
-and header, each digit count against its runs, and that the runs tile the
-stream; then, one segment at a time, it unpacks each run piece straight
-from the packed payload, parses, range-checks, decodes and expands it into
-the one output digit array. Peak memory is the caller's digits (the input
-of a store, the output of a recover) plus the packed shards plus one
-segment.
+the manifest is written last. fetch_shards checks every shard's CRC and
+header and returns lazy payload views; reconstruct checks each digit count
+against its runs and that the runs tile the stream, then, one segment at a
+time, unpacks each run piece straight from the packed payload, parses,
+range-checks, decodes and expands it into the one output digit array. Peak
+memory is the caller's digits (the input of a store, the output of a
+recover) plus the packed shards plus one segment.
 
 Integrity is CRC-32C per shard; confidentiality rests on the coding scheme.
 Inputs of 16 KiB and more run a head of len % 32 bytes through the
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .codec import ALPHA_BOUNDED, STRICT, CodedStream, DigitString, GroupingPlan
+from .codec import ALPHA_BOUNDED, STRICT, DigitString, GroupingPlan
 from .errors import (
     BackendUnavailableError,
     ChecksumMismatchError,
@@ -259,7 +259,7 @@ def pack_shard(digits: np.ndarray, d: int, k: int) -> bytes:
     return bytes(packer.finish())
 
 
-class _Payload:
+class Payload:
     """A shard payload seen as its digit array: slicing unpacks only the
     digits asked for, read-only, in the digit dtype of the shard's base."""
 
@@ -277,7 +277,7 @@ class _Payload:
         return digits
 
 
-def _parse_shard(raw: bytes) -> tuple[_Payload, int, int]:
+def _parse_shard(raw: bytes) -> tuple[Payload, int, int]:
     """(payload, log2(d) or 0 for byte mode, k) of a shard; the header must be
     whole and the payload as long as its digit count needs."""
     if len(raw) < _HEADER_BYTES or raw[:4] != MAGIC:
@@ -289,7 +289,7 @@ def _parse_shard(raw: bytes) -> tuple[_Payload, int, int]:
     payload = memoryview(raw)[_HEADER_BYTES:]
     if len(payload) < -(-count * (j or 8) // 8):
         raise PipelineError("shard payload shorter than its digit count")
-    return _Payload(payload, j, count), j, k
+    return Payload(payload, j, count), j, k
 
 
 def unpack_shard(raw: bytes) -> tuple[np.ndarray, int, int]:
@@ -423,19 +423,6 @@ class DirectoryRoot:
 # manifest
 
 
-@dataclass(frozen=True)
-class Shard:
-    """One cloud's digit payload, kept in the dtype it arrives in (the digit
-    dtype of its base when read by unpack_shard)."""
-
-    cloud: int
-    digits: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = codec.read_only(np.asarray(self.digits), self.digits)
-        object.__setattr__(self, "digits", arr)
-
-
 def _count(x) -> bool:
     return type(x) is int and x >= 0
 
@@ -558,6 +545,12 @@ class Manifest:
             raise PipelineError(
                 f"manifest lists {len(raw['points'])} points for n={raw['n']}"
             )
+        clouds = len(raw["cloud_runs"])
+        for name in ("checksums", "caps", "stored", "breach"):
+            if len(raw[name]) != clouds:
+                raise PipelineError(
+                    f"manifest lists {len(raw[name])} {name} for {clouds} clouds"
+                )
         if raw["width"] < 1:
             raise PipelineError("manifest element width is below 1")
         if raw["r"] != raw["block_count"] * raw["n"]:
@@ -666,7 +659,7 @@ class _RunTable:
 
     def assemble(self, sources, lo: int, hi: int, dtype) -> np.ndarray:
         """Digits [lo, hi) of the stream, taken from sources[owner], each a
-        digit array or a _Payload: one slice per owner, then one copy per run."""
+        digit array or a Payload: one slice per owner, then one copy per run."""
         out = np.empty(hi - lo, dtype=dtype)
         for owner, (first, end, parts) in self.pieces(lo, hi).items():
             held = sources[owner][first:end]
@@ -677,7 +670,7 @@ class _RunTable:
         return out
 
 
-def write_dataset(
+def store_shards(
     plan: DistributionPlan,
     segments,
     root,
@@ -749,29 +742,14 @@ def write_dataset(
     return manifest
 
 
-def store_shards(
-    plan: DistributionPlan,
-    stream: CodedStream,
-    root,
-    grouping: GroupingPlan,
-    spec: FieldSpec,
-    points: tuple[int, ...],
-    profile: SecurityProfile,
-) -> Manifest:
-    """write_dataset of a whole coded stream, as one segment."""
-    return write_dataset(
-        plan, [stream.render_digits], root, grouping, spec, points, profile
-    )
-
-
-def _fetch_payloads(manifest: Manifest, root) -> list[_Payload]:
-    """Every shard's payload, then the local share's, each read once and
+def fetch_shards(manifest: Manifest, root) -> tuple[list[Payload], Payload]:
+    """Every cloud's payload, then the local share's, each read once and
     checked against its checksum and the manifest's header fields; nothing
     is unpacked."""
     j = manifest.d.bit_length() - 1
     header = (j if 1 << j == manifest.d else 0, manifest.k)
 
-    def read(raw: bytes, checksum: str, what: str) -> _Payload:
+    def read(raw: bytes, checksum: str, what: str) -> Payload:
         if format(crc32c(raw), "08x") != checksum:
             raise ChecksumMismatchError(f"{what} failed its checksum")
         payload, j, k = _parse_shard(raw)
@@ -779,29 +757,25 @@ def _fetch_payloads(manifest: Manifest, root) -> list[_Payload]:
             raise PipelineError(f"{what} header does not match the manifest")
         return payload
 
-    payloads = [
+    clouds = [
         read(root.read_shard(i), manifest.checksums[i], f"cloud {i} shard")
         for i in range(manifest.p)
     ]
-    payloads.append(read(root.read_local(), manifest.local_checksum, "local share"))
-    return payloads
+    return clouds, read(root.read_local(), manifest.local_checksum, "local share")
 
 
-def fetch_shards(
-    manifest: Manifest, root
-) -> tuple[list[Shard], np.ndarray]:
-    """Retrieve and verify every shard plus the local share, unpacked."""
-    *clouds, local = _fetch_payloads(manifest, root)
-    return [Shard(cloud=i, digits=p[:]) for i, p in enumerate(clouds)], local[:]
-
-
-def _checked_runs(manifest: Manifest, sources: list) -> tuple[_RunTable, np.ndarray]:
-    """The run table and element lengths of a manifest whose runs tile its
-    stream exactly once and hold exactly sources[owner].size digits of each
-    owner (each cloud, then the local share; None for a withheld shard).
-    A strict stream is r * width digits long: summing its zero-stride
-    lengths would walk block_count * n entries, as many as an edited
-    manifest claims, before any run is checked."""
+def _checked_runs(
+    manifest: Manifest, clouds: list, local
+) -> tuple[_RunTable, np.ndarray, list]:
+    """The run table, element lengths and sources (each cloud's digits, then
+    the local share's) of a manifest whose runs tile its stream exactly once
+    and hold exactly sources[owner].size digits of each owner (None for a
+    withheld shard). A strict stream is r * width digits long: summing its
+    zero-stride lengths would walk block_count * n entries, as many as an
+    edited manifest claims, before any run is checked."""
+    if len(clouds) != manifest.p:
+        raise IncompleteDataError(f"{len(clouds)} shards for {manifest.p} clouds")
+    sources = [*clouds, local]
     lengths = manifest.element_lengths()
     if manifest.mode == STRICT:
         total = manifest.r * manifest.width
@@ -817,37 +791,29 @@ def _checked_runs(manifest: Manifest, sources: list) -> tuple[_RunTable, np.ndar
             raise IncompleteDataError(f"{what} is shorter than its runs")
         elif source.size > need:
             raise IncompleteDataError(f"{what} holds digits outside its runs")
-    return table, lengths
+    return table, lengths, sources
 
 
-def _sources(manifest: Manifest, shards: list[Shard | None], local) -> list:
-    clouds = [
-        shards[i].digits if i < len(shards) and shards[i] is not None else None
-        for i in range(manifest.p)
-    ]
-    return [*clouds, np.asarray(local)]
-
-
-def assemble_stream(
-    manifest: Manifest, shards: list[Shard | None], local: np.ndarray
-) -> np.ndarray:
-    """The full rendered stream, rebuilt from shard and local digits in the
-    digit dtype of the manifest's base; the manifest runs must tile it."""
-    sources = _sources(manifest, shards, local)
-    table, _ = _checked_runs(manifest, sources)
+def assemble_stream(manifest: Manifest, clouds: list, local) -> np.ndarray:
+    """The full rendered stream in the digit dtype of the manifest's base,
+    taken from each cloud's digits and the local share's (digit arrays or
+    Payloads, as fetch_shards returns them); the manifest runs must tile it."""
+    table, _, sources = _checked_runs(manifest, clouds, local)
     return table.assemble(sources, 0, table.total, codec.digit_dtype(manifest.d))
 
 
-def _decode(manifest: Manifest, sources: list) -> DigitString:
-    """The message of a dataset, given each cloud's digits and then the local
-    share's (arrays or _Payloads; None for a withheld shard).
+def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
+    """The message of a dataset, given each cloud's digits and the local
+    share's (digit arrays or Payloads; None for a withheld shard, which must
+    hold no run).
 
     Every check on the runs and counts comes first. Then each segment of
     whole blocks (codec.segments) is assembled from the run pieces it
-    covers, parsed, range-checked, decoded, expanded and written into the
-    one output digit array.
+    covers, unpacking from each payload only the digits it needs, parsed,
+    range-checked, decoded, expanded and written into the one output digit
+    array.
     """
-    table, lengths = _checked_runs(manifest, sources)
+    table, lengths, sources = _checked_runs(manifest, clouds, local)
     if manifest.r == 0:  # no blocks, or blocks of no elements
         return DigitString(manifest.d, [])
     field = get_field(manifest.k, manifest.reduction_poly)
@@ -876,18 +842,3 @@ def _decode(manifest: Manifest, sources: list) -> DigitString:
         lo = hi
     out.setflags(write=False)  # fresh: DigitString need not copy it
     return DigitString(manifest.d, out)
-
-
-def reconstruct(
-    manifest: Manifest, shards: list[Shard | None], local: np.ndarray
-) -> DigitString:
-    """Decode a dataset from its unpacked shard and local digits; a withheld
-    shard (None) must hold no run."""
-    return _decode(manifest, _sources(manifest, shards, local))
-
-
-def read_dataset(manifest: Manifest, root) -> DigitString:
-    """Fetch and check every shard and the local share, then decode them one
-    segment at a time, unpacking from each payload only the digits the
-    segment needs."""
-    return _decode(manifest, _fetch_payloads(manifest, root))

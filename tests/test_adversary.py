@@ -389,9 +389,46 @@ class TestGuessMemo:
                 counts.append(field.counter.muls)
         finally:
             field.counter = None
-        # the decoded truth of every block, then each block's patterns once
-        blocks = sc.true_elements.shape[0]
-        assert counts == [n * n * (blocks + patterns)] * 2
+        # the decoded truth of each touched block, then its patterns once
+        ends = np.cumsum(sc.render_lengths)
+        elements = np.searchsorted(ends, sc.unknown_positions, side="right")
+        touched = np.unique(elements // n).size
+        assert counts == [n * n * (touched + patterns)] * 2
+
+
+class TestGuessDecodesTouchedBlocks:
+    """simulate_guess decodes the truth of the blocks holding an unseen digit
+    only, and nothing at all when no digit is unseen."""
+
+    # 40 blocks of 12 digits; three unseen digits, all in block 17
+    MANY = dict(k=4, d=2, n=3, blocks=40, seed=6, positions=[205, 209, 214])
+
+    @staticmethod
+    def spy_rows(monkeypatch):
+        """The batch size of every Field.mat_vec_batch call."""
+        rows = []
+        real = gf.Field.mat_vec_batch
+
+        def spy(field, m, vs):
+            rows.append(len(vs))
+            return real(field, m, vs)
+
+        monkeypatch.setattr(gf.Field, "mat_vec_batch", spy)
+        return rows
+
+    def test_only_the_touched_block_is_decoded(self, monkeypatch):
+        sc = stream_scenario(**self.MANY)
+        want = oracles.slow_guess(sc, 300, 4)
+        rows = self.spy_rows(monkeypatch)
+        assert adversary.simulate_guess(sc, 300, 4) == want
+        # the truth of block 17, then its 2^3 digit patterns
+        assert rows == [1, 8]
+
+    def test_nothing_is_decoded_without_unseen_digits(self, monkeypatch):
+        sc = stream_scenario(**{**self.MANY, "positions": []})
+        rows = self.spy_rows(monkeypatch)
+        assert adversary.simulate_guess(sc, 10, 0) == 1.0
+        assert rows == []
 
 
 class TestScenarioFromPlan:
@@ -402,7 +439,7 @@ class TestScenarioFromPlan:
         b = codec.DigitString(2, [0, 0, 1, 0, 1, 1, 1, 0, 1])
         stream = codec.encode_stream(b, plan_g, a)
         profile = planner.SecurityProfile(breach=(0.5, 0.25), pu=1 / 64)
-        plan = planner.make_plan(stream, profile, caps=caps)
+        plan = planner.make_plan(stream.render_lengths, 3, 2, profile, caps=caps)
         return stream, plan, a, profile
 
     def test_single_cloud_view(self):
@@ -437,6 +474,31 @@ class TestScenarioFromPlan:
         for target in (2, -1, "0"):
             with pytest.raises(ConfigError, match="target"):
                 adversary.scenario_from_storage(manifest, root, target)
+
+    def test_storage_scenario_spans_segments(self):
+        # 300 KiB strict: the store runs over more than one 256 KiB segment
+        spec = gf.FieldSpec(k=8, d=2)
+        digits = pipeline.bytes_to_digits(
+            np.random.default_rng(12).bytes(300 << 10), 2
+        )
+        profile = planner.SecurityProfile(breach=(0.5, 0.25), pu=1e-6)
+        root = storage.MemoryRoot(2)
+        pipeline.store_digits(digits, root, spec, n=5, profile=profile)
+        manifest = pipeline.load_manifest(root)
+        grouping = codec.make_grouping_plan(len(digits), spec, n=5, mode=STRICT)
+        assert len(list(codec.segments(grouping, 5))) > 1
+        a = gf.cached_vandermonde(spec.k, spec.reduction_poly, gf.default_points(5))
+        stream = codec.encode_stream(digits, grouping, a)
+        plan = planner.make_plan(stream.render_lengths, 5, 2, profile)
+        for target in (0, 1, adversary.ALL_CLOUDS):
+            got = adversary.scenario_from_storage(manifest, root, target)
+            want = adversary.scenario_from_plan(stream, plan, a, target)
+            for name in (
+                "stream", "true_elements", "render_lengths", "unknown_positions"
+            ):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (
+                    target, name,
+                )
 
     def test_guess_rate_end_to_end(self):
         stream, plan, a, _ = self._stored(caps=(4, 5))

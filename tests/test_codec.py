@@ -308,9 +308,8 @@ class TestBlockCoding:
         a = gf.build_vandermonde(spec, (1, 2, 3))
         block = codec.encode_block(a, np.array([1, 3, 5]), plan)
         assert block.elements.tolist() == [7, 3, 1]
-        assert block.digit_render(0).tolist() == [1, 1, 1]
-        assert block.digit_render(1).tolist() == [0, 1, 1]
-        assert block.digit_render(2).tolist() == [0, 0, 1]
+        renders = [block.render_digits[a : a + 3].tolist() for a in (0, 3, 6)]
+        assert renders == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
         assert block.total_digits == 9
 
     def test_encode_zero_vector(self):

@@ -22,6 +22,13 @@ def block_from_elements(elements, d=2, mode=STRICT, width=3):
     )
 
 
+def plan_stream(stream, profile, caps=None):
+    """make_plan of a whole coded stream, from its render lengths."""
+    return planner.make_plan(
+        stream.render_lengths, stream.n, stream.d, profile, caps=caps
+    )
+
+
 # the worked storage example: strict k=3 block rendering as 010, 100, 001
 TABLE3_BLOCK = block_from_elements([2, 4, 1])
 TABLE3_PROFILE = planner.SecurityProfile(breach=(0.5, 0.25), pu=1 / 64)
@@ -107,17 +114,22 @@ class TestPerCloudCaps:
 
 class TestMakePlan:
     def test_table3_layout(self):
-        plan = planner.make_plan(TABLE3_BLOCK, TABLE3_PROFILE, caps=(4, 5))
+        plan = plan_stream(TABLE3_BLOCK, TABLE3_PROFILE, caps=(4, 5))
         assert plan.total_digits == 9
         assert plan.stored == (4, 5)
         assert plan.local_count == 0
         # cloud 1 takes stream digits 0-3, cloud 2 takes digits 4-8
         assert plan.cloud_runs == (((0, 4),), ((4, 9),))
-        assert plan.element_ranges(0) == [(0, 0, 0, 3), (0, 1, 0, 1)]
-        assert plan.element_ranges(1) == [(0, 1, 1, 3), (0, 2, 0, 3)]
+        # cloud 1 holds render 010 and the first digit of 100; cloud 2 the
+        # rest of 100 and 001
+        digits = TABLE3_BLOCK.render_digits
+        held = [
+            [digits[a:b].tolist() for a, b in runs] for runs in plan.cloud_runs
+        ]
+        assert held == [[[0, 1, 0, 1]], [[0, 0, 0, 0, 1]]]
 
     def test_zero_caps_everything_local(self):
-        plan = planner.make_plan(TABLE3_BLOCK, TABLE3_PROFILE, caps=(0, 0))
+        plan = plan_stream(TABLE3_BLOCK, TABLE3_PROFILE, caps=(0, 0))
         assert plan.stored == (0, 0)
         assert plan.local_count == 9
         assert plan.local_runs == ((0, 9),)
@@ -125,27 +137,31 @@ class TestMakePlan:
     def test_overflow_one_digit_local(self):
         block = block_from_elements([2, 4, 1, 3], width=3)  # 12 digits
         profile = planner.SecurityProfile(breach=(0.5, 0.5), pu=1.0)
-        plan = planner.make_plan(block, profile, caps=(4, 5))
+        plan = plan_stream(block, profile, caps=(4, 5))
         assert plan.total_digits == 12
         assert sum(plan.stored) == 9
         assert plan.local_count == 3
         # one digit per component from the tail first: leading digits of
         # the last three components
-        assert plan.local_positions() == [(0, 1, 0), (0, 2, 0), (0, 3, 0)]
+        assert plan.local_runs == ((3, 4), (6, 7), (9, 10))
+        # renders 010 100 001 011: the local digits lead 100, 001 and 011
+        assert [block.render_digits[a:b].tolist() for a, b in plan.local_runs] == [
+            [1], [0], [0]
+        ]
 
     def test_ten_digit_stream_one_local(self):
         # renders 101, 11, 111, 11: ten digits against caps totalling nine
         block = block_from_elements([5, 3, 7, 3], d=2, mode=ALPHA_BOUNDED, width=None)
         assert block.total_digits == 10
         profile = planner.SecurityProfile(breach=(0.5, 0.5), pu=1.0)
-        plan = planner.make_plan(block, profile, caps=(4, 5))
+        plan = plan_stream(block, profile, caps=(4, 5))
         assert sum(plan.stored) == 9
         assert plan.local_count == 1
 
     def test_descending_cap_greedy_counts(self):
         # 9 digits, caps (2, 9): the roomier cloud absorbs everything
         profile = planner.SecurityProfile(breach=(0.5, 0.5), pu=1.0)
-        plan = planner.make_plan(TABLE3_BLOCK, profile, caps=(2, 9))
+        plan = plan_stream(TABLE3_BLOCK, profile, caps=(2, 9))
         assert plan.stored == (0, 9)
 
     def test_conservation_and_guess_bound(self):
@@ -164,7 +180,7 @@ class TestMakePlan:
                 breach=tuple(rng.uniform(0.05, 1.0, size=p)),
                 pu=float(rng.uniform(1e-6, 1.0)),
             )
-            plan = planner.make_plan(stream, profile)
+            plan = plan_stream(stream, profile)
             assert sum(plan.stored) + plan.local_count == plan.total_digits
             for i in range(p):
                 assert plan.stored[i] <= plan.caps[i]
@@ -191,7 +207,7 @@ class TestMakePlan:
             total = block.total_digits
             caps = tuple(int(c) for c in rng.integers(0, 6, size=3))
             profile = planner.SecurityProfile(breach=(0.5, 0.5, 0.5), pu=1.0)
-            plan = planner.make_plan(block, profile, caps=caps)
+            plan = plan_stream(block, profile, caps=caps)
             seen = np.zeros(total, dtype=int)
             for runs in plan.cloud_runs + (plan.local_runs,):
                 for start, stop in runs:
@@ -201,7 +217,7 @@ class TestMakePlan:
     def test_empty_message(self):
         none = np.zeros(0, dtype=np.int64)
         empty = codec.CodedStream(none, none, none, n=3, d=2, mode=STRICT)
-        plan = planner.make_plan(empty, TABLE3_PROFILE)
+        plan = plan_stream(empty, TABLE3_PROFILE)
         assert plan.total_digits == 0
         assert plan.stored == (0, 0)
         assert plan.local_count == 0
@@ -224,7 +240,7 @@ class TestPlanRunsOracle:
                 render_digits=np.zeros(total, dtype=np.int64),
                 render_lengths=lengths, n=count, d=2, mode=ALPHA_BOUNDED,
             )
-            plan = planner.make_plan(stream, profile, caps=caps)
+            plan = plan_stream(stream, profile, caps=caps)
             cloud, local = oracles.plan_runs(lengths.tolist(), caps)
             assert plan.local_count > 0
             assert (plan.cloud_runs, plan.local_runs) == (cloud, local), (trial, caps)

@@ -125,11 +125,11 @@ def test_stream_longer_or_shorter_than_the_plan_writes_nothing(extra):
     spec = gf.FieldSpec(k=8, d=2)
     grouping = codec.make_grouping_plan(80, spec, n=2, mode=STRICT)
     lengths = codec.fixed_lengths(grouping.r, grouping.width)
-    plan = planner.plan_lengths(lengths, 2, 2, SecurityProfile((0.5,), 1e-3))
+    plan = planner.make_plan(lengths, 2, 2, SecurityProfile((0.5,), 1e-3))
     stream = np.zeros(plan.total_digits + extra, dtype=np.uint8)
     root = storage.MemoryRoot(1)
     with pytest.raises(PipelineError, match="does not match"):
-        storage.write_dataset(
+        storage.store_shards(
             plan, [stream[:40], stream[40:]], root, grouping, spec, (1, 2),
             SecurityProfile((0.5,), 1e-3),
         )

@@ -46,8 +46,16 @@ def table3_setup():
         mode=STRICT, d=2, k=3, width=3, r=3, pad_count=0
     )
     profile = SecurityProfile(breach=(0.5, 0.25), pu=1 / 64)
-    plan = planner.make_plan(block, profile, caps=(4, 5))
+    plan = planner.make_plan(block.render_lengths, 3, 2, profile, caps=(4, 5))
     return spec, block, grouping, profile, plan
+
+
+def store_table3(root):
+    """The table-3 block stored into root: cloud 0 holds 0101, cloud 1 00001."""
+    spec, block, grouping, profile, plan = table3_setup()
+    return storage.store_shards(
+        plan, [block.render_digits], root, grouping, spec, (1, 2, 3), profile
+    )
 
 
 class TestCrc32c:
@@ -179,12 +187,13 @@ class TestShardFormat:
 
 class TestNarrowPacking:
     def test_shard_leaves_caller_array_writable(self):
-        mine = np.array([3, 0, 2], dtype=np.uint8)
-        shard = storage.Shard(0, mine)
-        mine[0] = 1
-        assert mine.flags.writeable
-        assert shard.digits.tolist() == [3, 0, 2]
-        assert not shard.digits.flags.writeable
+        # a caller's digit arrays go into assemble_stream as they are
+        manifest = store_table3(storage.MemoryRoot(2))
+        mine = [np.array([0, 1, 0, 1], np.uint8), np.array([0, 0, 0, 0, 1], np.uint8)]
+        stream = storage.assemble_stream(manifest, mine, mine[0][:0])
+        mine[0][0] = 1
+        assert all(a.flags.writeable for a in mine)
+        assert stream.tolist() == [0, 1, 0, 1, 0, 0, 0, 0, 1]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 10, 16, 256])
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 1001])
@@ -231,19 +240,16 @@ class TestNarrowPacking:
         ],
     )
     def test_runs_must_tile_the_stream(self, cloud_runs, local_runs, ok):
-        spec, block, grouping, profile, plan = table3_setup()
-        manifest = storage.store_shards(
-            plan, block, storage.MemoryRoot(2), grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(storage.MemoryRoot(2))
         edited = dataclasses.replace(
             manifest, cloud_runs=cloud_runs, local_runs=local_runs
         )
-        digits = block.render_digits
+        digits = table3_setup()[1].render_digits
 
         def held(runs):
             return np.concatenate([digits[a:b] for a, b in runs] or [digits[:0]])
 
-        shards = [storage.Shard(i, held(runs)) for i, runs in enumerate(cloud_runs)]
+        shards = [held(runs) for runs in cloud_runs]
         if ok:
             got = storage.assemble_stream(edited, shards, held(local_runs))
             assert got.tolist() == digits.tolist()
@@ -252,11 +258,8 @@ class TestNarrowPacking:
                 storage.assemble_stream(edited, shards, held(local_runs))
 
     def test_shard_header_must_match_manifest(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
-        manifest = storage.store_shards(
-            plan, block, root, grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(root)
         raw = storage.pack_shard(np.zeros(4, dtype=np.int64), 4, 3)  # d=4, not 2
         root.write_shard(0, raw)
         edited = dataclasses.replace(
@@ -269,14 +272,11 @@ class TestNarrowPacking:
 
 class TestStoreFetch:
     def test_table3_shard_digits(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
-        manifest = storage.store_shards(
-            plan, block, root, grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(root)
         shards, local = storage.fetch_shards(manifest, root)
-        assert shards[0].digits.tolist() == [0, 1, 0, 1]
-        assert shards[1].digits.tolist() == [0, 0, 0, 0, 1]
+        assert shards[0][:].tolist() == [0, 1, 0, 1]
+        assert shards[1][:].tolist() == [0, 0, 0, 0, 1]
         assert local.size == 0
 
     def test_empty_message(self):
@@ -287,33 +287,27 @@ class TestStoreFetch:
         profile = SecurityProfile(breach=(0.5, 0.5, 0.5), pu=0.5)
         none = np.zeros(0, dtype=np.int64)
         empty = codec.CodedStream(none, none, none, n=1, d=2, mode=STRICT)
-        plan = planner.make_plan(empty, profile)
+        plan = planner.make_plan(empty.render_lengths, 1, 2, profile)
         root = storage.MemoryRoot(3)
         manifest = storage.store_shards(
-            plan, empty, root, grouping, spec, (), profile
+            plan, [empty.render_digits], root, grouping, spec, (), profile
         )
         shards, local = storage.fetch_shards(manifest, root)
-        assert all(s.digits.size == 0 for s in shards)
+        assert all(s.size == 0 for s in shards)
         recovered = storage.reconstruct(manifest, shards, local)
         assert len(recovered) == 0
 
     def test_unreachable_backend_blocks_manifest(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
         root.set_available(1, False)
         with pytest.raises(BackendUnavailableError):
-            storage.store_shards(
-                plan, block, root, grouping, spec, (1, 2, 3), profile
-            )
+            store_table3(root)
         with pytest.raises(MissingShardError):
             root.read_manifest()
 
     def test_tampered_shard_detected(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
-        manifest = storage.store_shards(
-            plan, block, root, grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(root)
         raw = bytearray(root.read_shard(0))
         raw[-1] ^= 0x01
         root.write_shard(0, bytes(raw))
@@ -321,42 +315,32 @@ class TestStoreFetch:
             storage.fetch_shards(manifest, root)
 
     def test_missing_shard(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
-        manifest = storage.store_shards(
-            plan, block, root, grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(root)
         root._shards.pop(1)
         with pytest.raises(MissingShardError):
             storage.fetch_shards(manifest, root)
 
     def test_withheld_shard_is_incomplete(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
-        manifest = storage.store_shards(
-            plan, block, root, grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(root)
         shards, local = storage.fetch_shards(manifest, root)
         with pytest.raises(IncompleteDataError):
             storage.reconstruct(manifest, [shards[0], None], local)
+        with pytest.raises(IncompleteDataError, match="2 clouds"):
+            storage.reconstruct(manifest, [shards[0]], local)
 
     def test_fetch_does_not_mutate_backend(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
-        manifest = storage.store_shards(
-            plan, block, root, grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(root)
         before = root.snapshot()
         storage.fetch_shards(manifest, root)
         storage.fetch_shards(manifest, root)
         assert root.snapshot() == before
 
     def test_manifest_json_roundtrip(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
-        manifest = storage.store_shards(
-            plan, block, root, grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(root)
         text = root.read_manifest()
         again = storage.Manifest.from_json(text)
         assert again == manifest
@@ -378,11 +362,8 @@ class TestStoreFetch:
         assert manifest.to_json() == json.dumps(dataclasses.asdict(manifest), indent=1)
 
     def test_manifest_coverage_partition(self):
-        spec, block, grouping, profile, plan = table3_setup()
         root = storage.MemoryRoot(2)
-        manifest = storage.store_shards(
-            plan, block, root, grouping, spec, (1, 2, 3), profile
-        )
+        manifest = store_table3(root)
         seen = np.zeros(9, dtype=int)
         for runs in manifest.cloud_runs + (manifest.local_runs,):
             for start, stop in runs:
@@ -546,6 +527,8 @@ MANIFEST_PROBES = [
     ("cloud_runs", [[[0, 10]], [[18, 512]]]),  # runs leave [10, 18) uncovered
     ("cloud_runs", [[[0, 18]], [[100, 512], [18, 100]]]),  # out of stream order
     ("cloud_runs", [[[0, 18]], [[18, 10**30]]]),  # beyond any integer dtype
+    ("checksums", ["3c339349"]),  # cloud 0's own checksum, none for cloud 1
+    ("breach", [0.5]),  # no breach probability for cloud 1
     # r, original_length and pad_count kept consistent, so the manifest loads
     # and the runs are checked against a 3.2e13-digit stream
     ("block_count", 10**12, {"r": 4 * 10**12, "original_length": 32 * 10**12}),
