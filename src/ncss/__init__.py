@@ -13,6 +13,7 @@ from .adversary import (
     DigitSelection,
     EntropyReport,
     entropy_audit,
+    rank_audit,
     scenario_from_plan,
     scenario_from_storage,
     simulate_guess,

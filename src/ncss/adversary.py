@@ -21,18 +21,27 @@ count and a seed returns the same float bit for bit. Where every touched
 block takes the table, the multiplications a field's OpCounter counts do
 not depend on the seed.
 
-entropy_audit enumerates every plaintext vector in F_q^n, groups them by
-what an adversary observes (whole components, or individual digits of
-fixed-width renders), and decides exactly - by integer counting, no floats -
-whether the observations carry zero information about the secret
-coordinates: H(S|E) = H(S).
+entropy_audit decides exactly whether what an adversary observes (whole
+coded components, or individual digits of fixed-width renders) carries any
+information about the secret coordinates of a uniform plaintext:
+H(S|E) = H(S). Evidence that is GF(2)-linear in the n*k plaintext bits is
+audited by rank, with no plaintext enumerated. Multiplying by A[i, j] is
+linear on bits, so each coded component is k bit rows, and at a
+power-of-two base d = 2^a a digit is a of its component's bits. The
+secret is the unit rows of its coordinates. Every fibre of a linear map is
+a coset of its kernel, so every evidence group holds equally many
+plaintexts and admits each of its secrets equally often: H(S|E) in bits is
+exactly rank([E; S]) - rank(E), found by XOR-basis elimination over rows
+held as Python ints (Cai & Yeung's wiretap bound for linear codes).
+rank_audit is this path alone, without the enumeration bound.
 
-The enumeration is a grid of shape (q,)*n, one axis per plaintext
-coordinate. A key packing codeword components and secret coordinates in base
-q is the XOR of n tables of q keys, built from the q*n^2 products A[i, j]*v
-and broadcast along their axes. Evidence keys are counted by bincount (key
-order numbers the groups as np.unique would), joint (evidence, secret) keys
-by one np.unique, whose sort leaves each evidence group one run.
+Digits in any other base (d=3, d=10) are not linear, and entropy_audit
+enumerates them: every plaintext of F_q^n on a grid of shape (q,)*n, the
+renders of each component taken from the XOR of n tables of q products
+A[i, j]*v broadcast along their axes. Observed digits number the evidence
+groups by np.unique; joint (evidence, secret) keys are counted by one
+np.unique, whose sort leaves each evidence group one run, and perfect
+secrecy is decided by integer counting, no floats.
 """
 
 from __future__ import annotations
@@ -77,15 +86,22 @@ class AttackScenario:
     d: int
     true_elements: np.ndarray  # (blocks, n)
     render_lengths: np.ndarray  # per element, stream order
-    stream: np.ndarray  # full digit rendering
+    stream: np.ndarray  # full digit rendering, in codec.digit_dtype(d)
     unknown_positions: np.ndarray  # sorted stream positions to guess
     breach: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("true_elements", "render_lengths", "stream", "unknown_positions"):
+        for name in ("true_elements", "render_lengths", "unknown_positions"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # the digits stay in their base's narrow dtype; _guess_plan reads
+        # them as Python ints, so no place value overflows
+        stream = np.asarray(self.stream)
+        if stream.dtype.kind not in "iu":  # whole floats cast as they always did
+            stream = stream.astype(np.int64)
+        stream = codec.as_digits(stream, self.d)
+        object.__setattr__(self, "stream", codec.read_only(stream, self.stream))
         if self.stream.size != int(self.render_lengths.sum()):
             raise ConfigError("stream does not match its render lengths")
 
@@ -155,6 +171,7 @@ def scenario_from_storage(manifest, root, target: int | str) -> AttackScenario:
 
     cloud = _cloud_index(target, manifest.p)
     stream = storage.assemble_stream(manifest, *storage.fetch_shards(manifest, root))
+    stream.setflags(write=False)  # handed to the scenario without a copy
     lengths = manifest.element_lengths()
     elements = codec.parse_renders(stream, lengths, manifest.d)
     matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
@@ -333,11 +350,12 @@ class DigitSelection:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Exact secrecy accounting from a full enumeration.
+    """Exact secrecy accounting for uniform plaintext.
 
-    perfect is decided by integer count identities. Entropies are reported
-    in bits (floats) and, when every conditional distribution is uniform
-    over a power-of-q support, exactly in base-q symbols as Fractions.
+    perfect is decided exactly, by GF(2) ranks or integer counts. Entropies
+    are reported in bits (floats) and, when every conditional distribution
+    is uniform over a power-of-q support, exactly in base-q symbols as
+    Fractions.
     """
 
     k: int
@@ -352,8 +370,124 @@ class EntropyReport:
     perfect: bool
 
 
+def _audit_inputs(n: int, w, t, selection, secret):
+    """Validated audit arguments: (secret coordinates, DigitSelection or
+    None, observed components, selection id)."""
+    for name, value in (("w", w), ("t", t)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
+    if secret is None:
+        if w is None:
+            raise ConfigError("need w or an explicit secret coordinate set")
+        secret = tuple(range(w))
+    secret = tuple(int(i) for i in secret)
+    if any(not 0 <= i < n for i in secret) or len(set(secret)) != len(secret):
+        raise ConfigError(f"secret coordinates invalid for n={n}: {secret}")
+    if isinstance(selection, DigitSelection):
+        sel_id = "digits:" + ",".join(f"{c}.{i}" for c, i in selection.withheld)
+        return secret, selection, (), sel_id
+    if selection is None:
+        if t is None:
+            raise ConfigError("need t or an explicit selection")
+        selection = tuple(range(t))
+    observed = tuple(int(i) for i in selection)
+    if any(not 0 <= i < n for i in observed):
+        raise ConfigError(f"component selection invalid for n={n}")
+    return secret, None, observed, "components:" + ",".join(map(str, observed))
+
+
+def _withheld_cells(sel: DigitSelection, k: int, n: int) -> tuple[int, set[int]]:
+    """The render width of a digit selection and its withheld cells, each
+    numbered component * width + digit index."""
+    width = sel.resolved_width(1 << k)
+    if sel.d**width < 1 << k:
+        raise ConfigError(f"width {width} cannot render every element of GF(2^{k})")
+    hidden = {comp * width + pos for comp, pos in sel.withheld}
+    if any(not 0 <= h < n * width for h in hidden):
+        raise ConfigError("withheld digit position out of range")
+    return width, hidden
+
+
+def _is_power_of_two(d: int) -> bool:
+    return d >= 2 and d & (d - 1) == 0
+
+
+def _report(k, n, secret, t, sel_id, h_se_bits, h_se_sym, perfect) -> EntropyReport:
+    """The report of an audit; the secret of uniform plaintext holds k bits
+    per coordinate."""
+    w = len(secret)
+    return EntropyReport(
+        k=k, n=n, w=w, t=t, selection_id=sel_id,
+        h_s_bits=float(k * w), h_s_given_e_bits=h_se_bits,
+        h_s_symbols=Fraction(w), h_s_given_e_symbols=h_se_sym, perfect=perfect,
+    )
+
+
+def _bit_rows(matrix: EncodingMatrix) -> list[int]:
+    """The code over GF(2): row i*k + r is bit r of coded component i as a
+    function of the n*k plaintext bits, bit j*k + s of the row standing for
+    bit s of coordinate j. Multiplying by A[i, j] is GF(2)-linear, so that
+    bit of the row is bit r of A[i, j] * 2^s."""
+    field = matrix.field
+    k, n = field.k, matrix.n
+    bits = np.arange(k)
+    # products[i, j, s] = A[i, j] * 2^s
+    products = field._products(matrix.rows[:, :, None], 1 << bits)
+    rows = []
+    for comp in products:
+        # table[r, j, s]: bit r of A[i, j] * 2^s
+        table = (comp >> bits[:, None, None]) & 1
+        packed = np.packbits(
+            table.reshape(k, n * k).astype(np.uint8), axis=1, bitorder="little"
+        )
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return rows
+
+
+def _rank_gain(basis: dict[int, int], rows) -> int:
+    """How many of rows are independent of basis and of each other: each
+    row is XOR-reduced by the basis row of its leading bit, and joins basis
+    under the leading bit it is left with, if any."""
+    gain = 0
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                gain += 1
+                break
+            row ^= pivot
+    return gain
+
+
+def _rank_report(matrix, secret, sel, observed, sel_id) -> EntropyReport:
+    """The audit of linear evidence, by GF(2) rank: H(S|E) in bits is
+    rank([E; S]) - rank(E)."""
+    k, n = matrix.field.k, matrix.n
+    if sel is None:
+        seen = [i * k + r for i in observed for r in range(k)]
+    else:
+        width, hidden = _withheld_cells(sel, k, n)
+        # bit r of a component is in digit width - 1 - r // a of its render
+        # at d = 2^a; the digits' bits at or above k are always zero
+        a = int(sel.d).bit_length() - 1
+        seen = [
+            i * k + r for i in range(n) for r in range(k)
+            if i * width + width - 1 - r // a not in hidden
+        ]
+    rows = _bit_rows(matrix)
+    basis: dict[int, int] = {}
+    _rank_gain(basis, (rows[x] for x in seen))
+    gain = _rank_gain(basis, (1 << (j * k + s) for j in secret for s in range(k)))
+    return _report(
+        k, n, secret, len(observed), sel_id, float(gain),
+        Fraction(gain // k) if gain % k == 0 else None, gain == k * len(secret),
+    )
+
+
 def _entropy_bits(counts: np.ndarray, total: int) -> float:
-    p = counts[counts > 0] / total
+    p = counts / total
     return float(-(p * np.log2(p)).sum())
 
 
@@ -370,6 +504,53 @@ def _grid_key(parts: np.ndarray, k: int) -> np.ndarray:
     return key
 
 
+def _enumerated_report(matrix, secret, sel, sel_id) -> EntropyReport:
+    """The audit of digit evidence by enumeration: every plaintext of
+    F_q^n, grouped by its observed digits, and counted."""
+    field = matrix.field
+    k, q, n = field.k, field.q, matrix.n
+    width, hidden = _withheld_cells(sel, k, n)
+    w = len(secret)
+    total, q_w, shift = q**n, q**w, k * w
+    values = np.arange(q, dtype=np.int64)
+    # products[i, j, v] = A[i, j] * v: every product the enumeration needs
+    products = field._mul_arr(matrix.rows[:, :, None], values)
+    renders = np.empty((total, n * width), dtype=np.uint8)
+    for comp in range(n):
+        c = _grid_key(products[comp : comp + 1], k).reshape(-1)
+        renders[:, comp * width : (comp + 1) * width] = expand_digits(
+            c, sel.d, width, np.uint8
+        )
+    seen = np.delete(renders, sorted(hidden), axis=1)
+    if seen.shape[1] == 0:
+        ev_ids = np.zeros(total, dtype=np.int64)
+    else:
+        packed = np.ascontiguousarray(seen).view(np.dtype((np.void, seen.shape[1])))
+        _, ev_ids = np.unique(packed.reshape(-1), return_inverse=True)
+    # joint key: the evidence group, then the secret coordinates in base q
+    sec_key = _grid_key(np.eye(n, dtype=np.int64)[list(secret), :, None] * values, k)
+    joint = (ev_ids.reshape(sec_key.shape) << shift) | sec_key
+    ev_count = np.bincount(ev_ids.reshape(-1))
+    # joint keys sort by evidence, then secret: each evidence group is a run
+    jkeys, jcounts = np.unique(joint.reshape(-1), return_counts=True)
+    support = np.bincount(jkeys >> shift)
+    starts = np.cumsum(support) - support
+    uniform = bool(np.array_equal(
+        np.minimum.reduceat(jcounts, starts), np.maximum.reduceat(jcounts, starts)
+    ))
+    h_se_bits = max(0.0, _entropy_bits(jcounts, total) - _entropy_bits(ev_count, total))
+    # log_q of every support size (at most q^w), -1 where it is not a power
+    log_q = np.full(q_w + 1, -1, dtype=np.int64)
+    log_q[q ** np.arange(w + 1)] = np.arange(w + 1)
+    js = log_q[support]
+    exact = uniform and bool(np.all(js >= 0))
+    return _report(
+        k, n, secret, 0, sel_id, h_se_bits,
+        Fraction(int(ev_count @ js), total) if exact else None,
+        uniform and bool(np.all(support == q_w)),
+    )
+
+
 def entropy_audit(
     matrix: EncodingMatrix,
     w: int | None = None,
@@ -377,128 +558,47 @@ def entropy_audit(
     selection=None,
     secret: tuple[int, ...] | None = None,
 ) -> EntropyReport:
-    """Exact H(S) and H(S|E) over all plaintexts in F_q^n.
+    """Exact H(S) and H(S|E) for uniform plaintext in F_q^n, q^n at most
+    MAX_ENUMERATION.
 
     S is the plaintext restricted to the secret coordinates (the first w by
     default). The evidence E is either t whole coded components (selection
     as component indices, default the first t), or a DigitSelection naming
-    withheld digit positions of fixed-width renders.
+    withheld digit positions of fixed-width renders. Evidence linear over
+    GF(2) (components, digits at a power-of-two base) is audited by rank,
+    any other by enumerating F_q^n.
     """
-    field = matrix.field
-    q, n = field.q, matrix.n
+    q, n = matrix.field.q, matrix.n
     if q**n > MAX_ENUMERATION:
         raise EnumerationTooLargeError(
             f"q^n = {q}^{n} exceeds the enumeration bound {MAX_ENUMERATION}"
         )
-    for name, value in (("w", w), ("t", t)):
-        if value is not None and value < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value}")
-    if secret is None:
-        if w is None:
-            raise ConfigError("need w or an explicit secret coordinate set")
-        secret = tuple(range(w))
-    secret = tuple(int(i) for i in secret)
-    w = len(secret)
-    if any(not 0 <= i < n for i in secret) or len(set(secret)) != w:
-        raise ConfigError(f"secret coordinates invalid for n={n}: {secret}")
-
-    if isinstance(selection, DigitSelection):
-        sel = selection
-        observed_components: tuple[int, ...] = ()
-        t_eff = 0
-        sel_id = "digits:" + ",".join(f"{c}.{i}" for c, i in sel.withheld)
-    else:
-        if selection is None:
-            if t is None:
-                raise ConfigError("need t or an explicit selection")
-            selection = tuple(range(t))
-        observed_components = tuple(int(i) for i in selection)
-        if any(not 0 <= i < n for i in observed_components):
-            raise ConfigError(f"component selection invalid for n={n}")
-        t_eff = len(observed_components)
-        sel = None
-        sel_id = "components:" + ",".join(str(i) for i in observed_components)
-
-    k, total, q_w, shift = field.k, q**n, q**w, field.k * w
-    values = np.arange(q, dtype=np.int64)
-    # products[i, j, v] = A[i, j] * v: every product the enumeration needs
-    products = field._mul_arr(matrix.rows[:, :, None], values)
-    # secret key: the secret coordinates packed in base q
-    secret_parts = np.eye(n, dtype=np.int64)[list(secret), :, None] * values
-    sec_key = _grid_key(secret_parts, k)
-
-    # evidence: group plaintexts by what the adversary sees
-    if sel is None:
-        # a repeated component adds no evidence and leaves the key order alone
-        observed = list(dict.fromkeys(observed_components))
-        joint = _grid_key(np.concatenate([products[observed], secret_parts]), k)
-    else:
+    secret, sel, observed, sel_id = _audit_inputs(n, w, t, selection, secret)
+    if sel is not None:
         if sel.d > 256:
             raise ConfigError("digit-level audit supports d <= 256")
-        width = sel.resolved_width(q)
-        if sel.d**width < q:
-            raise ConfigError(
-                f"width {width} cannot render every element of GF(2^{k})"
-            )
-        renders = np.empty((total, n * width), dtype=np.uint8)
-        for comp in range(n):
-            c = _grid_key(products[comp : comp + 1], k).reshape(-1)
-            renders[:, comp * width : (comp + 1) * width] = expand_digits(
-                c, sel.d, width, np.uint8
-            )
-        hidden = [comp * width + pos for comp, pos in sel.withheld]
-        if any(not 0 <= h < n * width for h in hidden):
-            raise ConfigError("withheld digit position out of range")
-        observed = np.delete(renders, hidden, axis=1)
-        if observed.shape[1] == 0:
-            ev_ids = np.zeros(total, dtype=np.int64)
-        else:
-            packed = np.ascontiguousarray(observed).view(
-                np.dtype((np.void, observed.shape[1]))
-            )
-            _, ev_ids = np.unique(packed.reshape(-1), return_inverse=True)
-        joint = (ev_ids.reshape(sec_key.shape) << shift) | sec_key
+        if not _is_power_of_two(sel.d):
+            return _enumerated_report(matrix, secret, sel, sel_id)
+    return _rank_report(matrix, secret, sel, observed, sel_id)
 
-    # evidence keys are below q^t (components) or group ids (digits)
-    ev_count = np.bincount((joint >> shift).reshape(-1).astype(np.intp))
-    seen = ev_count > 0
-    # joint keys sort by evidence, then secret: each evidence group is a run
-    jkeys, jcounts = np.unique(joint.reshape(-1), return_counts=True)
-    j_ev = (jkeys >> shift).astype(np.intp)
-    support = np.bincount(j_ev, minlength=seen.size)[seen]
-    ev_count = ev_count[seen]
-    starts = np.cumsum(support) - support
-    uniform = bool(np.array_equal(
-        np.minimum.reduceat(jcounts, starts), np.maximum.reduceat(jcounts, starts)
-    ))
-    perfect = uniform and bool(np.all(support == q_w))
 
-    m_counts = np.bincount(sec_key.reshape(-1), minlength=q_w)
-    h_s_bits = _entropy_bits(m_counts, total)
-    h_joint = _entropy_bits(jcounts, total)
-    h_e = _entropy_bits(ev_count, total)
-    h_se_bits = max(0.0, h_joint - h_e)
+def rank_audit(
+    matrix: EncodingMatrix,
+    w: int | None = None,
+    t: int | None = None,
+    selection=None,
+    secret: tuple[int, ...] | None = None,
+) -> EntropyReport:
+    """entropy_audit's report for evidence linear over GF(2), at any q^n.
 
-    # log_q of every support size (at most q^w), -1 where it is not a power
-    log_q = np.full(q_w + 1, -1, dtype=np.int64)
-    log_q[q ** np.arange(w + 1)] = np.arange(w + 1)
-    j, js = int(log_q[np.count_nonzero(m_counts)]), log_q[support]
-    h_s_sym = Fraction(j) if j >= 0 and np.all(m_counts == m_counts[0]) else None
-    exact = uniform and bool(np.all(js >= 0))
-    h_se_sym = Fraction(int(ev_count @ js), total) if exact else None
-
-    return EntropyReport(
-        k=field.k,
-        n=n,
-        w=w,
-        t=t_eff,
-        selection_id=sel_id,
-        h_s_bits=h_s_bits,
-        h_s_given_e_bits=h_se_bits,
-        h_s_symbols=h_s_sym,
-        h_s_given_e_symbols=h_se_sym,
-        perfect=perfect,
-    )
+    Takes the same arguments; a DigitSelection must have a power-of-two
+    base, since digits in any other base are not linear in the plaintext
+    bits.
+    """
+    secret, sel, observed, sel_id = _audit_inputs(matrix.n, w, t, selection, secret)
+    if sel is not None and not _is_power_of_two(sel.d):
+        raise ConfigError(f"rank audit needs a power-of-two digit base, got d={sel.d}")
+    return _rank_report(matrix, secret, sel, observed, sel_id)
 
 
 AUDIT_COLUMNS = ["k", "n", "w", "t", "selection", "h_s", "h_s_given_e", "perfect"]

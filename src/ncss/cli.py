@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
 
-    p = add("audit", cmd_audit, "exact secrecy audit by exhaustive enumeration")
+    p = add("audit", cmd_audit, "exact secrecy audit (by GF(2) rank, or by enumeration)")
     p.add_argument("--k", type=int)
     p.add_argument("--poly", type=int)
     p.add_argument("--n", type=int)

@@ -545,6 +545,12 @@ class Manifest:
             raise PipelineError(
                 f"manifest lists {len(raw['points'])} points for n={raw['n']}"
             )
+        # distinct nonzero elements of GF(2^k), as build_vandermonde requires
+        points = raw["points"]
+        if len(set(points)) != len(points) or not all(
+            0 < p and p.bit_length() <= raw["k"] for p in points
+        ):
+            raise PipelineError("manifest points are not distinct nonzero field elements")
         clouds = len(raw["cloud_runs"])
         for name in ("checksums", "caps", "stored", "breach"):
             if len(raw[name]) != clouds:

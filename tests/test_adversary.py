@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -500,6 +501,39 @@ class TestScenarioFromPlan:
                     target, name,
                 )
 
+    @pytest.mark.parametrize("d", [2, 16, 256])
+    def test_stream_keeps_the_digit_dtype(self, d):
+        root = storage.MemoryRoot(2)
+        pipeline.store_digits(
+            pipeline.bytes_to_digits(bytes(range(40)), d), root,
+            gf.FieldSpec(k=8, d=d), n=4,
+            profile=planner.SecurityProfile(breach=(0.5, 0.25), pu=2.0**-10),
+        )
+        sc = adversary.scenario_from_storage(pipeline.load_manifest(root), root, 0)
+        assert sc.stream.dtype == codec.digit_dtype(d) == np.uint8
+        assert not sc.stream.flags.writeable
+
+    def test_stream_does_not_alias_the_callers_array(self):
+        stream, plan, a, _ = self._stored(caps=(4, 5))
+        digits = np.array(stream.render_digits, dtype=np.uint8)
+        sc = AttackScenario(
+            matrix=a, d=2, true_elements=stream.elements.reshape(-1, 3),
+            render_lengths=plan.render_lengths, stream=digits,
+            unknown_positions=[0],
+        )
+        digits[:] = 1 - digits
+        assert sc.stream.dtype == np.uint8
+        assert np.array_equal(sc.stream, 1 - digits)
+
+    def test_stream_digit_outside_the_base_rejected(self):
+        stream, plan, a, _ = self._stored(caps=(4, 5))
+        with pytest.raises(ConfigError, match="out of range"):
+            AttackScenario(
+                matrix=a, d=2, true_elements=stream.elements.reshape(-1, 3),
+                render_lengths=plan.render_lengths,
+                stream=np.full(stream.total_digits, 2), unknown_positions=[0],
+            )
+
     def test_guess_rate_end_to_end(self):
         stream, plan, a, _ = self._stored(caps=(4, 5))
         sc = adversary.scenario_from_plan(stream, plan, a, target=0)
@@ -719,6 +753,130 @@ class TestDigitLevelAudit:
             adversary.entropy_audit(
                 a, w=1, selection=DigitSelection(d=2, withheld=(), width=2)
             )
+
+
+def selections(k, n, d, most):
+    """Every DigitSelection at base d withholding 1 to most digits."""
+    width = oracles.digit_len((1 << k) - 1, d)
+    cells = list(itertools.product(range(n), range(width)))
+    for size in range(1, most + 1):
+        for withheld in itertools.combinations(cells, size):
+            yield DigitSelection(d=d, withheld=withheld), digit_view(d, width, set(withheld))
+
+
+class TestRankAudit:
+    """rank_audit against the dict-counting oracle, and entropy_audit's
+    rank path against rank_audit, field for field."""
+
+    CODES = [(2, (2, 3, 1))] + [
+        (k, gf.default_points(n)) for k in (2, 3) for n in range(1, min(5, 1 << k))
+    ]
+
+    @staticmethod
+    def check(a, points, view, **kw):
+        f = a.field
+        secret = kw.get("secret") or tuple(range(kw["w"]))
+        report = adversary.rank_audit(a, **kw)
+        TestEntropyAudit.assert_matches_oracle(
+            report, oracle_entropies(f.k, f.poly, points, secret, view)
+        )
+        assert adversary.entropy_audit(a, **kw) == report
+
+    def test_component_grid_matches_oracle(self):
+        for k, points in self.CODES:
+            a = gf.build_vandermonde(gf.get_field(k), points)
+            n = len(points)
+            for w in range(0, n + 1):
+                for t in range(0, n + 1):
+                    self.check(a, points, lambda c: c[:t], w=w, t=t)
+
+    @pytest.mark.parametrize("selection", [(1, 1), (2, 0), (0, 2, 0), (3,)])
+    def test_repeated_and_noncontiguous_components(self, selection):
+        points = gf.default_points(4)
+        a = gf.build_vandermonde(gf.get_field(3), points)
+        for w in range(0, 5):
+            self.check(
+                a, points, lambda c: tuple(c[i] for i in selection),
+                w=w, selection=selection,
+            )
+        assert adversary.rank_audit(a, w=1, selection=selection).t == len(selection)
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_digit_selections_match_oracle(self, d):
+        for k, n in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+            points = gf.default_points(n)
+            a = gf.build_vandermonde(gf.get_field(k), points)
+            for sel, view in selections(k, n, d, 2):
+                for w in range(0, n + 1):
+                    self.check(a, points, view, w=w, selection=sel)
+
+    def test_secret_coordinates_out_of_order(self):
+        points = gf.default_points(3)
+        a = gf.build_vandermonde(gf.get_field(3), points)
+        for sel, view in selections(3, 3, 2, 1):
+            self.check(a, points, view, secret=(2, 0), selection=sel)
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_base_not_a_power_of_two_refused(self, d):
+        a = gf.build_vandermonde(gf.get_field(2), (1, 2))
+        with pytest.raises(ConfigError, match="power-of-two"):
+            adversary.rank_audit(a, w=1, selection=DigitSelection(d=d, withheld=()))
+
+    def test_same_validation_as_entropy_audit(self):
+        a = gf.build_vandermonde(gf.get_field(3), (1, 2, 3))
+        for kw in (
+            {}, {"w": 1}, {"w": -1, "t": 1}, {"w": 1, "selection": (5,)},
+            {"secret": (0, 0), "t": 1},
+            {"w": 1, "selection": DigitSelection(d=2, withheld=(), width=2)},
+            {"w": 1, "selection": DigitSelection(d=2, withheld=((3, 0),))},
+        ):
+            with pytest.raises(ConfigError):
+                adversary.rank_audit(a, **kw)
+
+    def test_benchmark_shape_builds_no_grid(self, monkeypatch):
+        # the audit benchmark's k=4, n=5 calls: linear evidence never
+        # enumerates F_q^n
+        calls = []
+        grid_key = adversary._grid_key
+        monkeypatch.setattr(
+            adversary, "_grid_key", lambda *a: calls.append(1) or grid_key(*a)
+        )
+        a = gf.build_vandermonde(gf.FieldSpec(k=4, d=2), gf.default_points(5))
+        for t in (3, 4):
+            adversary.entropy_audit(a, w=2, t=t)
+        adversary.entropy_audit(
+            a, w=2, selection=DigitSelection(d=4, withheld=((0, 0), (1, 1)))
+        )
+        assert calls == []
+        # decimal digits are not linear: they still enumerate
+        small = gf.build_vandermonde(gf.get_field(4), (1, 2))
+        adversary.entropy_audit(
+            small, w=1, selection=DigitSelection(d=10, withheld=((0, 1),))
+        )
+        assert calls
+
+    def test_k8_n51_threshold(self):
+        a = gf.build_vandermonde(gf.FieldSpec(k=8, d=2), gf.default_points(51))
+        start = time.perf_counter()
+        below = adversary.rank_audit(a, w=1, t=50)
+        at = adversary.rank_audit(a, w=1, t=51)
+        assert time.perf_counter() - start < 1.0
+        assert below.perfect and below.h_s_given_e_symbols == Fraction(1)
+        assert not at.perfect and at.h_s_given_e_bits == 0.0
+        with pytest.raises(EnumerationTooLargeError):
+            adversary.entropy_audit(a, w=1, t=50)
+
+    def test_k8_digits_at_the_bound(self):
+        # n - w whole components plus every digit but one of the rest: at
+        # d=16 one withheld digit of a secret-sized gap leaves 4 bits
+        a = gf.build_vandermonde(gf.FieldSpec(k=8, d=16), gf.default_points(51))
+        withheld = ((50, 0),)
+        report = adversary.rank_audit(
+            a, w=1, selection=DigitSelection(d=16, withheld=withheld)
+        )
+        assert report.h_s_given_e_bits == 4.0
+        assert report.h_s_given_e_symbols is None
+        assert not report.perfect
 
 
 class TestAuditCsv:

@@ -529,6 +529,9 @@ MANIFEST_PROBES = [
     ("cloud_runs", [[[0, 18]], [[18, 10**30]]]),  # beyond any integer dtype
     ("checksums", ["3c339349"]),  # cloud 0's own checksum, none for cloud 1
     ("breach", [0.5]),  # no breach probability for cloud 1
+    ("points", [0, 2, 3, 4]),  # zero is no evaluation point
+    ("points", [1, 1, 3, 4]),  # a repeated point: the matrix is singular
+    ("points", [300, 2, 3, 4]),  # outside GF(2^8)
     # r, original_length and pad_count kept consistent, so the manifest loads
     # and the runs are checked against a 3.2e13-digit stream
     ("block_count", 10**12, {"r": 4 * 10**12, "original_length": 32 * 10**12}),
