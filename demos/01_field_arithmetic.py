@@ -28,13 +28,14 @@ a = gf.build_vandermonde(f, (1, 2, 3))
 print("\nVandermonde on points (1, 2, 3):")
 print(a.rows)
 
-# encode a vector and invert the matrix to get it back
+# encode a vector and invert the matrix to get it back; mat_vec_batch
+# multiplies the matrix by every row of a batch, here a batch of one
 b = np.array([1, 3, 5])
-c = f.mat_vec(a.rows, b)
+c = f.mat_vec_batch(a.rows, b[None])[0]
 print("\nencode  (1, 3, 5) ->", c)
 print("inverse matrix:")
 print(a.inverse())
-print("decode ", c, "->", f.mat_vec(a.inverse(), c))
+print("decode ", c, "->", f.mat_vec_batch(a.inverse(), c[None])[0])
 
 # distinct nonzero points are what make the inversion work; duplicates
 # are rejected at construction

@@ -402,10 +402,9 @@ def _withheld_cells(sel: DigitSelection, k: int, n: int) -> tuple[int, set[int]]
     width = sel.resolved_width(1 << k)
     if sel.d**width < 1 << k:
         raise ConfigError(f"width {width} cannot render every element of GF(2^{k})")
-    hidden = {comp * width + pos for comp, pos in sel.withheld}
-    if any(not 0 <= h < n * width for h in hidden):
-        raise ConfigError("withheld digit position out of range")
-    return width, hidden
+    if any(not (0 <= comp < n and 0 <= pos < width) for comp, pos in sel.withheld):
+        raise ConfigError(f"withheld digit outside the {n} components of {width} digits")
+    return width, {comp * width + pos for comp, pos in sel.withheld}
 
 
 def _is_power_of_two(d: int) -> bool:
@@ -514,7 +513,7 @@ def _enumerated_report(matrix, secret, sel, sel_id) -> EntropyReport:
     total, q_w, shift = q**n, q**w, k * w
     values = np.arange(q, dtype=np.int64)
     # products[i, j, v] = A[i, j] * v: every product the enumeration needs
-    products = field._mul_arr(matrix.rows[:, :, None], values)
+    products = field.mul_arr(matrix.rows[:, :, None], values)
     renders = np.empty((total, n * width), dtype=np.uint8)
     for comp in range(n):
         c = _grid_key(products[comp : comp + 1], k).reshape(-1)

@@ -9,10 +9,9 @@ digits form one field element:
   encoded elements at their minimal digit length, bounding the per-cloud
   expansion by the factor alpha.
 
-encode_stream codes a message one block at a time. For k <= 8 it takes the
-matrix's column table (q rows per column; see gf.Field._column_table),
-built once per matrix, and codes each block with one gather and one
-XOR-reduce; for k > 8 it takes one Field.mat_vec product per block.
+encode_stream regroups a message and codes its blocks in place with
+gf.EncodingMatrix.encode_blocks; encode_block and decode_block code a single
+block with Field.mat_vec_batch.
 """
 
 from __future__ import annotations
@@ -510,59 +509,40 @@ def _coded(elements: np.ndarray, n: int, plan: GroupingPlan) -> CodedStream:
     )
 
 
+def _one_block(a: EncodingMatrix, block: np.ndarray, what: str) -> np.ndarray:
+    """block as a one-row batch for a, checked to hold n elements."""
+    v = np.asarray(block, dtype=np.int64)
+    if v.shape != (a.n,):
+        raise DimensionMismatchError(
+            f"{what} of {v.shape} does not fit an n={a.n} matrix"
+        )
+    return v[None]
+
+
 def encode_block(
     a: EncodingMatrix, b_prime: np.ndarray, plan: GroupingPlan
 ) -> CodedStream:
     """Encode one block: c = A b', rendered in base d per the plan's mode."""
-    v = np.asarray(b_prime, dtype=np.int64)
-    if v.shape != (a.n,):
-        raise DimensionMismatchError(
-            f"block of {v.shape} does not fit an n={a.n} matrix"
-        )
-    return _coded(a.field.mat_vec(a.rows, v), a.n, plan)
+    v = _one_block(a, b_prime, "block")
+    return _coded(a.field.mat_vec_batch(a.rows, v)[0], a.n, plan)
 
 
 def decode_block(a: EncodingMatrix, c: np.ndarray) -> np.ndarray:
     """Decode one block: b' = A^{-1} c."""
-    v = np.asarray(c, dtype=np.int64)
-    if v.shape != (a.n,):
-        raise DimensionMismatchError(
-            f"coded block of {v.shape} does not fit an n={a.n} matrix"
-        )
-    return a.field.mat_vec(a.inverse(), v)
+    v = _one_block(a, c, "coded block")
+    return a.field.mat_vec_batch(a.inverse(), v)[0]
 
 
 def encode_stream(
     b: DigitString, plan: GroupingPlan, a: EncodingMatrix
 ) -> CodedStream:
-    """Regroup a whole message, encode it block by block, render it once."""
+    """Regroup a whole message, encode its blocks in place, render it once."""
     elements = regroup(b, plan)
     if plan.r % a.n != 0:
         raise PlanMismatchError(
             f"plan element count {plan.r} is not a multiple of n={a.n}"
         )
-    blocks = elements.reshape(-1, a.n)
-    field = a.field
-    # One product per block rather than one mat_vec_batch call over the
-    # stream: acceptance criterion 9 asserts that n=100 encodes no slower
-    # than n=10, which holds for per-block dispatch and not for the batch
-    # kernel (n multiplications per element make large n the slower). Each
-    # coded block overwrites its plain block; regroup has already checked
-    # every element to lie in the field, so no offset leaves its column.
-    if field._product is not None:  # k <= 8: products from the column table
-        table = a.column_table()
-        blocks += np.arange(a.n) * field.q  # column j's rows start at j * q
-        # block i's coded bytes go to the front of its own 8n bytes, which
-        # take() has already read
-        coded = blocks.view(np.uint64)[:, : table.shape[1]]
-        for i, rows in enumerate(blocks):
-            np.bitwise_xor.reduce(table.take(rows, axis=0), axis=0, out=coded[i])
-        blocks[:] = blocks.view(np.uint8)[:, : a.n]
-        if field.counter is not None:
-            field.counter.muls += blocks.size * a.n
-    else:
-        for i, block in enumerate(blocks):
-            blocks[i] = field.mat_vec(a.rows, block)
+    a.encode_blocks(elements.reshape(-1, a.n))
     return _coded(elements, a.n, plan)
 
 

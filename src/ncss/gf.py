@@ -2,17 +2,14 @@
 
 Field elements are plain integers in [0, 2^k - 1]; bit i is the coefficient
 of x^i in the polynomial basis. Scalar and elementwise multiplication go
-through log/antilog tables built once per (k, polynomial) pair. The batch
-matrix-vector kernel is table-driven instead: one gather of a product table
-per matrix column, XORed into a narrow accumulator. For k <= 8 the field
-keeps its full q x q product table (64 KiB at k=8); for k > 8 the kernel
-builds split tables a*t and a*(t << 8), t < 256, for each matrix entry a,
-unless the batch is shorter than those tables.
+through log/antilog tables built once per (k, polynomial) pair; for k <= 8
+the field also keeps its full q x q product table (64 KiB at k=8).
 
-For k <= 8 the same product table also yields a matrix's column table
-(Field._column_table): row j*q + t holds column j of the matrix times t, so
-that one gather of n rows and one XOR over them give a whole matrix-vector
-product. codec.encode_stream codes every k <= 8 stream with it.
+Field.mat_vec_batch is the one matrix product: a broadcast log/antilog
+product for a short batch, per-column table gathers for a long one.
+EncodingMatrix.encode_blocks codes a message's blocks in place: for k <= 8
+one gather from the matrix's column table (Field._column_table) and one XOR
+per block, for k > 8 one mat_vec_batch call.
 """
 
 from __future__ import annotations
@@ -101,6 +98,9 @@ class OpCounter:
     def reset(self) -> None:
         self.muls = 0
 
+
+# batches up to this size take one broadcast product, faster than tables
+_BROADCAST_BATCH = 8
 
 # split-table indices for k > 8: the low byte t and the high part t << 8
 _LOW_BYTES = np.arange(256, dtype=np.int64)
@@ -251,46 +251,35 @@ class Field:
         return out
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of broadcastable integer arrays."""
+        """Elementwise product of broadcastable integer arrays, counted."""
         a, b = self._operand(a), self._operand(b)
         self._in_field(a, b)
-        return self._mul_arr(a, b)
-
-    def _mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """mul_arr of int64 operands already known to lie in the field."""
         if self.counter is not None:
             self.counter.muls += int(np.broadcast(a, b).size)
         return self._products(a, b)
-
-    def mat_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product c_i = XOR_j m[i,j] * v[j]."""
-        m, v = self._operand(m), self._operand(v)
-        if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-            raise DimensionMismatchError(
-                f"cannot multiply {m.shape} matrix by length-{v.shape} vector"
-            )
-        self._in_field(m, v)
-        return np.bitwise_xor.reduce(self._mul_arr(m, v[None, :]), axis=1)
 
     def _column_table(self, m: np.ndarray) -> np.ndarray:
         """Column table of m for k <= 8, not counted: row j*q + t holds the
         products m[:, j] * t as bytes, zero-padded to a multiple of 8 and
         viewed as uint64. XORing the rows j*q + v[j] over every column j
-        gives mat_vec(m, v) in the first m.shape[0] bytes."""
+        gives the product m . v in the first m.shape[0] bytes."""
         rows, cols = m.shape
         table = np.zeros((cols, self.q, -(-rows // 8) * 8), dtype=np.uint8)
         table[:, :, :rows] = self._product[m.T].transpose(0, 2, 1)
         return table.reshape(cols * self.q, -1).view(np.uint64)
 
     def mat_vec_batch(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Apply mat_vec to every row of vs: out[b, i] = XOR_j m[i,j] * vs[b,j].
+        """out[b, i] = XOR_j m[i,j] * vs[b,j]: m times every row of vs. One
+        vector v is the batch v[None]; a product a @ b is
+        mat_vec_batch(a, b.T).T.
 
-        For each column j, the products m[:, j] * t for every value t form a
-        (t, row) table; one gather of it at vs[:, j] is XORed into the
-        accumulator. k <= 8 slices the field's product table. k > 8 builds
-        split tables for the low byte and the high part of t (two gathers),
-        unless the batch is shorter than those tables (256 + 2^(k-8) rows):
-        then the batch column's products are computed directly.
+        A batch of at most _BROADCAST_BATCH rows takes one broadcast product.
+        Otherwise column j's products m[:, j] * t, for every value t, form a
+        (t, row) table gathered at vs[:, j] and XORed into the accumulator:
+        k <= 8 slices the product table; k > 8 builds split tables for the
+        low byte and the high part of t (two gathers), unless the batch is
+        shorter than those (256 + 2^(k-8) rows): then the column's products
+        are computed directly.
         """
         m, vs = self._operand(m), self._operand(vs)
         if m.ndim != 2 or vs.ndim != 2 or m.shape[1] != vs.shape[1]:
@@ -301,6 +290,8 @@ class Field:
         (rows, cols), batch = m.shape, vs.shape[0]
         if self.counter is not None:
             self.counter.muls += rows * cols * batch
+        if batch <= _BROADCAST_BATCH:
+            return np.bitwise_xor.reduce(self._products(m, vs[:, None, :]), axis=2)
         acc = np.zeros((batch, rows), dtype=np.uint8 if self.k <= 8 else np.uint16)
         high_bytes = _HIGH_BYTES[: self.q >> 8]
         for j in range(cols):
@@ -316,12 +307,9 @@ class Field:
                 acc ^= high.astype(np.uint16).take(v >> 8, axis=0)
         return acc.astype(np.int64)
 
-    def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product a @ b over the field: mat_vec_batch on b's columns."""
-        return self.mat_vec_batch(a, self._operand(b).T).T
-
     def mat_invert(self, m: np.ndarray) -> np.ndarray:
-        """Invert a square matrix by Gaussian elimination with pivot search."""
+        """Invert a square matrix by Gaussian elimination with pivot search.
+        Its products are not counted: a matrix is inverted once and cached."""
         m = self._operand(m)
         n = m.shape[0]
         if m.shape != (n, n):
@@ -335,11 +323,11 @@ class Field:
             p = col + int(pivots[0])
             if p != col:
                 aug[[col, p]] = aug[[p, col]]
-            aug[col] = self._mul_arr(aug[col], self.inv(int(aug[col, col])))
+            aug[col] = self._products(aug[col], self.inv(int(aug[col, col])))
             rows = np.nonzero(aug[:, col])[0]
             rows = rows[rows != col]
             if rows.size:
-                aug[rows] ^= self._mul_arr(aug[rows, col][:, None], aug[col][None, :])
+                aug[rows] ^= self._products(aug[rows, col][:, None], aug[col][None, :])
         return aug[:, n:]
 
     def __repr__(self) -> str:
@@ -413,14 +401,30 @@ class EncodingMatrix:
             self._inverse = inv
         return self._inverse
 
-    def column_table(self) -> np.ndarray:
-        """Field._column_table of the rows (k <= 8), built once: a store
-        codes its message one segment at a time with the same table."""
+    def encode_blocks(self, blocks: np.ndarray) -> None:
+        """Code each row of blocks (C-contiguous int64 of shape (count, n),
+        entries in the field) in place: row i becomes A . row i, and
+        count * n^2 products are counted. k > 8 makes one mat_vec_batch call.
+        k <= 8 codes block by block from the column table, built once per
+        matrix: acceptance criterion 9 asserts that n=100 encodes no slower
+        than n=10, which holds for per-block dispatch and not for the batch
+        kernel (n multiplications per element make large n the slower)."""
+        field, n = self.field, self.n
+        if field._product is None:
+            blocks[:] = field.mat_vec_batch(self.rows, blocks)
+            return
         if self._columns is None:
-            table = self.field._column_table(self.rows)
-            table.setflags(write=False)
-            self._columns = table
-        return self._columns
+            self._columns = field._column_table(self.rows)
+        table = self._columns
+        blocks += np.arange(n) * field.q  # column j's rows start at j * q
+        # block i's coded bytes go to the front of its own 8n bytes, which
+        # take() has already read
+        coded = blocks.view(np.uint64)[:, : table.shape[1]]
+        for i, rows in enumerate(blocks):
+            np.bitwise_xor.reduce(table.take(rows, axis=0), axis=0, out=coded[i])
+        blocks[:] = blocks.view(np.uint8)[:, :n]
+        if field.counter is not None:
+            field.counter.muls += blocks.size * n
 
     def __repr__(self) -> str:
         return f"EncodingMatrix(n={self.n}, k={self.field.k}, points={self.points})"
@@ -451,7 +455,7 @@ def build_vandermonde(spec: FieldSpec | Field, points) -> EncodingMatrix:
     rows = np.empty((n, n), dtype=np.int64)
     rows[0] = 1
     for i in range(1, n):
-        rows[i] = field._mul_arr(rows[i - 1], pts)  # points checked above
+        rows[i] = field._products(rows[i - 1], pts)  # points checked above
     return EncodingMatrix(field, points, rows)
 
 

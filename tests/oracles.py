@@ -1,10 +1,7 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately naive (shift-and-reduce products, exhaustive
-searches, full enumerations) and shares no code with src/ncss. The one
-exception is slow_guess, which decodes with the scenario's own
-Field.mat_vec: the single-vector product that the field tests check
-against slow_mat_vec.
+searches, full enumerations) and shares no code with src/ncss.
 """
 
 import itertools
@@ -191,10 +188,11 @@ def slow_guess(scenario, trials: int, seed: int = 0) -> float:
     """simulate_guess one trial at a time: the same chunked draw of the
     unseen digits, the candidate stream parsed element by element (a digit
     group at or above q is a miss), every block decoded on its own with
-    Field.mat_vec and compared with the decoded truth."""
+    slow_mat_vec and compared with the decoded truth."""
     field, n, d = scenario.matrix.field, scenario.matrix.n, scenario.d
-    inv = scenario.matrix.inverse()
-    truth = [field.mat_vec(inv, block).tolist() for block in scenario.true_elements]
+    poly, k, q = field.poly, field.k, 1 << field.k
+    inv = scenario.matrix.inverse().tolist()
+    truth = [slow_mat_vec(inv, block, poly, k) for block in scenario.true_elements.tolist()]
     unknown = scenario.unknown_positions.tolist()
     if not unknown:
         return 1.0
@@ -211,11 +209,10 @@ def slow_guess(scenario, trials: int, seed: int = 0) -> float:
             for size in scenario.render_lengths.tolist():
                 values.append(from_digits(stream[pos : pos + size], d))
                 pos += size
-            if max(values) >= field.q:
+            if max(values) >= q:
                 continue
-            blocks = [np.array(values[i : i + n]) for i in range(0, len(values), n)]
             successes += all(
-                field.mat_vec(inv, block).tolist() == want
-                for block, want in zip(blocks, truth)
+                slow_mat_vec(inv, values[i : i + n], poly, k) == want
+                for i, want in zip(range(0, len(values), n), truth)
             )
     return successes / trials

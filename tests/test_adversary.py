@@ -833,6 +833,21 @@ class TestRankAudit:
             with pytest.raises(ConfigError):
                 adversary.rank_audit(a, **kw)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_withheld_digit_outside_its_component_refused(self, d):
+        # width 3 at k=3, d=2 and 2 at d=3; each cell's flat number
+        # component * width + index lies inside the render, so only the
+        # pair itself shows that it names no digit
+        a = gf.build_vandermonde(gf.get_field(3), (1, 2, 3))
+        width = DigitSelection(d=d, withheld=()).resolved_width(8)
+        for cell in ((0, width), (1, -width), (-1, width + 1)):
+            sel = DigitSelection(d=d, withheld=(cell,))
+            with pytest.raises(ConfigError, match="outside the 3 components"):
+                adversary.entropy_audit(a, w=2, selection=sel)
+            if d == 2:
+                with pytest.raises(ConfigError, match="outside the 3 components"):
+                    adversary.rank_audit(a, w=2, selection=sel)
+
     def test_benchmark_shape_builds_no_grid(self, monkeypatch):
         # the audit benchmark's k=4, n=5 calls: linear evidence never
         # enumerates F_q^n

@@ -47,7 +47,7 @@ class TestBenchPipeline:
         assert r.mul_count == 1024 * 16
         assert r.mul_count == bench.encode_mul_count(32768, 8, 2, 4, 8)
 
-    # k=8 streams take the column-table encode, k=16 ones per-block mat_vec;
+    # k=8 streams take the column-table encode, k=16 ones one mat_vec_batch;
     # at d=2, n=4 each block holds 4 elements of k digits
     @pytest.mark.parametrize("file_bytes,k", [(1020, 8), (1100, 8), (1024, 16)])
     def test_mul_count_on_both_encode_paths(self, file_bytes, k):

@@ -385,9 +385,9 @@ def _column_table_spy(monkeypatch):
 
 
 class TestColumnTableEncode:
-    """encode_stream against a row-by-row Field.mat_vec encode and the
-    shift-and-reduce oracle: every k <= 8 stream takes the column table,
-    however short, and k > 8 takes per-block mat_vec."""
+    """encode_stream against a one-row-batch encode and the shift-and-reduce
+    oracle: every k <= 8 stream takes the column table, however short, and
+    k > 8 takes one mat_vec_batch call over all its blocks."""
 
     CASES = [
         (k, n, blocks)
@@ -420,7 +420,7 @@ class TestColumnTableEncode:
 
     def check(self, a, plan, plain, stream, muls):
         f = a.field
-        want = np.array([f.mat_vec(a.rows, v) for v in plain])
+        want = np.array([f.mat_vec_batch(a.rows, v[None])[0] for v in plain])
         assert stream.elements.reshape(plain.shape).tolist() == want.tolist()
         rng = np.random.default_rng(len(plain))
         sample = {0, len(plain) - 1, *rng.integers(0, len(plain), 6).tolist()}
@@ -458,18 +458,28 @@ class TestColumnTableEncode:
         plan = codec.make_grouping_plan(values.size, spec, n=n)
         a = gf.build_vandermonde(spec, gf.default_points(n))
         stream = codec.encode_stream(codec.DigitString(256, values), plan, a)
-        want = np.array([a.field.mat_vec(a.rows, v) for v in values.reshape(-1, n)])
+        want = np.array(
+            [a.field.mat_vec_batch(a.rows, v[None])[0] for v in values.reshape(-1, n)]
+        )
         assert stream.elements.reshape(-1, n).tolist() == want.tolist()
         assert built == [n]
 
-    def test_wide_field_stays_on_mat_vec(self, monkeypatch):
+    def test_wide_field_codes_one_batch(self, monkeypatch):
         built = _column_table_spy(monkeypatch)
+        batches = []
+        real = gf.Field.mat_vec_batch
+        monkeypatch.setattr(
+            gf.Field, "mat_vec_batch",
+            lambda f, m, vs: batches.append(len(vs)) or real(f, m, vs),
+        )
         spec = gf.FieldSpec(k=16, d=16)
         self.check(*self.encode(spec, 3, 40, seed=16))
         # k > 8 has no product table to slice, however long the stream
         spec = gf.FieldSpec(k=9, d=2, reduction_poly=gf.find_irreducible(9))
         self.check(*self.encode(spec, 3, spec.q, seed=9))
         assert built == []
+        # one call per stream; the rest are check()'s one-row batches
+        assert [b for b in batches if b > 1] == [40, 512]
 
     def test_column_table_rows(self):
         f = gf.get_field(4)

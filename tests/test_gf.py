@@ -177,39 +177,49 @@ class TestVandermonde:
         assert np.all(a.rows[0] == 1)
 
 
+def one(f, m, v):
+    """m . v for a single vector v, as the one-row batch v[None]."""
+    return f.mat_vec_batch(m, np.asarray(v)[None])[0]
+
+
 class TestMatVec:
     def test_example(self, gf8, gf8_table):
         a = gf.build_vandermonde(gf8, (1, 2, 3))
         want = oracles.slow_mat_vec(a.rows.tolist(), [1, 3, 5], 0b1011, 3)
         assert want == [7, 3, 1]
-        assert a.field.mat_vec(a.rows, [1, 3, 5]).tolist() == [7, 3, 1]
+        assert one(a.field, a.rows, [1, 3, 5]).tolist() == [7, 3, 1]
 
     def test_identity_matrix(self, gf8):
         eye = np.eye(3, dtype=np.int64)
-        for v in itertools.product(range(8), repeat=3):
-            assert gf8.mat_vec(eye, np.array(v)).tolist() == list(v)
+        every = np.array(list(itertools.product(range(8), repeat=3)))
+        assert gf8.mat_vec_batch(eye, every).tolist() == every.tolist()
+        for v in every[:: 37]:
+            assert one(gf8, eye, v).tolist() == v.tolist()
 
     def test_zero_vector(self, gf8):
         a = gf.build_vandermonde(gf8, (1, 2, 3))
-        assert a.field.mat_vec(a.rows, [0, 0, 0]).tolist() == [0, 0, 0]
+        assert one(a.field, a.rows, [0, 0, 0]).tolist() == [0, 0, 0]
 
     def test_dimension_mismatch(self, gf8):
         a = gf.build_vandermonde(gf8, (1, 2, 3))
         with pytest.raises(DimensionMismatchError):
-            a.field.mat_vec(a.rows, [1, 2])
+            one(a.field, a.rows, [1, 2])
+        with pytest.raises(DimensionMismatchError):
+            a.field.mat_vec_batch(a.rows, np.array([1, 2, 3]))  # not a batch
 
     def test_batch_matches_single(self, gf8):
+        # a batch of 50 takes the table kernel, a batch of one the broadcast
         a = gf.build_vandermonde(gf8, (1, 2, 3))
         rng = np.random.default_rng(7)
         vs = rng.integers(0, 8, size=(50, 3))
         batch = gf8.mat_vec_batch(a.rows, vs)
         for i in range(50):
-            assert batch[i].tolist() == a.field.mat_vec(a.rows, vs[i]).tolist()
+            assert batch[i].tolist() == one(a.field, a.rows, vs[i]).tolist()
 
     def test_negative_operand_rejected(self):
         # -1 used to wrap to the last log-table entry and return [255, 26]
         with pytest.raises(ConfigError):
-            gf.get_field(8).mat_vec([[1, 2], [3, 4]], [-1, 0])
+            one(gf.get_field(8), [[1, 2], [3, 4]], [-1, 0])
 
     @pytest.mark.parametrize("k,bad", [(3, 8), (3, -1), (8, 256), (8, 300), (8, -1), (16, 1 << 16)])
     def test_operand_outside_field_rejected(self, k, bad):
@@ -219,7 +229,7 @@ class TestMatVec:
         m_bad[1, 0], v_bad[1] = bad, bad
         for args in ((m_bad, v), (m, v_bad)):
             with pytest.raises(ConfigError):
-                f.mat_vec(*args)
+                one(f, *args)
             with pytest.raises(ConfigError):
                 f.mul_arr(*args)
         with pytest.raises(ConfigError):
@@ -229,26 +239,24 @@ class TestMatVec:
 
     def test_edges_of_field_accepted(self, gf8, gf8_table):
         m = np.array([[0, 7], [7, 1]])
-        assert gf8.mat_vec(m, [7, 0]).tolist() == [0, gf8_table[7][7]]
+        assert one(gf8, m, [7, 0]).tolist() == [0, gf8_table[7][7]]
         assert gf8.mul_arr([0, 7], [7, 7]).tolist() == [0, gf8_table[7][7]]
         assert gf8.mul_arr([], []).tolist() == []
         narrow = np.array([7, 0], dtype=np.uint8)
-        assert gf8.mat_vec(m.astype(np.uint16), narrow).tolist() == [0, gf8_table[7][7]]
+        assert one(gf8, m.astype(np.uint16), narrow).tolist() == [0, gf8_table[7][7]]
 
     @pytest.mark.parametrize("bad", [[1.7, 0.2], np.array([2.9, 1.0], dtype=np.float32),
                                      [True, False], [1 + 0j, 2 + 0j], ["1", "2"]])
     def test_non_integer_operand_rejected(self, gf8, bad):
-        # a float cast to int64 used to truncate: mat_vec([[1, 2]], [1.7, 0.2]) gave [1]
+        # a float cast to int64 used to truncate: m . [1.7, 0.2] gave [1]
         m, v = np.eye(2, dtype=np.int64), np.array([1, 2])
         calls = [
-            lambda: gf8.mat_vec(m, bad),
-            lambda: gf8.mat_vec(np.array([bad, bad]), v),
             lambda: gf8.mul_arr(bad, v),
             lambda: gf8.mul_arr(v, bad),
             lambda: gf8.mat_vec_batch(m, np.array([bad])),
             lambda: gf8.mat_vec_batch(np.array([bad, bad]), v[None, :]),
-            lambda: gf8.mat_mul(m, np.array([bad, bad])),
-            lambda: gf8.mat_mul(np.array([bad, bad]), m),
+            lambda: gf8.mat_vec_batch(m, np.array([bad] * 9)),
+            lambda: gf8.mat_vec_batch(np.array([bad, bad]), np.ones((9, 2), np.int64)),
             lambda: gf8.mat_invert(np.array([bad, bad])),
         ]
         for call in calls:
@@ -264,7 +272,8 @@ KERNEL_KS = [2, 3, 4, 8, 9, 12, 16]
 
 
 class TestBatchKernel:
-    """mat_vec_batch is table-driven; it must agree with mat_vec and the oracle."""
+    """mat_vec_batch takes a broadcast product for short batches and tables
+    for longer ones; every path must agree with the oracle."""
 
     @pytest.mark.parametrize("k", KERNEL_KS)
     @pytest.mark.parametrize(
@@ -281,20 +290,36 @@ class TestBatchKernel:
         out = f.mat_vec_batch(m, vs)
         assert out.shape == (batch, rows) and out.dtype == np.int64
         for b in range(batch):
-            assert out[b].tolist() == f.mat_vec(m, vs[b]).tolist()
             assert out[b].tolist() == oracles.slow_mat_vec(
                 m.tolist(), vs[b].tolist(), f.poly, k
             )
 
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    def test_broadcast_cutoff(self, k):
+        """Batches of 1 and 8 take the broadcast product, 9 the tables."""
+        f = field_for(k)
+        rng = np.random.default_rng(k)
+        m = rng.integers(0, f.q, size=(7, 5))
+        m[0, 0] = 0
+        for batch in (1, gf._BROADCAST_BATCH, gf._BROADCAST_BATCH + 1):
+            vs = rng.integers(0, f.q, size=(batch, 5))
+            vs[0, 1] = 0
+            out = f.mat_vec_batch(m, vs)
+            assert out.dtype == np.int64
+            assert out.tolist() == [
+                oracles.slow_mat_vec(m.tolist(), v, f.poly, k) for v in vs.tolist()
+            ]
+
     @pytest.mark.parametrize("k", [9, 12, 16])
     def test_split_table_cutoff(self, k):
-        """Batches either side of the split-table row count agree with mat_vec."""
+        """Batches either side of the split-table row count agree with
+        one-row batches."""
         f = field_for(k)
         rng = np.random.default_rng(k)
         m = rng.integers(0, f.q, size=(2, 3))
         for batch in (256 + (f.q >> 8) - 1, 256 + (f.q >> 8)):
             vs = rng.integers(0, f.q, size=(batch, 3))
-            expected = [f.mat_vec(m, v).tolist() for v in vs]
+            expected = [one(f, m, v).tolist() for v in vs]
             assert f.mat_vec_batch(m, vs).tolist() == expected
 
     @pytest.mark.parametrize("k", [2, 3, 4, 8])
@@ -314,18 +339,20 @@ class TestBatchKernel:
             f.mat_vec_batch(rng.integers(0, f.q, (3, 7)), rng.integers(0, f.q, (11, 7)))
             assert f.counter.muls == 3 * 7 * 11
             f.counter.reset()
-            f.mat_mul(rng.integers(0, f.q, (3, 7)), rng.integers(0, f.q, (7, 5)))
+            f.mat_vec_batch(rng.integers(0, f.q, (3, 7)), rng.integers(0, f.q, (5, 7)))
             assert f.counter.muls == 3 * 7 * 5
         finally:
             f.counter = None
 
-    def test_mat_mul_matches_columns(self):
+    def test_transposed_batch_is_matrix_product(self):
         f = gf.get_field(8)
         rng = np.random.default_rng(3)
         a, b = rng.integers(0, 256, (4, 6)), rng.integers(0, 256, (6, 5))
-        prod = f.mat_mul(a, b)
+        prod = f.mat_vec_batch(a, b.T).T
         for j in range(5):
-            assert prod[:, j].tolist() == f.mat_vec(a, b[:, j]).tolist()
+            assert prod[:, j].tolist() == oracles.slow_mat_vec(
+                a.tolist(), b[:, j].tolist(), f.poly, 8
+            )
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_one_dimensional_matrix_rejected(self, k):
@@ -333,28 +360,26 @@ class TestBatchKernel:
         with pytest.raises(DimensionMismatchError):
             f.mat_vec_batch(np.array([1, 2]), np.ones((3, 2), dtype=np.int64))
         with pytest.raises(DimensionMismatchError):
-            f.mat_mul(np.array([1, 2]), np.ones((2, 3), dtype=np.int64))
-        with pytest.raises(DimensionMismatchError):
-            f.mat_mul(np.ones((2, 2), dtype=np.int64), np.array([1, 2]))
+            f.mat_vec_batch(np.array([1, 2]), np.ones((9, 2), dtype=np.int64))
 
     @pytest.mark.parametrize("bad", [256, 300, -1])
     def test_operand_outside_field_rejected(self, bad):
         f = gf.get_field(8)
-        m, vs = np.ones((2, 2), dtype=np.int64), np.ones((3, 2), dtype=np.int64)
-        m_bad, vs_bad = m.copy(), vs.copy()
-        m_bad[1, 0], vs_bad[2, 1] = bad, bad
-        for args in ((m_bad, vs), (m, vs_bad)):
-            with pytest.raises(ConfigError):
-                f.mat_vec_batch(*args)
-        with pytest.raises(ConfigError):
-            f.mat_mul(m_bad, m)
-        with pytest.raises(ConfigError):
-            f.mat_mul(m, m_bad)
+        for batch in (3, 9):
+            m, vs = np.ones((2, 2), dtype=np.int64), np.ones((batch, 2), dtype=np.int64)
+            m_bad, vs_bad = m.copy(), vs.copy()
+            m_bad[1, 0], vs_bad[2, 1] = bad, bad
+            for args in ((m_bad, vs), (m, vs_bad)):
+                with pytest.raises(ConfigError):
+                    f.mat_vec_batch(*args)
 
     def test_operand_outside_wide_field_rejected(self):
         f = gf.get_field(16)
-        with pytest.raises(ConfigError):
-            f.mat_vec_batch(np.ones((2, 2), dtype=np.int64), np.full((1, 2), 1 << 16))
+        for batch in (1, 9):
+            with pytest.raises(ConfigError):
+                f.mat_vec_batch(
+                    np.ones((2, 2), dtype=np.int64), np.full((batch, 2), 1 << 16)
+                )
 
 
 class TestMatInvert:
@@ -377,7 +402,7 @@ class TestMatInvert:
     def test_product_is_identity(self):
         f = gf.get_field(8)
         a = gf.build_vandermonde(f, (5, 17, 201, 44))
-        prod = f.mat_mul(a.rows, a.inverse())
+        prod = f.mat_vec_batch(a.rows, a.inverse().T).T
         assert prod.tolist() == np.eye(4, dtype=np.int64).tolist()
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -409,7 +434,11 @@ class TestOpCounter:
         a = gf.build_vandermonde(gf8, (1, 2, 3))
         gf8.counter = gf.OpCounter()
         try:
-            a.field.mat_vec(a.rows, [1, 3, 5])
+            one(a.field, a.rows, [1, 3, 5])
             assert gf8.counter.muls == 9
+            gf8.counter.reset()
+            a.inverse()  # inverted once and cached: not counted
+            gf.build_vandermonde(gf8, (1, 2, 3))
+            assert gf8.counter.muls == 0
         finally:
             gf8.counter = None

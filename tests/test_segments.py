@@ -120,6 +120,29 @@ def test_segmented_store_builds_the_column_table_once(monkeypatch):
     assert pipeline.recover(root) == digits
 
 
+# SHA-256 over the shards, local share and manifest of the k=16 store below
+WIDE_K16_STORE = "0cc5409855db29292210d713941844f7e476160eda6151af59b1814cf2bc11f8"
+
+
+@pytest.mark.parametrize(
+    "segment_bytes,count", [(ONE_SEGMENT, 1), (3600, 3), (600, 15), (48, 188)]
+)
+def test_wide_field_segments_store_pinned_bytes(monkeypatch, segment_bytes, count):
+    # 1500 blocks of 6 bytes: 600 blocks a segment take the split tables,
+    # 100 the direct products, 8 the broadcast; all store the same bytes
+    spec = gf.FieldSpec(k=16, d=2)
+    digits = pipeline.bytes_to_digits(np.random.default_rng(16).bytes(9000), 2)
+    root, _ = _store(monkeypatch, segment_bytes, digits, spec, 3, STRICT, None)
+    plan = codec.make_grouping_plan(len(digits), spec, n=3)
+    assert len(list(codec.segments(plan, 3))) == count
+    h = hashlib.sha256()
+    shards, local, text = root.snapshot()
+    for part in [shards[i] for i in sorted(shards)] + [local, text.encode()]:
+        h.update(part)
+    assert h.hexdigest() == WIDE_K16_STORE
+    assert pipeline.recover(root) == digits
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_stream_longer_or_shorter_than_the_plan_writes_nothing(extra):
     spec = gf.FieldSpec(k=8, d=2)
