@@ -307,6 +307,16 @@ class Field:
                 acc ^= high.astype(np.uint16).take(v >> 8, axis=0)
         return acc.astype(np.int64)
 
+    # The benchmark's tracer lists these two names (perfbench/tracer.py); no
+    # library code calls them. Drop them once that list does (ROADMAP item 8).
+    def mat_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """m . v for one vector v: mat_vec_batch(m, v[None])[0]."""
+        return self.mat_vec_batch(m, self._operand(v)[None])[0]
+
+    def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix product a @ b: mat_vec_batch(a, b.T).T."""
+        return self.mat_vec_batch(a, self._operand(b).T).T
+
     def mat_invert(self, m: np.ndarray) -> np.ndarray:
         """Invert a square matrix by Gaussian elimination with pivot search.
         Its products are not counted: a matrix is inverted once and cached."""
