@@ -2,24 +2,27 @@
 
 simulate_guess plays the eavesdropper who breached some clouds: every trial
 draws the unseen digits uniformly, reassembles a candidate codeword stream,
-decodes it, and scores a success only if the decoded plaintext matches.
-Only the blocks holding an unseen digit (the touched blocks) are decoded to
-their plaintext truth; with no unseen digit every guess succeeds and
-nothing is decoded. A static plan, built once, lists per touched block each
-element holding unseen digits: its known part, the guess column and place
-value of each unseen digit, and whether its largest reachable value reaches
-q (only then can a guess name a digit group no element renders to, a miss).
-Each candidate column is one multiply-add per unseen digit, decoded through
-Field.mat_vec_batch. A block with u_b unseen digits has d^u_b candidates;
-when they number at most one chunk's trials, min(trials, 2^15), each is
-decoded once, up front, into a table of hits, and a trial looks up its key
-sum(guess[columns[i]] * d^i). Larger blocks decode trial by trial. Blocks
-run in stream order, each only for the trials every earlier block left
-alive: success is the AND over blocks, the same function of a trial's
-digits on both paths, so the draw (int64, 2^15 trials a chunk) fixes the
-count and a seed returns the same float bit for bit. Where every touched
-block takes the table, the multiplications a field's OpCounter counts do
-not depend on the seed.
+decodes it, and scores a success only if the decoded plaintext matches. The
+eavesdropper's view and the truth both come from the one coded stream a
+scenario holds (the stored digits, for scenario_from_storage). Only the
+blocks holding an unseen digit (the touched blocks) are parsed from it, by
+codec.parse_renders on their slices of the stream and render lengths, and
+decoded to their plaintext truth; with no unseen digit every guess succeeds
+and nothing is parsed or decoded. A static plan, built once, lists per
+touched block each element holding unseen digits: its known part, the guess
+column and place value of each unseen digit, and whether its largest
+reachable value reaches q (only then can a guess name a digit group no
+element renders to, a miss). Each candidate column is one multiply-add per
+unseen digit, decoded through Field.mat_vec_batch. A block with u_b unseen
+digits has d^u_b candidates; when they number at most one chunk's trials,
+min(trials, 2^15), each is decoded once, up front, into a table of hits,
+and a trial looks up its key sum(guess[columns[i]] * d^i). Larger blocks
+decode trial by trial. Blocks run in stream order, each only for the trials
+every earlier block left alive: success is the AND over blocks, the same
+function of a trial's digits on both paths, so the draw (int64, 2^15 trials
+a chunk) fixes the count and a seed returns the same float bit for bit.
+Where every touched block takes the table, the multiplications a field's
+OpCounter counts do not depend on the seed.
 
 entropy_audit decides exactly whether what an adversary observes (whole
 coded components, or individual digits of fixed-width renders) carries any
@@ -60,7 +63,8 @@ from .errors import (
     EnumerationTooLargeError,
     TooManyUnknownsError,
 )
-from .gf import EncodingMatrix
+from . import storage
+from .gf import EncodingMatrix, cached_vandermonde
 from .planner import DistributionPlan
 
 MAX_UNKNOWN_DIGITS = 40
@@ -77,21 +81,21 @@ class AttackScenario:
     """What one eavesdropper knows about a stored stream.
 
     The adversary holds the matrix and the manifest structure; observed
-    stream positions carry known digits, the rest must be guessed. breach
-    is carried for reporting only - the guessing game is played conditioned
-    on the breach having succeeded.
+    stream positions carry known digits, the rest must be guessed. The
+    stream is also the truth a guess is scored against. breach is carried
+    for reporting only - the guessing game is played conditioned on the
+    breach having succeeded.
     """
 
     matrix: EncodingMatrix
     d: int
-    true_elements: np.ndarray  # (blocks, n)
     render_lengths: np.ndarray  # per element, stream order
     stream: np.ndarray  # full digit rendering, in codec.digit_dtype(d)
     unknown_positions: np.ndarray  # sorted stream positions to guess
     breach: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("true_elements", "render_lengths", "unknown_positions"):
+        for name in ("render_lengths", "unknown_positions"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -132,11 +136,11 @@ def _cloud_index(target, p: int) -> int | None:
 
 def _hidden(total: int, cloud_runs, cloud: int | None) -> np.ndarray:
     """Stream positions outside the runs of one cloud (None: of every cloud)."""
-    known = np.zeros(total, dtype=bool)
+    hidden = np.ones(total, dtype=bool)
     for runs in cloud_runs if cloud is None else [cloud_runs[cloud]]:
         for start, stop in runs:
-            known[start:stop] = True
-    return np.flatnonzero(~known)
+            hidden[start:stop] = False
+    return np.flatnonzero(hidden)
 
 
 def scenario_from_plan(
@@ -151,7 +155,6 @@ def scenario_from_plan(
     return AttackScenario(
         matrix=matrix,
         d=plan.d,
-        true_elements=stream.elements.reshape(-1, matrix.n),
         render_lengths=plan.render_lengths,
         stream=stream.render_digits,
         unknown_positions=_hidden(plan.total_digits, plan.cloud_runs, cloud),
@@ -166,20 +169,14 @@ def scenario_from_storage(manifest, root, target: int | str) -> AttackScenario:
     ground truth; the adversary's view is then restricted to the target
     cloud, or to every cloud for the worst case ("all").
     """
-    from . import storage
-    from .gf import cached_vandermonde
-
     cloud = _cloud_index(target, manifest.p)
     stream = storage.assemble_stream(manifest, *storage.fetch_shards(manifest, root))
     stream.setflags(write=False)  # handed to the scenario without a copy
-    lengths = manifest.element_lengths()
-    elements = codec.parse_renders(stream, lengths, manifest.d)
     matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
     return AttackScenario(
         matrix=matrix,
         d=manifest.d,
-        true_elements=elements.reshape(manifest.block_count, manifest.n),
-        render_lengths=lengths,
+        render_lengths=manifest.element_lengths(),
         stream=stream,
         unknown_positions=_hidden(stream.size, manifest.cloud_runs, cloud),
         breach=None if cloud is None else manifest.breach[cloud],
@@ -192,12 +189,12 @@ def _guess_plan(scenario: AttackScenario) -> list[tuple[int, list]]:
     can_overflow holds where the element's largest reachable value,
     known + (d-1) * sum(place), reaches q."""
     n, d, q = scenario.matrix.n, scenario.d, scenario.matrix.field.q
-    bounds = np.concatenate([[0], np.cumsum(scenario.render_lengths)])
+    ends = np.cumsum(scenario.render_lengths)  # where each element stops
     unknown = scenario.unknown_positions
-    elem_of = np.searchsorted(bounds, unknown, side="right") - 1
+    elem_of = np.searchsorted(ends, unknown, side="right")
     plan: list[tuple[int, list]] = []
     for e in np.unique(elem_of).tolist():
-        start, stop = int(bounds[e]), int(bounds[e + 1])
+        start, stop = int(ends[e - 1]) if e else 0, int(ends[e])
         cols = np.flatnonzero(elem_of == e).tolist()
         digits = scenario.stream[start:stop].tolist()
         places = [d ** (stop - 1 - int(unknown[j])) for j in cols]
@@ -275,12 +272,24 @@ def simulate_guess(
         return 1.0
     field = scenario.matrix.field
     inv = scenario.matrix.inverse()
-    d = scenario.d
+    n, d = scenario.matrix.n, scenario.d
     touched = _guess_plan(scenario)
-    # the plaintext truth of the touched blocks only
-    truths = field.mat_vec_batch(
-        inv, scenario.true_elements[[blk for blk, _ in touched]]
-    )
+    # the coded elements of the touched blocks only, parsed from their
+    # slices of the stream; the blocks come in stream order, so one walk
+    # over the render lengths finds where each starts
+    lengths = scenario.render_lengths
+    blocks = []
+    start = elem = 0
+    for blk, _ in touched:
+        start += int(lengths[elem : blk * n].sum())
+        elem = blk * n + n
+        block_lengths = lengths[blk * n : elem]
+        stop = start + int(block_lengths.sum())
+        digits = scenario.stream[start:stop]
+        blocks.append(codec.parse_renders(digits, block_lengths, d))
+        start = stop
+    # and their plaintext truth
+    truths = field.mat_vec_batch(inv, np.stack(blocks))
 
     chunk_size = min(1 << 15, trials)
     # per touched block, in stream order: (elements, truth, slots, columns,
@@ -288,8 +297,7 @@ def simulate_guess(
     # each pattern once into table; a trial then looks up its pattern's
     # key, sum(guess[columns[i]] * d^i). Other blocks decode trial by trial.
     steps = []
-    for (blk, slots), truth in zip(touched, truths):
-        elements = scenario.true_elements[blk]
+    for (_, slots), elements, truth in zip(touched, blocks, truths):
         columns = sorted({j for *_, terms, _ in slots for j, _ in terms})
         powers = d ** np.arange(len(columns), dtype=np.int64)
         table = None

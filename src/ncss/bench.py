@@ -1,9 +1,10 @@
 """Throughput measurements: raw field multiplication and the full pipeline.
 
-Times are medians over at least five repetitions with one untimed warm-up
-pass; absolute numbers are machine-dependent and never asserted, only
-recorded. Logical work is accounted exactly: encoding a stream of B blocks
-costs B * n^2 scalar field multiplications.
+Times are medians over at least five repetitions after one untimed warm-up
+pass, whose field multiplications are counted; absolute numbers are
+machine-dependent and never asserted, only recorded. Logical work is
+accounted exactly: encoding a stream of B blocks costs B * n^2 scalar field
+multiplications.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec, pipeline, planner, storage
+from . import pipeline, storage
 from .codec import STRICT
 from .errors import ConfigError
-from .gf import FieldSpec, OpCounter, cached_vandermonde, default_points, get_field
+from .gf import FieldSpec, OpCounter, get_field
 from .planner import SecurityProfile
 
 MIN_MUL_COUNT = 1_000_000
@@ -58,14 +59,21 @@ def mul_operands(k: int, mul_count: int, seed: int) -> tuple[np.ndarray, np.ndar
     )
 
 
-def _timed(fn, reps: int) -> float:
-    fn()  # warm-up, excluded
+def _timed(field, fn, reps: int) -> tuple[float, int]:
+    """The median ms of reps calls of fn, and the multiplications field
+    counts in one untimed warm-up call before them."""
+    counter = OpCounter()
+    field.counter = counter
+    try:
+        fn()
+    finally:
+        field.counter = None
     samples = []
     for _ in range(reps):
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(samples)
+    return statistics.median(samples), counter.muls
 
 
 def bench_mul(
@@ -82,7 +90,7 @@ def bench_mul(
     for k in k_list:
         field = get_field(k)
         a, b = mul_operands(k, mul_count, seed)
-        median = _timed(lambda: field.mul_arr(a, b), reps)
+        median, _ = _timed(field, lambda: field.mul_arr(a, b), reps)
         results.append(
             BenchResult(
                 scenario="mul",
@@ -119,11 +127,12 @@ def bench_pipeline(
     reps: int = MIN_REPS,
     seed: int = 0,
 ) -> list[BenchResult]:
-    """Time encode + plan + store of a synthetic file per (k, n) point.
+    """Time pipeline.store_digits of a synthetic file per (k, n) point:
+    encode, plan and store into an in-memory root.
 
     The security profile is left open (pu = 1) so every digit lands in a
-    cloud; storage goes to an in-memory root. The recorded mul_count is
-    measured by instrumenting the field during the warm-up pass.
+    cloud. The recorded mul_count is measured by instrumenting the field
+    during the warm-up pass.
     """
     if reps < MIN_REPS:
         raise ConfigError(f"reps must be >= {MIN_REPS}, got {reps}")
@@ -134,37 +143,15 @@ def bench_pipeline(
     results = []
     for k in k_list:
         spec = FieldSpec(k=k, d=d)
-        field = spec.field()
         for n in n_list:
-            if n > spec.q - 1:
-                raise ConfigError(
-                    f"n={n} exceeds the {spec.q - 1} nonzero points of GF(2^{k})"
-                )
-            matrix = cached_vandermonde(spec.k, spec.reduction_poly, default_points(n))
-            grouping = codec.make_grouping_plan(
-                len(digits), spec, n=n, mode=mode, alpha=alpha
-            )
 
             def run():
-                stream = codec.encode_stream(digits, grouping, matrix)
-                plan = planner.make_plan(stream.render_lengths, n, d, profile)
-                storage.store_shards(
-                    plan, [stream.render_digits], storage.MemoryRoot(p), grouping,
-                    spec, matrix.points, profile,
+                pipeline.store_digits(
+                    digits, storage.MemoryRoot(p), spec, n=n, profile=profile,
+                    mode=mode, alpha=alpha,
                 )
 
-            # warm-up doubles as the exact work accounting
-            counter = OpCounter()
-            field.counter = counter
-            try:
-                run()
-            finally:
-                field.counter = None
-            samples = []
-            for _ in range(reps):
-                start = time.perf_counter()
-                run()
-                samples.append((time.perf_counter() - start) * 1e3)
+            median, muls = _timed(spec.field(), run, reps)
             results.append(
                 BenchResult(
                     scenario="pipeline",
@@ -175,9 +162,9 @@ def bench_pipeline(
                     alpha=alpha,
                     p=p,
                     payload_bytes=file_bytes,
-                    median_ms=statistics.median(samples),
+                    median_ms=median,
                     reps=reps,
-                    mul_count=counter.muls,
+                    mul_count=muls,
                 )
             )
     return results

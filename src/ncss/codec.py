@@ -167,12 +167,8 @@ class DigitString:
         arr = read_only(as_digits(self.digits, self.d), self.digits)
         object.__setattr__(self, "digits", arr)
 
-    @property
-    def logical_length(self) -> int:
-        return int(self.digits.size)
-
     def __len__(self) -> int:
-        return self.logical_length
+        return int(self.digits.size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitString):

@@ -188,11 +188,25 @@ def slow_guess(scenario, trials: int, seed: int = 0) -> float:
     """simulate_guess one trial at a time: the same chunked draw of the
     unseen digits, the candidate stream parsed element by element (a digit
     group at or above q is a miss), every block decoded on its own with
-    slow_mat_vec and compared with the decoded truth."""
+    slow_mat_vec and compared with the decoded truth, which is the
+    scenario's own stream parsed the same way."""
     field, n, d = scenario.matrix.field, scenario.matrix.n, scenario.d
     poly, k, q = field.poly, field.k, 1 << field.k
     inv = scenario.matrix.inverse().tolist()
-    truth = [slow_mat_vec(inv, block, poly, k) for block in scenario.true_elements.tolist()]
+    lengths = scenario.render_lengths.tolist()
+
+    def parse(stream):
+        values, pos = [], 0
+        for size in lengths:
+            values.append(from_digits(stream[pos : pos + size], d))
+            pos += size
+        return values
+
+    elements = parse(scenario.stream.tolist())
+    truth = [
+        slow_mat_vec(inv, elements[i : i + n], poly, k)
+        for i in range(0, len(elements), n)
+    ]
     unknown = scenario.unknown_positions.tolist()
     if not unknown:
         return 1.0
@@ -205,10 +219,7 @@ def slow_guess(scenario, trials: int, seed: int = 0) -> float:
             stream = scenario.stream.tolist()
             for pos, digit in zip(unknown, guess):
                 stream[pos] = digit
-            values, pos = [], 0
-            for size in scenario.render_lengths.tolist():
-                values.append(from_digits(stream[pos : pos + size], d))
-                pos += size
+            values = parse(stream)
             if max(values) >= q:
                 continue
             successes += all(

@@ -167,7 +167,6 @@ def _sigma_scenario(k: int, d: int, n: int, unknown: int, seed: int) -> AttackSc
     return AttackScenario(
         matrix=matrix,
         d=d,
-        true_elements=block.elements[None, :],
         render_lengths=block.render_lengths,
         stream=block.render_digits,
         unknown_positions=positions,

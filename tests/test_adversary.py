@@ -40,7 +40,6 @@ def make_scenario(k, d, n, seed, unknown, mode=STRICT, alpha=None):
     return AttackScenario(
         matrix=a,
         d=d,
-        true_elements=block.elements[None, :],
         render_lengths=block.render_lengths,
         stream=block.render_digits,
         unknown_positions=np.sort(positions),
@@ -60,7 +59,6 @@ def stream_scenario(k, d, n, blocks, seed, positions):
     return AttackScenario(
         matrix=a,
         d=d,
-        true_elements=stream.elements.reshape(blocks, n),
         render_lengths=stream.render_lengths,
         stream=stream.render_digits,
         unknown_positions=np.array(positions),
@@ -354,8 +352,8 @@ class TestGuessMemo:
         # keeps that guess a miss
         a = gf.build_vandermonde(gf.FieldSpec(k=3, d=3), gf.default_points(3))
         sc = AttackScenario(
-            matrix=a, d=3, true_elements=np.zeros((1, 3)),
-            render_lengths=[2, 2, 2], stream=np.zeros(6), unknown_positions=[0, 1],
+            matrix=a, d=3, render_lengths=[2, 2, 2], stream=np.zeros(6),
+            unknown_positions=[0, 1],
         )
         for seed in (0, 11):
             got = adversary.simulate_guess(sc, trials, seed)
@@ -494,9 +492,7 @@ class TestScenarioFromPlan:
         for target in (0, 1, adversary.ALL_CLOUDS):
             got = adversary.scenario_from_storage(manifest, root, target)
             want = adversary.scenario_from_plan(stream, plan, a, target)
-            for name in (
-                "stream", "true_elements", "render_lengths", "unknown_positions"
-            ):
+            for name in ("stream", "render_lengths", "unknown_positions"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (
                     target, name,
                 )
@@ -517,8 +513,7 @@ class TestScenarioFromPlan:
         stream, plan, a, _ = self._stored(caps=(4, 5))
         digits = np.array(stream.render_digits, dtype=np.uint8)
         sc = AttackScenario(
-            matrix=a, d=2, true_elements=stream.elements.reshape(-1, 3),
-            render_lengths=plan.render_lengths, stream=digits,
+            matrix=a, d=2, render_lengths=plan.render_lengths, stream=digits,
             unknown_positions=[0],
         )
         digits[:] = 1 - digits
@@ -529,8 +524,7 @@ class TestScenarioFromPlan:
         stream, plan, a, _ = self._stored(caps=(4, 5))
         with pytest.raises(ConfigError, match="out of range"):
             AttackScenario(
-                matrix=a, d=2, true_elements=stream.elements.reshape(-1, 3),
-                render_lengths=plan.render_lengths,
+                matrix=a, d=2, render_lengths=plan.render_lengths,
                 stream=np.full(stream.total_digits, 2), unknown_positions=[0],
             )
 

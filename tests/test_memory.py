@@ -91,3 +91,26 @@ def test_entropy_audit_peak():
     plaintexts = a.field.q**a.n
     assert report.h_s_given_e_symbols == 1
     assert peak <= BYTES_PER_PLAINTEXT * plaintexts, f"{peak / plaintexts:.1f} B/plaintext"
+
+
+# the attack scenario of a stored d=2 dataset holds the assembled stream
+# (8 B per payload byte) and the mask of hidden positions (8); a parse of
+# the whole stream into int64 elements would add 8 more, and more again
+# for its working copies
+SCENARIO_BYTES_PER_BYTE = 20
+
+
+def test_storage_scenario_peak():
+    payload = np.random.default_rng(5).bytes(1 << 20)
+    spec = gf.FieldSpec(k=8, d=2)
+    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
+    root = storage.MemoryRoot(3)
+    pipeline.store_digits(
+        pipeline.bytes_to_digits(payload, 2), root, spec, n=100, profile=profile
+    )
+    manifest = pipeline.load_manifest(root)
+    adversary.scenario_from_storage(manifest, root, 0)  # fill the caches first
+    for target in (2, adversary.ALL_CLOUDS):
+        peak = _peak(lambda: adversary.scenario_from_storage(manifest, root, target))
+        per_byte = peak / len(payload)
+        assert per_byte <= SCENARIO_BYTES_PER_BYTE, f"{target}: {per_byte:.1f} B/B"
