@@ -19,8 +19,9 @@ min(trials, 2^15), each is decoded once, up front, into a table of hits,
 and a trial looks up its key sum(guess[columns[i]] * d^i). Larger blocks
 decode trial by trial. Blocks run in stream order, each only for the trials
 every earlier block left alive: success is the AND over blocks, the same
-function of a trial's digits on both paths, so the draw (int64, 2^15 trials
-a chunk) fixes the count and a seed returns the same float bit for bit.
+function of a trial's digits on both paths, so the draw (2^15 trials a
+chunk, the values of Generator.integers(0, d); see _draws) fixes the count
+and a seed returns the same float bit for bit.
 Where every touched block takes the table, the multiplications a field's
 OpCounter counts do not depend on the seed.
 
@@ -91,7 +92,7 @@ class AttackScenario:
     d: int
     render_lengths: np.ndarray  # per element, stream order
     stream: np.ndarray  # full digit rendering, in codec.digit_dtype(d)
-    unknown_positions: np.ndarray  # sorted stream positions to guess
+    unknown_positions: np.ndarray  # strictly increasing positions to guess
     breach: float | None = None
 
     def __post_init__(self) -> None:
@@ -108,6 +109,15 @@ class AttackScenario:
         object.__setattr__(self, "stream", codec.read_only(stream, self.stream))
         if self.stream.size != int(self.render_lengths.sum()):
             raise ConfigError("stream does not match its render lengths")
+        # the draw assigns its columns to the positions in this order
+        pos = self.unknown_positions
+        if pos.ndim != 1 or pos.size and (
+            pos[0] < 0 or pos[-1] >= self.stream.size or np.any(pos[1:] <= pos[:-1])
+        ):
+            raise ConfigError(
+                "unknown_positions must be strictly increasing positions in "
+                f"[0, {self.stream.size})"
+            )
 
     @property
     def total_digits(self) -> int:
@@ -135,12 +145,21 @@ def _cloud_index(target, p: int) -> int | None:
 
 
 def _hidden(total: int, cloud_runs, cloud: int | None) -> np.ndarray:
-    """Stream positions outside the runs of one cloud (None: of every cloud)."""
-    hidden = np.ones(total, dtype=bool)
-    for runs in cloud_runs if cloud is None else [cloud_runs[cloud]]:
-        for start, stop in runs:
-            hidden[start:stop] = False
-    return np.flatnonzero(hidden)
+    """Stream positions outside the runs of one cloud (None: of every
+    cloud): the gaps between the runs, sorted by start."""
+    runs = sorted(
+        (int(start), int(stop))
+        for group in (cloud_runs if cloud is None else [cloud_runs[cloud]])
+        for start, stop in group
+    )
+    gaps = []
+    pos = 0
+    for start, stop in runs:
+        if start > pos:
+            gaps.append(np.arange(pos, start, dtype=np.int64))
+        pos = max(pos, stop)
+    gaps.append(np.arange(pos, total, dtype=np.int64))
+    return np.concatenate(gaps)
 
 
 def scenario_from_plan(
@@ -189,12 +208,20 @@ def _guess_plan(scenario: AttackScenario) -> list[tuple[int, list]]:
     can_overflow holds where the element's largest reachable value,
     known + (d-1) * sum(place), reaches q."""
     n, d, q = scenario.matrix.n, scenario.d, scenario.matrix.field.q
-    ends = np.cumsum(scenario.render_lengths)  # where each element stops
+    lengths = scenario.render_lengths
     unknown = scenario.unknown_positions
-    elem_of = np.searchsorted(ends, unknown, side="right")
+    width = int(lengths[0]) if lengths.size and lengths.min() == lengths.max() else 0
+    if width:  # one render width (a strict stream): no running sum needed
+        elem_of = unknown // width
+    else:
+        ends = np.cumsum(lengths)  # where each element stops
+        elem_of = np.searchsorted(ends, unknown, side="right")
     plan: list[tuple[int, list]] = []
     for e in np.unique(elem_of).tolist():
-        start, stop = int(ends[e - 1]) if e else 0, int(ends[e])
+        if width:
+            start, stop = e * width, e * width + width
+        else:
+            start, stop = int(ends[e - 1]) if e else 0, int(ends[e])
         cols = np.flatnonzero(elem_of == e).tolist()
         digits = scenario.stream[start:stop].tolist()
         places = [d ** (stop - 1 - int(unknown[j])) for j in cols]
@@ -224,10 +251,11 @@ def _block_hits(field, inv, elements, truth, slots, guesses) -> np.ndarray:
     ok = None
     for slot, known, terms, can_overflow in slots:
         value = cols[slot]
+        # the digits may be narrow: each product is taken in int64
         (j, place), *rest = terms
-        np.multiply(guesses[:, j], place, out=value)
+        np.multiply(guesses[:, j], place, out=value, dtype=np.int64)
         for j, place in rest:
-            value += guesses[:, j] * place
+            value += np.multiply(guesses[:, j], place, dtype=np.int64)
         if known:
             value += known
         if can_overflow:
@@ -251,6 +279,46 @@ def _checked_count(value, name: str, low: int) -> int:
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+DRAW_PIECE = 1 << 14  # 32-bit halves turned into digits at a time
+
+
+def _draws(rng, d: int, trials: int, chunk_size: int, u: int):
+    """Each chunk's guesses, (chunk, u) digits: exactly what
+    rng.integers(0, d, size=(chunk, u)) returns, chunk after chunk, for
+    chunks of chunk_size trials and a last one of the rest.
+
+    At d = 2^j <= 2^32 Generator.integers never rejects: each digit is the
+    top j bits of the next 32-bit half of a raw PCG64 word, low half first,
+    and an unused high half carries to the next chunk. Those digits are
+    drawn here in pieces of DRAW_PIECE halves into one buffer in the digit
+    dtype, reused by every chunk. Any other base draws by Generator.integers
+    (int64)."""
+    if not _is_power_of_two(d) or d > 1 << 32:
+        for first in range(0, trials, chunk_size):
+            yield rng.integers(0, d, size=(min(chunk_size, trials - first), u))
+        return
+    shift = 33 - d.bit_length()  # 32 - j
+    buf = np.empty(chunk_size * u, dtype=codec.digit_dtype(d))
+    spare = None  # the digit of a high half the last chunk left unused
+    for first in range(0, trials, chunk_size):
+        need = min(chunk_size, trials - first) * u
+        pos = 0
+        if spare is not None:
+            buf[0], pos, spare = spare, 1, None
+        while pos < need:
+            piece = min(DRAW_PIECE, need - pos)
+            raw = rng.bit_generator.random_raw((piece + 1) // 2)
+            # each word as two little-endian halves: the low one first
+            halves = raw.astype("<u8", copy=False).view("<u4")
+            if halves.size > piece:  # only a chunk's last piece can be odd
+                spare = halves[piece] >> shift
+            np.right_shift(
+                halves[:piece], shift, out=buf[pos : pos + piece], casting="unsafe"
+            )
+            pos += piece
+        yield buf[:need].reshape(-1, u)
 
 
 def simulate_guess(
@@ -309,29 +377,25 @@ def simulate_guess(
                  for c, known, terms, over in slots],
                 np.arange(d ** len(columns))[:, None] // powers % d,
             )
-        # sorted unknown positions give each block one run of columns
-        if columns[-1] - columns[0] == len(columns) - 1:
-            columns = slice(columns[0], columns[-1] + 1)
         steps.append((elements, truth, slots, columns, powers, table))
 
-    rng = np.random.default_rng(seed)
     successes = 0
-    left = trials
-    while left > 0:
-        chunk = min(chunk_size, left)
-        guesses = rng.integers(0, d, size=(chunk, u))
+    for guesses in _draws(np.random.default_rng(seed), d, trials, chunk_size, u):
         # success is the AND over blocks: each block after the first sees
         # only the trials every earlier block left alive
         for elements, truth, slots, columns, powers, table in steps:
             if table is None:
                 hit = _block_hits(field, inv, elements, truth, slots, guesses)
             else:
-                hit = table[guesses[:, columns] @ powers]
+                # the digits are narrow: the key is summed in int64
+                key = guesses[:, columns[0]].astype(np.int64)
+                for j, power in zip(columns[1:], powers[1:]):
+                    key += guesses[:, j] * power
+                hit = table[key]
             guesses = guesses.take(np.flatnonzero(hit), axis=0)
             if not guesses.shape[0]:
                 break
         successes += guesses.shape[0]
-        left -= chunk
     return successes / trials
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -337,13 +338,10 @@ class TestGuessMemo:
             tables = [shape for shape in shapes if shape[1] < sc.unknown_count]
             assert tables == [self.PATTERNS[blk] for blk in tabled]
 
-    def test_unsorted_positions_match_oracle(self):
-        # guess columns follow the listed positions: block 0's are 1 and 3
-        sc = stream_scenario(**{**self.MIXED, "positions": [30, 2, 14, 7, 13, 20]})
-        for trials, seed in ((8, 0), (3000, 11)):
-            assert adversary.simulate_guess(sc, trials, seed) == oracles.slow_guess(
-                sc, trials, seed
-            )
+    def test_unsorted_positions_refused(self):
+        # the draw assigns its columns to the positions in increasing order
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            stream_scenario(**{**self.MIXED, "positions": [30, 2, 14, 7, 13, 20]})
 
     @pytest.mark.parametrize("trials", [7, 3000])
     def test_overflow_onto_a_zero_element_is_a_miss(self, trials):
@@ -428,6 +426,95 @@ class TestGuessDecodesTouchedBlocks:
         rows = self.spy_rows(monkeypatch)
         assert adversary.simulate_guess(sc, 10, 0) == 1.0
         assert rows == []
+
+
+class SpyRng:
+    """A Generator that records which of its draws simulate_guess uses."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.calls = []
+
+    def integers(self, low, high, size):
+        self.calls.append(("integers", high, size))
+        return self.rng.integers(low, high, size=size)
+
+    @property
+    def bit_generator(self):
+        self.calls.append(("random_raw",))
+        return self.rng.bit_generator
+
+
+def spy_generators(monkeypatch):
+    """Every SpyRng np.random.default_rng makes while patched."""
+    spies = []
+
+    def spy_rng(seed):
+        spies.append(SpyRng(seed))
+        return spies[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy_rng)
+    return spies
+
+
+class TestGuessDraw:
+    """At d = 2^j the guesses come from the bit generator's raw words and
+    equal Generator.integers(0, d) value for value; other bases draw by
+    Generator.integers."""
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 256, 65536, 1 << 20, 1 << 32])
+    @pytest.mark.parametrize("u", [1, 3, 4, 10])
+    def test_matches_generator_integers(self, d, u):
+        chunk = 1 << 15
+        trials = chunk + 2 * 51 + 1  # the last chunk holds an odd count
+        for seed in (0, 9):
+            want = np.random.default_rng(seed)
+            drawn = 0
+            for guesses in adversary._draws(
+                np.random.default_rng(seed), d, trials, chunk, u
+            ):
+                assert guesses.dtype == codec.digit_dtype(d)
+                rows = min(chunk, trials - drawn)
+                assert np.array_equal(guesses, want.integers(0, d, size=(rows, u)))
+                drawn += rows
+            assert drawn == trials
+
+    @pytest.mark.parametrize("d", [2, 16, 256])
+    def test_odd_chunks_in_a_row(self, d):
+        # 7 trials of 3 digits leave a high half over after every other chunk
+        want = np.random.default_rng(4)
+        rows = []
+        for guesses in adversary._draws(np.random.default_rng(4), d, 7 * 5 + 2, 7, 3):
+            rows.append(guesses.shape[0])
+            assert np.array_equal(guesses, want.integers(0, d, size=(rows[-1], 3)))
+        assert rows == [7] * 5 + [2]
+
+    @pytest.mark.parametrize("d,scenario", [
+        (3, GUESS_SCENARIOS["d3-overflow"]),
+        (10, lambda: make_scenario(
+            k=4, d=10, n=3, seed=2, unknown=3, mode=ALPHA_BOUNDED, alpha=2
+        )),
+    ])
+    def test_other_bases_call_generator_integers(self, monkeypatch, d, scenario):
+        sc = scenario()
+        assert sc.d == d
+        trials = (1 << 15) + 7
+        want = oracles.slow_guess(sc, 3000, 5)
+        spies = spy_generators(monkeypatch)
+        assert adversary.simulate_guess(sc, 3000, 5) == want
+        adversary.simulate_guess(sc, trials, 5)
+        u = sc.unknown_count
+        assert [spy.calls for spy in spies] == [
+            [("integers", d, (3000, u))],
+            [("integers", d, (1 << 15, u)), ("integers", d, (7, u))],
+        ]
+
+    def test_power_of_two_base_reads_raw_words(self, monkeypatch):
+        sc = GUESS_SCENARIOS["k16-d16"]()
+        spies = spy_generators(monkeypatch)
+        adversary.simulate_guess(sc, 3000, 6)
+        (spy,) = spies
+        assert spy.calls and set(spy.calls) == {("random_raw",)}
 
 
 class TestScenarioFromPlan:
@@ -527,6 +614,38 @@ class TestScenarioFromPlan:
                 matrix=a, d=2, render_lengths=plan.render_lengths,
                 stream=np.full(stream.total_digits, 2), unknown_positions=[0],
             )
+
+    @pytest.mark.parametrize("positions", [
+        [1, 1], [-1], [64], [5, 3], [0, 63, 64], [[1, 2]],
+    ])
+    def test_bad_unknown_positions_refused(self, positions):
+        # the 8-byte audit store renders 64 digits; [1, 1] would add two
+        # guessed digits into one place, [-1] would score a digit from the
+        # end, [64] would index past the stream
+        sc = GUESS_SCENARIOS["audit-strict"]()
+        assert sc.total_digits == 64
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            dataclasses.replace(sc, unknown_positions=positions)
+
+    def test_hidden_positions_are_the_gaps_between_runs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            total = int(rng.integers(0, 60))
+            cloud_runs = []
+            for _ in range(int(rng.integers(1, 4))):
+                runs = []
+                for _ in range(int(rng.integers(0, 4))):
+                    start = int(rng.integers(0, total + 1))
+                    runs.append((start, int(rng.integers(start, total + 1))))
+                cloud_runs.append(runs)
+            for cloud in (None, *range(len(cloud_runs))):
+                hidden = np.ones(total, dtype=bool)
+                for runs in cloud_runs if cloud is None else [cloud_runs[cloud]]:
+                    for start, stop in runs:
+                        hidden[start:stop] = False
+                got = adversary._hidden(total, cloud_runs, cloud)
+                assert got.dtype == np.int64
+                assert got.tolist() == np.flatnonzero(hidden).tolist()
 
     def test_guess_rate_end_to_end(self):
         stream, plan, a, _ = self._stored(caps=(4, 5))

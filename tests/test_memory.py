@@ -114,3 +114,29 @@ def test_storage_scenario_peak():
         peak = _peak(lambda: adversary.scenario_from_storage(manifest, root, target))
         per_byte = peak / len(payload)
         assert per_byte <= SCENARIO_BYTES_PER_BYTE, f"{target}: {per_byte:.1f} B/B"
+
+
+# locating the unseen digits of a strict stream allocates nothing per
+# stream digit or element: _hidden takes the gaps between the target's
+# runs, _guess_plan divides by the one render width
+PLAN_BYTES = 64 << 10
+
+
+def test_guess_plan_peak():
+    spec = gf.FieldSpec(k=8, d=2)
+    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
+    root = storage.MemoryRoot(3)
+    pipeline.store_digits(
+        pipeline.bytes_to_digits(np.random.default_rng(5).bytes(1 << 20), 2),
+        root, spec, n=100, profile=profile,
+    )
+    manifest = pipeline.load_manifest(root)
+    scenario = adversary.scenario_from_storage(manifest, root, 2)
+    assert 0 < scenario.unknown_count <= adversary.MAX_UNKNOWN_DIGITS
+    plan = adversary._guess_plan(scenario)  # import what it imports first
+    total, runs = scenario.total_digits, manifest.cloud_runs
+    hidden = _peak(lambda: adversary._hidden(total, runs, 2))
+    planned = _peak(lambda: adversary._guess_plan(scenario))
+    assert adversary._guess_plan(scenario) == plan
+    assert hidden <= PLAN_BYTES, f"_hidden: {hidden} B"
+    assert planned <= PLAN_BYTES, f"_guess_plan: {planned} B"
