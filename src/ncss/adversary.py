@@ -1,29 +1,21 @@
 """Empirical and exact validation of the scheme's secrecy claims.
 
 simulate_guess plays the eavesdropper who breached some clouds: every trial
-draws the unseen digits uniformly, reassembles a candidate codeword stream,
-decodes it, and scores a success only if the decoded plaintext matches. The
-eavesdropper's view and the truth both come from the one coded stream a
-scenario holds (the stored digits, for scenario_from_storage). Only the
-blocks holding an unseen digit (the touched blocks) are parsed from it, by
-codec.parse_renders on their slices of the stream and render lengths, and
-decoded to their plaintext truth; with no unseen digit every guess succeeds
-and nothing is parsed or decoded. A static plan, built once, lists per
-touched block each element holding unseen digits: its known part, the guess
-column and place value of each unseen digit, and whether its largest
-reachable value reaches q (only then can a guess name a digit group no
-element renders to, a miss). Each candidate column is one multiply-add per
-unseen digit, decoded through Field.mat_vec_batch. A block with u_b unseen
-digits has d^u_b candidates; when they number at most one chunk's trials,
-min(trials, 2^15), each is decoded once, up front, into a table of hits,
-and a trial looks up its key sum(guess[columns[i]] * d^i). Larger blocks
-decode trial by trial. Blocks run in stream order, each only for the trials
-every earlier block left alive: success is the AND over blocks, the same
-function of a trial's digits on both paths, so the draw (2^15 trials a
-chunk, the values of Generator.integers(0, d); see _draws) fixes the count
-and a seed returns the same float bit for bit.
-Where every touched block takes the table, the multiplications a field's
-OpCounter counts do not depend on the seed.
+draws the unseen digits uniformly and succeeds if the stream with those
+digits in place decodes to the true plaintext. It scores that without a
+parse or a decode, as digit equality. A^-1 is a bijection on F_q^n (the
+manifest refuses zero, repeated or out-of-field points), so a candidate
+block decodes to the true plaintext iff each of its elements is the true
+one. A render of fixed length is the one base-d render of its value, so an
+element is the true one iff its digits are. And a guessed digit group that
+reaches q names no element; it differs from the true group, so it is a miss
+automatically. A trial therefore succeeds iff every guessed digit equals
+the true digit at its position, and the rate estimates d^-u for any
+matrix: it tests no property of the code. Which blocks or plaintext symbols
+a partial view pins down is what the exact audit below decides. Each chunk
+of the draw (2^15 trials, the values of Generator.integers(0, d); see
+_draws) is compared column by column with the true digits, keeping only the
+rows still alive, so a seed returns the same float bit for bit.
 
 entropy_audit decides exactly whether what an adversary observes (whole
 coded components, or individual digits of fixed-width renders) carries any
@@ -60,6 +52,7 @@ import numpy as np
 from . import codec
 from .codec import CodedStream, digit_length, expand_digits
 from .errors import (
+    BadBaseError,
     ConfigError,
     EnumerationTooLargeError,
     TooManyUnknownsError,
@@ -69,6 +62,9 @@ from .gf import EncodingMatrix, cached_vandermonde
 from .planner import DistributionPlan
 
 MAX_UNKNOWN_DIGITS = 40
+# the largest digit base a store produces: strict mode needs log2(d) to
+# divide k <= 16, alpha mode d^w <= 2^k
+MAX_BASE = 1 << 16
 MAX_ENUMERATION = 1 << 20
 ALL_CLOUDS = "all"
 
@@ -96,28 +92,40 @@ class AttackScenario:
     breach: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("render_lengths", "unknown_positions"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        # the digits stay in their base's narrow dtype; _guess_plan reads
-        # them as Python ints, so no place value overflows
+        d = self.d
+        if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
+            raise ConfigError(f"digit base must be an integer, got {d!r}")
+        if d < 2:
+            raise BadBaseError(f"digit base must be >= 2, got {d}")
+        if d > MAX_BASE:
+            raise ConfigError(f"digit base must be <= {MAX_BASE}, got {d}")
+        object.__setattr__(self, "d", int(d))
+        lengths = np.asarray(self.render_lengths, dtype=np.int64)
+        lengths.setflags(write=False)
+        object.__setattr__(self, "render_lengths", lengths)
+        # the digits stay in their base's narrow dtype, in which the guess
+        # compares them with its draws
         stream = np.asarray(self.stream)
         if stream.dtype.kind not in "iu":  # whole floats cast as they always did
             stream = stream.astype(np.int64)
-        stream = codec.as_digits(stream, self.d)
+        stream = codec.as_digits(stream, d)
         object.__setattr__(self, "stream", codec.read_only(stream, self.stream))
-        if self.stream.size != int(self.render_lengths.sum()):
+        if self.stream.size != int(lengths.sum()):
             raise ConfigError("stream does not match its render lengths")
         # the draw assigns its columns to the positions in this order
-        pos = self.unknown_positions
-        if pos.ndim != 1 or pos.size and (
+        pos = np.asarray(self.unknown_positions)
+        if pos.size == 0:  # an empty list arrives as float64
+            pos = pos.astype(np.int64)
+        if pos.dtype.kind not in "iu" or pos.ndim != 1 or pos.size and (
             pos[0] < 0 or pos[-1] >= self.stream.size or np.any(pos[1:] <= pos[:-1])
         ):
             raise ConfigError(
-                "unknown_positions must be strictly increasing positions in "
-                f"[0, {self.stream.size})"
+                "unknown_positions must be strictly increasing integer positions "
+                f"in [0, {self.stream.size})"
             )
+        pos = pos.astype(np.int64)
+        pos.setflags(write=False)
+        object.__setattr__(self, "unknown_positions", pos)
 
     @property
     def total_digits(self) -> int:
@@ -202,76 +210,6 @@ def scenario_from_storage(manifest, root, target: int | str) -> AttackScenario:
     )
 
 
-def _guess_plan(scenario: AttackScenario) -> list[tuple[int, list]]:
-    """Per touched block, in stream order: (block, slots). A slot is
-    (component, known part, [(guess column, place value)], can_overflow);
-    can_overflow holds where the element's largest reachable value,
-    known + (d-1) * sum(place), reaches q."""
-    n, d, q = scenario.matrix.n, scenario.d, scenario.matrix.field.q
-    lengths = scenario.render_lengths
-    unknown = scenario.unknown_positions
-    width = int(lengths[0]) if lengths.size and lengths.min() == lengths.max() else 0
-    if width:  # one render width (a strict stream): no running sum needed
-        elem_of = unknown // width
-    else:
-        ends = np.cumsum(lengths)  # where each element stops
-        elem_of = np.searchsorted(ends, unknown, side="right")
-    plan: list[tuple[int, list]] = []
-    for e in np.unique(elem_of).tolist():
-        if width:
-            start, stop = e * width, e * width + width
-        else:
-            start, stop = int(ends[e - 1]) if e else 0, int(ends[e])
-        cols = np.flatnonzero(elem_of == e).tolist()
-        digits = scenario.stream[start:stop].tolist()
-        places = [d ** (stop - 1 - int(unknown[j])) for j in cols]
-        for j in cols:
-            digits[int(unknown[j]) - start] = 0
-        known = 0
-        for digit in digits:
-            known = known * d + digit
-        reach = known + (d - 1) * sum(places)
-        slot = (e % n, known, list(zip(cols, places)), reach >= q)
-        if plan and plan[-1][0] == e // n:
-            plan[-1][1].append(slot)
-        else:
-            plan.append((e // n, [slot]))
-    return plan
-
-
-def _block_hits(field, inv, elements, truth, slots, guesses) -> np.ndarray:
-    """Whether each row of guesses (digits by guess column) decodes one
-    block to its plaintext truth. Each candidate column is one multiply-add
-    per unseen digit on the block's true elements, a can_overflow group
-    reaching q is a miss, and one Field.mat_vec_batch decodes them all."""
-    n = elements.size
-    # one row per component, so each column of the batch is contiguous
-    cols = np.empty((n, guesses.shape[0]), dtype=np.int64)
-    cols[:] = elements[:, None]
-    ok = None
-    for slot, known, terms, can_overflow in slots:
-        value = cols[slot]
-        # the digits may be narrow: each product is taken in int64
-        (j, place), *rest = terms
-        np.multiply(guesses[:, j], place, out=value, dtype=np.int64)
-        for j, place in rest:
-            value += np.multiply(guesses[:, j], place, dtype=np.int64)
-        if known:
-            value += known
-        if can_overflow:
-            # a digit group no field element renders to is a wrong guess
-            bad = value >= field.q
-            value[bad] = 0
-            ok = ~bad if ok is None else ok & ~bad
-    decoded = field.mat_vec_batch(inv, cols.T)
-    hit = decoded[:, 0] == truth[0]
-    for i in range(1, n):
-        hit &= decoded[:, i] == truth[i]
-    if ok is not None:
-        hit &= ok
-    return hit
-
-
 def _checked_count(value, name: str, low: int) -> int:
     """value as an int of at least low; a bool or a non-integer is refused."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
@@ -338,61 +276,14 @@ def simulate_guess(
         )
     if u == 0:
         return 1.0
-    field = scenario.matrix.field
-    inv = scenario.matrix.inverse()
-    n, d = scenario.matrix.n, scenario.d
-    touched = _guess_plan(scenario)
-    # the coded elements of the touched blocks only, parsed from their
-    # slices of the stream; the blocks come in stream order, so one walk
-    # over the render lengths finds where each starts
-    lengths = scenario.render_lengths
-    blocks = []
-    start = elem = 0
-    for blk, _ in touched:
-        start += int(lengths[elem : blk * n].sum())
-        elem = blk * n + n
-        block_lengths = lengths[blk * n : elem]
-        stop = start + int(block_lengths.sum())
-        digits = scenario.stream[start:stop]
-        blocks.append(codec.parse_renders(digits, block_lengths, d))
-        start = stop
-    # and their plaintext truth
-    truths = field.mat_vec_batch(inv, np.stack(blocks))
-
-    chunk_size = min(1 << 15, trials)
-    # per touched block, in stream order: (elements, truth, slots, columns,
-    # powers, table). A block of at most chunk_size digit patterns decodes
-    # each pattern once into table; a trial then looks up its pattern's
-    # key, sum(guess[columns[i]] * d^i). Other blocks decode trial by trial.
-    steps = []
-    for (_, slots), elements, truth in zip(touched, blocks, truths):
-        columns = sorted({j for *_, terms, _ in slots for j, _ in terms})
-        powers = d ** np.arange(len(columns), dtype=np.int64)
-        table = None
-        if d ** len(columns) <= chunk_size:
-            local = {j: i for i, j in enumerate(columns)}
-            table = _block_hits(
-                field, inv, elements, truth,
-                [(c, known, [(local[j], place) for j, place in terms], over)
-                 for c, known, terms, over in slots],
-                np.arange(d ** len(columns))[:, None] // powers % d,
-            )
-        steps.append((elements, truth, slots, columns, powers, table))
-
+    # a trial decodes to the plaintext iff every guessed digit is the true
+    # one (see the module docstring): each column keeps the rows still alive
+    truth = scenario.stream[scenario.unknown_positions]
+    rng = np.random.default_rng(seed)
     successes = 0
-    for guesses in _draws(np.random.default_rng(seed), d, trials, chunk_size, u):
-        # success is the AND over blocks: each block after the first sees
-        # only the trials every earlier block left alive
-        for elements, truth, slots, columns, powers, table in steps:
-            if table is None:
-                hit = _block_hits(field, inv, elements, truth, slots, guesses)
-            else:
-                # the digits are narrow: the key is summed in int64
-                key = guesses[:, columns[0]].astype(np.int64)
-                for j, power in zip(columns[1:], powers[1:]):
-                    key += guesses[:, j] * power
-                hit = table[key]
-            guesses = guesses.take(np.flatnonzero(hit), axis=0)
+    for guesses in _draws(rng, scenario.d, trials, min(1 << 15, trials), u):
+        for j in range(u):
+            guesses = guesses.take(np.flatnonzero(guesses[:, j] == truth[j]), axis=0)
             if not guesses.shape[0]:
                 break
         successes += guesses.shape[0]

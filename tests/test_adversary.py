@@ -13,6 +13,7 @@ from ncss import adversary, codec, gf, pipeline, planner, storage
 from ncss.adversary import AttackScenario, DigitSelection, EntropyReport
 from ncss.codec import ALPHA_BOUNDED, STRICT
 from ncss.errors import (
+    BadBaseError,
     ConfigError,
     EnumerationTooLargeError,
     TooManyUnknownsError,
@@ -240,6 +241,22 @@ class TestSimulateGuess:
         assert type(got) is float
 
 
+def hidden_elements(sc):
+    """Per element holding an unseen digit, in stream order: (element,
+    first digit, render length, the largest value a guess can give it)."""
+    ends = np.cumsum(sc.render_lengths)
+    pos = sc.unknown_positions
+    out = []
+    for elem in np.unique(np.searchsorted(ends, pos, side="right")).tolist():
+        stop = int(ends[elem])
+        start = stop - int(sc.render_lengths[elem])
+        digits = sc.stream[start:stop].tolist()
+        for p in pos[(pos >= start) & (pos < stop)].tolist():
+            digits[p - start] = sc.d - 1
+        out.append((elem, start, stop - start, oracles.from_digits(digits, sc.d)))
+    return out
+
+
 class TestGuessBitIdentity:
     """simulate_guess is pinned to the floats of its per-element form: the
     same chunked draw and decode give the same count of successes."""
@@ -269,12 +286,13 @@ class TestGuessBitIdentity:
 
     def test_overflow_case_can_overflow(self):
         sc = GUESS_SCENARIOS["d3-overflow"]()
-        slots = [slot for _, block in adversary._guess_plan(sc) for slot in block]
-        assert any(can_overflow for *_, can_overflow in slots)
+        q = sc.matrix.field.q
+        assert any(reach >= q for *_, reach in hidden_elements(sc))
 
     def test_three_blocks_touched(self):
-        plan = adversary._guess_plan(GUESS_SCENARIOS["three-blocks"]())
-        assert [blk for blk, _ in plan] == [0, 1, 2]
+        sc = GUESS_SCENARIOS["three-blocks"]()
+        elements = [elem for elem, *_ in hidden_elements(sc)]
+        assert sorted({elem // sc.matrix.n for elem in elements}) == [0, 1, 2]
 
     @pytest.mark.parametrize("name", sorted(GUESS_SCENARIOS))
     @pytest.mark.parametrize("trials", [1, 7, 3000])
@@ -292,6 +310,61 @@ class TestGuessBitIdentity:
         assert got == oracles.slow_guess(sc, trials, 4)
 
 
+class TestGuessSweep:
+    """simulate_guess equals the decoding oracle on random one-block
+    scenarios: random points and plaintext, bases 2 to 16, both modes."""
+
+    # (d, mode, field sizes k): strict needs log2(d) to divide k
+    SHAPES = [
+        (2, STRICT, (3, 4, 8)), (4, STRICT, (4, 8)), (16, STRICT, (4, 8)),
+        (2, ALPHA_BOUNDED, (3, 4, 8)), (3, ALPHA_BOUNDED, (3, 4)),
+        (4, ALPHA_BOUNDED, (4, 8)), (10, ALPHA_BOUNDED, (4, 8)),
+        (16, ALPHA_BOUNDED, (8,)),
+    ]
+
+    def test_random_scenarios_match_oracle(self):
+        rng = np.random.default_rng(16)
+        overflow = leading_zero = hits = 0
+        for d, mode, ks in self.SHAPES:
+            for _ in range(25):
+                k, n = int(rng.choice(ks)), int(rng.integers(2, 6))
+                q = 1 << k
+                if mode == STRICT:
+                    alpha, width = None, codec.strict_width(k, d)
+                else:
+                    alpha = float(rng.choice([1.5, 2.0, 5.0]))
+                    width = codec.min_width_alpha(k, d, alpha)
+                points = rng.choice(np.arange(1, q), size=n, replace=False)
+                a = gf.build_vandermonde(gf.FieldSpec(k=k, d=d), points.tolist())
+                plan = codec.GroupingPlan(
+                    mode=mode, d=d, k=k, width=width, r=n, pad_count=0, alpha=alpha
+                )
+                block = codec.encode_block(a, rng.integers(0, q, size=n), plan)
+                total = block.total_digits
+                u = int(rng.integers(1, min(6, total) + 1))
+                sc = AttackScenario(
+                    matrix=a, d=d, render_lengths=block.render_lengths,
+                    stream=block.render_digits,
+                    unknown_positions=np.sort(rng.choice(total, size=u, replace=False)),
+                )
+                trials, seed = int(rng.integers(1, 201)), int(rng.integers(0, 1000))
+                got = adversary.simulate_guess(sc, trials, seed)
+                assert got == oracles.slow_guess(sc, trials, seed), (
+                    d, mode, k, points.tolist(), sc.unknown_positions.tolist(),
+                    trials, seed,
+                )
+                hits += got > 0
+                hidden = hidden_elements(sc)
+                # a guess can name a digit group no element renders to
+                overflow += any(reach >= q for *_, reach in hidden)
+                # or give a minimal alpha render a leading zero
+                leading_zero += mode == ALPHA_BOUNDED and any(
+                    length > 1 and start in sc.unknown_positions
+                    for _, start, length, _ in hidden
+                )
+        assert overflow and leading_zero and hits, (overflow, leading_zero, hits)
+
+
 def edge_scenario(hidden):
     """Two k=8, d=2, n=2 blocks of 16 digits: `hidden` unseen digits at the
     head of block 0, one in block 1."""
@@ -300,43 +373,21 @@ def edge_scenario(hidden):
     )
 
 
-def spy_block_hits(monkeypatch):
-    """The shape of the guesses every _block_hits call is given: a table
-    build passes its d^u_b patterns over the block's u_b columns."""
-    shapes = []
-    real = adversary._block_hits
-
-    def spy(*args):
-        shapes.append(args[-1].shape)
-        return real(*args)
-
-    monkeypatch.setattr(adversary, "_block_hits", spy)
-    return shapes
-
-
 class TestGuessMemo:
-    """A block of at most min(trials, 2^15) digit patterns decodes each
-    pattern once; its trials look their pattern up. Blocks with more
-    patterns decode trial by trial. Both give the oracle's count."""
+    """Unseen digits spread over several blocks, more digit patterns than
+    one chunk of trials, and digit groups that can reach q all give the
+    oracle's count."""
 
-    # 2, 3 and 1 unseen digits in blocks 0, 1 and 2 (4, 8 and 2 patterns)
+    # 2, 3 and 1 unseen digits in blocks 0, 1 and 2
     MIXED = dict(k=4, d=2, n=3, blocks=3, seed=5, positions=[2, 7, 13, 14, 20, 30])
-    PATTERNS = {0: (4, 2), 1: (8, 3), 2: (2, 1)}
 
-    @pytest.mark.parametrize("trials,tabled", [
-        (1, []), (3, [2]), (4, [0, 2]), (7, [0, 2]), (8, [0, 1, 2]),
-        (3000, [0, 1, 2]),
-    ])
-    def test_mixed_selection_matches_oracle(self, monkeypatch, trials, tabled):
+    @pytest.mark.parametrize("trials", [1, 3, 4, 7, 8, 3000])
+    def test_mixed_selection_matches_oracle(self, trials):
         sc = stream_scenario(**self.MIXED)
-        shapes = spy_block_hits(monkeypatch)
         for seed in (0, 11):
-            shapes.clear()
             assert adversary.simulate_guess(sc, trials, seed) == oracles.slow_guess(
                 sc, trials, seed
             )
-            tables = [shape for shape in shapes if shape[1] < sc.unknown_count]
-            assert tables == [self.PATTERNS[blk] for blk in tabled]
 
     def test_unsorted_positions_refused(self):
         # the draw assigns its columns to the positions in increasing order
@@ -345,9 +396,8 @@ class TestGuessMemo:
 
     @pytest.mark.parametrize("trials", [7, 3000])
     def test_overflow_onto_a_zero_element_is_a_miss(self, trials):
-        # base-3 pairs render GF(8); "22" reads 8, which the candidate
-        # column stores as 0, the true element: only the overflow mask
-        # keeps that guess a miss
+        # base-3 pairs render GF(8); "22" reads 8, which names no element:
+        # the guess differs from the true "00", so it is a miss
         a = gf.build_vandermonde(gf.FieldSpec(k=3, d=3), gf.default_points(3))
         sc = AttackScenario(
             matrix=a, d=3, render_lengths=[2, 2, 2], stream=np.zeros(6),
@@ -358,74 +408,67 @@ class TestGuessMemo:
             assert got == oracles.slow_guess(sc, trials, seed)
         assert abs(adversary.simulate_guess(sc, 90_000, 1) - 1 / 9) < 0.01
 
-    @pytest.mark.parametrize("hidden,tabled", [(15, True), (16, False)])
-    def test_pattern_count_at_the_chunk_size(self, monkeypatch, hidden, tabled):
-        # 2^15 patterns fill one chunk and take the table; 2^16 do not
+    @pytest.mark.parametrize("hidden", [15, 16])
+    def test_many_unseen_digits_match_oracle(self, hidden):
+        # 2^15 and 2^16 digit patterns in block 0, over two chunks of trials
         sc = edge_scenario(hidden)
         trials = (1 << 16) + 3
-        shapes = spy_block_hits(monkeypatch)
         got = adversary.simulate_guess(sc, trials, 3)
         assert got == oracles.slow_guess(sc, trials, 3)
         assert got > 0
-        assert ((1 << hidden, hidden) in shapes) == tabled
-        assert (2, 1) in shapes  # the one-digit block always takes the table
-
-    @pytest.mark.parametrize("name,patterns", [
-        ("audit-strict", 16 + 64), ("audit-alpha5", 4 + 16 + 16),
-    ])
-    def test_traced_muls_do_not_depend_on_the_seed(self, name, patterns):
-        sc = GUESS_SCENARIOS[name]()
-        field, n = sc.matrix.field, sc.matrix.n
-        sc.matrix.inverse()  # cached on the matrix: its products count once
-        counts = []
-        field.counter = gf.OpCounter()
-        try:
-            for seed in (1, 2):
-                field.counter.reset()
-                adversary.simulate_guess(sc, 1 << 20, seed)
-                counts.append(field.counter.muls)
-        finally:
-            field.counter = None
-        # the decoded truth of each touched block, then its patterns once
-        ends = np.cumsum(sc.render_lengths)
-        elements = np.searchsorted(ends, sc.unknown_positions, side="right")
-        touched = np.unique(elements // n).size
-        assert counts == [n * n * (touched + patterns)] * 2
 
 
 class TestGuessDecodesTouchedBlocks:
-    """simulate_guess decodes the truth of the blocks holding an unseen digit
-    only, and nothing at all when no digit is unseen."""
+    """simulate_guess scores digits: it parses and decodes no block, so the
+    field multiplications it counts are none, whatever the seed."""
 
     # 40 blocks of 12 digits; three unseen digits, all in block 17
     MANY = dict(k=4, d=2, n=3, blocks=40, seed=6, positions=[205, 209, 214])
 
     @staticmethod
-    def spy_rows(monkeypatch):
-        """The batch size of every Field.mat_vec_batch call."""
-        rows = []
-        real = gf.Field.mat_vec_batch
+    def spy_calls(monkeypatch):
+        """The name of every Field.mat_vec_batch and codec.parse_renders
+        call."""
+        calls = []
+        real_batch, real_parse = gf.Field.mat_vec_batch, codec.parse_renders
 
-        def spy(field, m, vs):
-            rows.append(len(vs))
-            return real(field, m, vs)
+        def batch(field, m, vs):
+            calls.append("mat_vec_batch")
+            return real_batch(field, m, vs)
 
-        monkeypatch.setattr(gf.Field, "mat_vec_batch", spy)
-        return rows
+        def parse(*args, **kwargs):
+            calls.append("parse_renders")
+            return real_parse(*args, **kwargs)
 
-    def test_only_the_touched_block_is_decoded(self, monkeypatch):
-        sc = stream_scenario(**self.MANY)
+        monkeypatch.setattr(gf.Field, "mat_vec_batch", batch)
+        monkeypatch.setattr(codec, "parse_renders", parse)
+        return calls
+
+    @pytest.mark.parametrize("name", ["many", "audit-strict", "audit-alpha5"])
+    def test_no_block_is_decoded(self, monkeypatch, name):
+        if name == "many":
+            sc = stream_scenario(**self.MANY)
+        else:
+            sc = GUESS_SCENARIOS[name]()
         want = oracles.slow_guess(sc, 300, 4)
-        rows = self.spy_rows(monkeypatch)
-        assert adversary.simulate_guess(sc, 300, 4) == want
-        # the truth of block 17, then its 2^3 digit patterns
-        assert rows == [1, 8]
+        calls = self.spy_calls(monkeypatch)
+        field = sc.matrix.field
+        field.counter = gf.OpCounter()
+        try:
+            assert adversary.simulate_guess(sc, 300, 4) == want
+            for seed in (1, 2):
+                adversary.simulate_guess(sc, 1 << 20, seed)
+            muls = field.counter.muls
+        finally:
+            field.counter = None
+        assert calls == []
+        assert muls == 0
 
     def test_nothing_is_decoded_without_unseen_digits(self, monkeypatch):
         sc = stream_scenario(**{**self.MANY, "positions": []})
-        rows = self.spy_rows(monkeypatch)
+        calls = self.spy_calls(monkeypatch)
         assert adversary.simulate_guess(sc, 10, 0) == 1.0
-        assert rows == []
+        assert calls == []
 
 
 class SpyRng:
@@ -617,15 +660,35 @@ class TestScenarioFromPlan:
 
     @pytest.mark.parametrize("positions", [
         [1, 1], [-1], [64], [5, 3], [0, 63, 64], [[1, 2]],
+        [0.5, 1.7], [0.0, 1.0], [True], ["3"],
     ])
     def test_bad_unknown_positions_refused(self, positions):
         # the 8-byte audit store renders 64 digits; [1, 1] would add two
         # guessed digits into one place, [-1] would score a digit from the
-        # end, [64] would index past the stream
+        # end, [64] would index past the stream, [0.5, 1.7] would be
+        # truncated to [0, 1]
         sc = GUESS_SCENARIOS["audit-strict"]()
         assert sc.total_digits == 64
         with pytest.raises(ConfigError, match="strictly increasing"):
             dataclasses.replace(sc, unknown_positions=positions)
+
+    @pytest.mark.parametrize("d,error", [
+        (1, BadBaseError), (0, BadBaseError), (-2, BadBaseError),
+        (True, ConfigError), (2.0, ConfigError), ("2", ConfigError),
+        ((1 << 16) + 1, ConfigError), (1 << 64, ConfigError),
+    ])
+    def test_bad_base_refused(self, d, error):
+        sc = GUESS_SCENARIOS["audit-strict"]()
+        with pytest.raises(ConfigError, match="digit base") as info:
+            dataclasses.replace(sc, d=d)
+        assert info.type is error
+
+    @pytest.mark.parametrize("d", [np.uint8(2), 3, 1 << 16])
+    def test_base_bounds_accepted(self, d):
+        # the audit store's digits are 0 and 1, digits of any base
+        sc = dataclasses.replace(GUESS_SCENARIOS["audit-strict"](), d=d)
+        assert type(sc.d) is int and sc.d == d
+        assert 0 <= adversary.simulate_guess(sc, 100, 1) <= 1
 
     def test_hidden_positions_are_the_gaps_between_runs(self):
         rng = np.random.default_rng(3)

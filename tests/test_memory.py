@@ -10,6 +10,7 @@ stream alone costs 64 bytes per payload byte.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from ncss import adversary, gf, pipeline, storage
 from ncss.planner import SecurityProfile
@@ -93,6 +94,18 @@ def test_entropy_audit_peak():
     assert peak <= BYTES_PER_PLAINTEXT * plaintexts, f"{peak / plaintexts:.1f} B/plaintext"
 
 
+@pytest.fixture(scope="module")
+def stored_mib():
+    """A 1 MiB strict d=2 store at n=100 over three clouds, and its manifest."""
+    root = storage.MemoryRoot(3)
+    pipeline.store_digits(
+        pipeline.bytes_to_digits(np.random.default_rng(5).bytes(1 << 20), 2),
+        root, gf.FieldSpec(k=8, d=2), n=100,
+        profile=SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6),
+    )
+    return root, pipeline.load_manifest(root)
+
+
 # the attack scenario of a stored d=2 dataset holds the assembled stream
 # (8 B per payload byte) and the mask of hidden positions (8); a parse of
 # the whole stream into int64 elements would add 8 more, and more again
@@ -100,43 +113,30 @@ def test_entropy_audit_peak():
 SCENARIO_BYTES_PER_BYTE = 20
 
 
-def test_storage_scenario_peak():
-    payload = np.random.default_rng(5).bytes(1 << 20)
-    spec = gf.FieldSpec(k=8, d=2)
-    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
-    root = storage.MemoryRoot(3)
-    pipeline.store_digits(
-        pipeline.bytes_to_digits(payload, 2), root, spec, n=100, profile=profile
-    )
-    manifest = pipeline.load_manifest(root)
+def test_storage_scenario_peak(stored_mib):
+    root, manifest = stored_mib
     adversary.scenario_from_storage(manifest, root, 0)  # fill the caches first
     for target in (2, adversary.ALL_CLOUDS):
         peak = _peak(lambda: adversary.scenario_from_storage(manifest, root, target))
-        per_byte = peak / len(payload)
+        per_byte = peak / (1 << 20)
         assert per_byte <= SCENARIO_BYTES_PER_BYTE, f"{target}: {per_byte:.1f} B/B"
 
 
-# locating the unseen digits of a strict stream allocates nothing per
-# stream digit or element: _hidden takes the gaps between the target's
-# runs, _guess_plan divides by the one render width
+# locating the unseen digits allocates nothing per stream digit: _hidden
+# takes the gaps between the target's runs; and the guess holds one chunk
+# of draws (2^15 trials of u narrow digits) and the rows still alive, nothing
+# per candidate element or decoded block
 PLAN_BYTES = 64 << 10
+GUESS_BYTES = 4 << 20
 
 
-def test_guess_plan_peak():
-    spec = gf.FieldSpec(k=8, d=2)
-    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
-    root = storage.MemoryRoot(3)
-    pipeline.store_digits(
-        pipeline.bytes_to_digits(np.random.default_rng(5).bytes(1 << 20), 2),
-        root, spec, n=100, profile=profile,
-    )
-    manifest = pipeline.load_manifest(root)
+def test_guess_peak(stored_mib):
+    root, manifest = stored_mib
     scenario = adversary.scenario_from_storage(manifest, root, 2)
-    assert 0 < scenario.unknown_count <= adversary.MAX_UNKNOWN_DIGITS
-    plan = adversary._guess_plan(scenario)  # import what it imports first
+    assert scenario.unknown_count == 17
+    adversary.simulate_guess(scenario, 10, 3)  # import what it imports first
     total, runs = scenario.total_digits, manifest.cloud_runs
     hidden = _peak(lambda: adversary._hidden(total, runs, 2))
-    planned = _peak(lambda: adversary._guess_plan(scenario))
-    assert adversary._guess_plan(scenario) == plan
+    guessed = _peak(lambda: adversary.simulate_guess(scenario, (1 << 16) + 3, 3))
     assert hidden <= PLAN_BYTES, f"_hidden: {hidden} B"
-    assert planned <= PLAN_BYTES, f"_guess_plan: {planned} B"
+    assert guessed <= GUESS_BYTES, f"simulate_guess: {guessed} B"
