@@ -290,8 +290,9 @@ def regroup(b: DigitString, plan: GroupingPlan) -> np.ndarray:
 
 
 def ungroup(elements: np.ndarray, plan: GroupingPlan) -> DigitString:
-    """Inverse of regroup: expand elements to digits and strip the padding."""
-    elements = np.asarray(elements, dtype=np.int64)
+    """Inverse of regroup: expand elements (integers of any dtype, which is
+    kept) to digits and strip the padding."""
+    elements = np.asarray(elements)
     if elements.shape != (plan.r,):
         raise PlanMismatchError(
             f"plan describes {plan.r} elements, got {elements.shape}"
@@ -331,16 +332,19 @@ def fold_digits(groups: np.ndarray, d: int, dtype=np.int64) -> np.ndarray:
 def expand_digits(values: np.ndarray, d: int, width: int, dtype=np.int64) -> np.ndarray:
     """Big-endian fixed-width digit expansion; shape (len(values), width).
 
-    Values are taken modulo d**width and the digits returned in dtype. Base 2
-    at widths 8 and 16 unpacks big-endian bytes; other power-of-two bases
-    shift and mask in place; others divide digit by digit.
+    Values are taken modulo d**width and the digits returned in dtype. Where
+    the values are one or two big-endian bytes, base 2 unpacks them and base
+    256 takes them as they are; other power-of-two bases shift and mask in
+    place; others divide digit by digit.
     """
     values = np.asarray(values).reshape(-1)
     if values.dtype.kind not in "iu":
         values = values.astype(np.int64)
-    if d == 2 and width in (8, 16):
-        octets = values.astype(f">u{width // 8}").view(np.uint8)
-        return np.unpackbits(octets).reshape(-1, width).astype(dtype, copy=False)
+    octet_width = {2: 8, 256: 1}.get(d, 0)
+    if octet_width and width in (octet_width, 2 * octet_width):
+        octets = values.astype(f">u{width // octet_width}").view(np.uint8)
+        digits = np.unpackbits(octets) if d == 2 else octets
+        return digits.reshape(-1, width).astype(dtype, copy=False)
     out = np.empty((values.size, width), dtype=dtype)
     if d > 0 and d & (d - 1) == 0:
         j = d.bit_length() - 1
@@ -359,8 +363,11 @@ def expand_digits(values: np.ndarray, d: int, width: int, dtype=np.int64) -> np.
 
 def pack_digits(digits: np.ndarray, d: int) -> bytes:
     """Power-of-two-base digits as log2(d) bits each, big-endian, with the
-    last byte zero-padded: the byte layout of data and of shard payloads."""
+    last byte zero-padded: the byte layout of data and of shard payloads.
+    At d = 256 the digits are the bytes."""
     j = d.bit_length() - 1
+    if j == 8:
+        return np.asarray(digits).astype(np.uint8, copy=False).tobytes()
     if j > 1:
         digits = expand_digits(digits, 2, j, np.uint8)
     return np.packbits(digits).tobytes()
@@ -368,14 +375,46 @@ def pack_digits(digits: np.ndarray, d: int) -> bytes:
 
 def unpack_digits(payload: bytes, d: int, count: int, start: int = 0) -> np.ndarray:
     """Inverse of pack_digits: count digits from digit start on, in
-    digit_dtype(d); only the bytes holding them are read. payload must hold
-    at least (start + count) * log2(d) bits."""
+    digit_dtype(d), as a fresh array; only the bytes holding them are read.
+    payload must hold at least (start + count) * log2(d) bits."""
     j = d.bit_length() - 1
+    if j == 8:
+        return np.frombuffer(payload, np.uint8, count, start).copy()
     first, skip = divmod(start * j, 8)
     nbits = skip + count * j
     octets = np.frombuffer(payload, np.uint8, count=-(-nbits // 8), offset=first)
     bits = np.unpackbits(octets, count=nbits)[skip:]
     return fold_digits(bits.reshape(count, j), 2, digit_dtype(d))
+
+
+def copy_bits(dst: np.ndarray, at: int, src, start: int, count: int) -> None:
+    """Copy count bits of the bytes src, from bit start on, into the uint8
+    array dst from bit at on; bits are numbered big-endian within each byte,
+    as pack_digits lays digits out, and every other bit of dst is kept.
+
+    The source bytes are shifted by the difference of the two offsets
+    within a byte, each OR-ed with its neighbour's bits, and dst's bits
+    around both ends are then restored.
+    """
+    if count <= 0:
+        return
+    raw = np.frombuffer(src, np.uint8, ((start & 7) + count + 7) >> 3, start >> 3)
+    out = dst[at >> 3 : (at + count + 7) >> 3]
+    head, tail = int(out[0]), int(out[-1])
+    shift = (start & 7) - (at & 7)
+    if shift > 0:  # out[i] takes the low bits of raw[i] and the high of raw[i + 1]
+        np.left_shift(raw[: out.size], shift, out=out)
+        out[: raw.size - 1] |= raw[1:] >> (8 - shift)
+    elif shift < 0:  # out[i] takes the high bits of raw[i] and the low of raw[i - 1]
+        np.right_shift(raw, -shift, out=out[: raw.size])
+        out[raw.size :] = 0
+        out[1:] |= raw[: out.size - 1] << (8 + shift)
+    else:
+        out[:] = raw
+    before = (0xFF00 >> (at & 7)) & 0xFF  # dst bits ahead of the copy
+    out[0] = head & before | int(out[0]) & ~before
+    after = (1 << (-(at + count) & 7)) - 1  # dst bits behind it
+    out[-1] = tail & after | int(out[-1]) & ~after
 
 
 _SEGMENT_BYTES = 256 << 10  # payload per segment of the store and recover loops

@@ -5,11 +5,13 @@ of x^i in the polynomial basis. Scalar and elementwise multiplication go
 through log/antilog tables built once per (k, polynomial) pair; for k <= 8
 the field also keeps its full q x q product table (64 KiB at k=8).
 
-Field.mat_vec_batch is the one matrix product: a broadcast log/antilog
+Field.mat_vec_batch is the general matrix product: a broadcast log/antilog
 product for a short batch, per-column table gathers for a long one.
 EncodingMatrix.encode_blocks codes a message's blocks in place: for k <= 8
 one gather from the matrix's column table (Field._column_table) and one XOR
-per block, for k > 8 one mat_vec_batch call.
+per block, for k > 8 one mat_vec_batch call. EncodingMatrix.decode_blocks
+runs the same per-column gathers (Field._gather_xor) over tables of the
+inverse that it builds once, in the field's dtype.
 """
 
 from __future__ import annotations
@@ -138,6 +140,8 @@ class Field:
         self.q = 1 << k
         self.poly = poly
         self.counter: OpCounter | None = None
+        # the narrowest dtype holding every element
+        self.dtype = np.dtype(np.uint8 if k <= 8 else np.uint16)
         self._build_tables()
 
     # -- construction -------------------------------------------------
@@ -275,11 +279,11 @@ class Field:
 
         A batch of at most _BROADCAST_BATCH rows takes one broadcast product.
         Otherwise column j's products m[:, j] * t, for every value t, form a
-        (t, row) table gathered at vs[:, j] and XORed into the accumulator:
-        k <= 8 slices the product table; k > 8 builds split tables for the
-        low byte and the high part of t (two gathers), unless the batch is
-        shorter than those (256 + 2^(k-8) rows): then the column's products
-        are computed directly.
+        (t, row) table (_gather_table) gathered at vs[:, j] and XORed into
+        the accumulator (_gather_xor): k <= 8 slices the product table; k > 8
+        builds split tables for the low byte and the high part of t (two
+        gathers), unless the batch is shorter than those (256 + 2^(k-8)
+        rows): then the column's products are computed directly.
         """
         m, vs = self._operand(m), self._operand(vs)
         if m.ndim != 2 or vs.ndim != 2 or m.shape[1] != vs.shape[1]:
@@ -292,20 +296,39 @@ class Field:
             self.counter.muls += rows * cols * batch
         if batch <= _BROADCAST_BATCH:
             return np.bitwise_xor.reduce(self._products(m, vs[:, None, :]), axis=2)
-        acc = np.zeros((batch, rows), dtype=np.uint8 if self.k <= 8 else np.uint16)
-        high_bytes = _HIGH_BYTES[: self.q >> 8]
-        for j in range(cols):
-            a, v = m[:, j], vs[:, j]
-            if self._product is not None:
-                acc ^= self._product[a].T.take(v, axis=0)
-            elif batch < _LOW_BYTES.size + high_bytes.size:
-                acc ^= self._products(v[:, None], a[None, :]).astype(np.uint16)
-            else:
-                low = self._products(_LOW_BYTES[:, None], a[None, :])
-                high = self._products(high_bytes[:, None], a[None, :])
-                acc ^= low.astype(np.uint16).take(v & 0xFF, axis=0)
-                acc ^= high.astype(np.uint16).take(v >> 8, axis=0)
+        columns = np.ascontiguousarray(vs.T)
+        if self._product is None and batch < _LOW_BYTES.size + (self.q >> 8):
+            acc = np.zeros((batch, rows), dtype=self.dtype)
+            for a, v in zip(m.T, columns):
+                acc ^= self._products(v[:, None], a[None, :]).astype(self.dtype)
+        else:
+            acc = self._gather_xor(map(self._gather_table, m.T), columns, rows)
         return acc.astype(np.int64)
+
+    def _gather_table(self, a: np.ndarray) -> np.ndarray:
+        """The products of column a (int64, entries in the field) by every
+        value, not counted, as a C-contiguous (value, row) table in the
+        field's dtype: row t holds a * t for k <= 8. For k > 8, row t < 256
+        holds a * t and row 256 + h holds a * (h << 8), so a * v is row
+        v & 0xFF XOR row 256 + (v >> 8)."""
+        if self._product is not None:
+            return self._product[:, a]
+        values = np.concatenate([_LOW_BYTES, _HIGH_BYTES[: self.q >> 8]])
+        return self._products(values[:, None], a[None, :]).astype(self.dtype)
+
+    def _gather_xor(self, tables, columns: np.ndarray, rows: int) -> np.ndarray:
+        """out[b] = XOR over j of tables[j] gathered at columns[j, b]: the
+        product of the matrix whose columns' _gather_tables these are with
+        every vector b, whose entry j is columns[j, b] (entries in the field;
+        each column contiguous). Returns (batch, rows) in the field's dtype."""
+        acc = np.zeros((columns.shape[1], rows), dtype=self.dtype)
+        for table, v in zip(tables, columns):
+            if self._product is not None:
+                acc ^= table.take(v, axis=0)
+            else:
+                acc ^= table[:256].take(v & 0xFF, axis=0)
+                acc ^= table[256:].take(v >> 8, axis=0)
+        return acc
 
     # The benchmark's tracer lists these two names (perfbench/tracer.py); no
     # library code calls them. Drop them once that list does (ROADMAP item 8).
@@ -390,8 +413,8 @@ class EncodingMatrix:
     """Square Vandermonde matrix over GF(2^k): entry (i, j) = points[j]^i.
 
     Points are pairwise distinct and nonzero, so the matrix is invertible.
-    Instances are immutable; the inverse and, for k <= 8, the column table
-    are computed lazily and cached.
+    Instances are immutable; the inverse, the decode tables and, for k <= 8,
+    the column table are computed lazily and cached.
     """
 
     def __init__(self, field: Field, points: tuple[int, ...], rows: np.ndarray):
@@ -403,6 +426,7 @@ class EncodingMatrix:
         self.rows = rows
         self._inverse: np.ndarray | None = None
         self._columns: np.ndarray | None = None
+        self._decode: np.ndarray | None = None
 
     def inverse(self) -> np.ndarray:
         if self._inverse is None:
@@ -435,6 +459,22 @@ class EncodingMatrix:
         blocks[:] = blocks.view(np.uint8)[:, :n]
         if field.counter is not None:
             field.counter.muls += blocks.size * n
+
+    def decode_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """A^-1 times each row of blocks (integers of shape (count, n),
+        entries in the field), in the field's dtype; count * n^2 products
+        are counted. The _gather_tables of A^-1's columns are built on the
+        first call and kept: n^2 q bytes for k <= 8, 2 n^2 (256 + 2^(k-8))
+        bytes above."""
+        field = self.field
+        if self._decode is None:
+            tables = np.stack([field._gather_table(a) for a in self.inverse().T])
+            tables.setflags(write=False)
+            self._decode = tables
+        columns = np.ascontiguousarray(blocks.T, dtype=field.dtype)
+        if field.counter is not None:
+            field.counter.muls += blocks.size * self.n
+        return field._gather_xor(self._decode, columns, self.n)
 
     def __repr__(self) -> str:
         return f"EncodingMatrix(n={self.n}, k={self.field.k}, points={self.points})"

@@ -6,9 +6,13 @@ the render lengths alone, all equal to the width, then codes and renders
 one segment at a time, and storage.store_shards packs each segment into
 the shards as it arrives. recover is reconstruct(manifest,
 *fetch_shards(manifest, root)): fetch_shards checks every shard and returns
-lazy payload views, and reconstruct checks the runs, then decodes one
-segment at a time into the output digit array. So peak memory is the
-caller's input or output digits, plus the packed shards, plus one segment.
+its packed payload, and reconstruct checks the runs, then, one segment at a
+time, gathers the segment's packed bits from the payloads, decodes its
+elements in the field's dtype (straight from those bytes when each element
+is one or two whole bytes) and expands them into the output digit array,
+which is allocated after the first segment. So peak memory is the caller's
+input or output digits, plus the packed shards, plus one segment, plus the
+cached decode tables of the matrix (n^2 q bytes at k <= 8).
 An alpha-bounded message is one segment: its render lengths follow from
 the coded values, so it is coded before it is planned.
 

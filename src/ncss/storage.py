@@ -17,11 +17,13 @@ the local share, which packs whole bytes at once and keeps the fewer than
 one byte's worth of digits left over for the next piece. Each shard is
 finished once the stream is complete (header, payload, CRC, atomic write);
 the manifest is written last. fetch_shards checks every shard's CRC and
-header and returns lazy payload views; reconstruct checks each digit count
+header and returns the packed payloads; reconstruct checks each digit count
 against its runs and that the runs tile the stream, then, one segment at a
-time, unpacks each run piece straight from the packed payload, parses,
-range-checks, decodes and expands it into the one output digit array. Peak
-memory is the caller's digits (the input of a store, the output of a
+time, copies each run piece's bits straight from the packed payload into
+the segment's packed bits, reads the elements from those bytes (or unpacks
+and parses them where an element is not one or two whole bytes), decodes
+them in the field's dtype and expands them into the one output digit array.
+Peak memory is the caller's digits (the input of a store, the output of a
 recover) plus the packed shards plus one segment.
 
 Integrity is CRC-32C per shard; confidentiality rests on the coding scheme.
@@ -58,7 +60,7 @@ from .errors import (
     PipelineError,
     WriteFailureError,
 )
-from .gf import FieldSpec, cached_vandermonde, get_field
+from .gf import FieldSpec, cached_vandermonde
 from .planner import DistributionPlan, SecurityProfile
 
 MAGIC = b"NCSS"
@@ -210,19 +212,24 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 _HEADER_BYTES = 15
 
 
+def _header_j(d: int) -> int:
+    """The shard header's log2(d) for a power-of-two base d, 0 otherwise."""
+    j = d.bit_length() - 1
+    return j if 1 << j == d else 0
+
+
 class _ShardPacker:
     """One shard's bytes, packed as its digits arrive in stream order. Digits
     that do not yet fill a whole byte wait for the next piece; the header,
     whose count is known last, is written by finish()."""
 
     def __init__(self, d: int, k: int):
-        j = d.bit_length() - 1
-        if (1 << j) != d and d > 256:
+        self.d, self.k = d, k
+        self.j = _header_j(d)
+        if not self.j and d > 256:
             raise ConfigError(
                 f"byte-per-digit payloads support d <= 256, got d={d}"
             )
-        self.d, self.k = d, k
-        self.j = j if (1 << j) == d else 0
         # the fewest digits that fill whole bytes
         self.whole = 8 // math.gcd(self.j, 8) if self.j else 1
         self.buf = bytearray(_HEADER_BYTES)
@@ -259,20 +266,25 @@ def pack_shard(digits: np.ndarray, d: int, k: int) -> bytes:
     return bytes(packer.finish())
 
 
+def _unpacked(packed, j: int, count: int, start: int = 0) -> np.ndarray:
+    """count digits from digit start on of bytes packed as a shard payload
+    whose header holds j: log2(d) bits a digit, or a byte a digit for 0."""
+    if not j:
+        return np.frombuffer(packed, np.uint8, count, start)
+    return codec.unpack_digits(packed, 1 << j, count, start)
+
+
 class Payload:
-    """A shard payload seen as its digit array: slicing unpacks only the
-    digits asked for, read-only, in the digit dtype of the shard's base."""
+    """A shard payload: size digits packed as the header's j says (log2(d)
+    bits a digit, or a byte a digit for 0). Slicing unpacks only the digits
+    asked for, read-only, in the digit dtype of the shard's base."""
 
     def __init__(self, payload: memoryview, j: int, count: int):
         self.payload, self.j, self.size = payload, j, count
 
     def __getitem__(self, part: slice) -> np.ndarray:
         start, stop, _ = part.indices(self.size)
-        count = max(0, stop - start)
-        if self.j in (0, 8):  # a digit per byte: the bytes themselves
-            digits = np.frombuffer(self.payload, np.uint8, count, start)
-        else:
-            digits = codec.unpack_digits(self.payload, 1 << self.j, count, start)
+        digits = _unpacked(self.payload, self.j, max(0, stop - start), start)
         digits.setflags(write=False)
         return digits
 
@@ -557,6 +569,8 @@ class Manifest:
                 raise PipelineError(
                     f"manifest lists {len(raw[name])} {name} for {clouds} clouds"
                 )
+        if raw["d"] < 2:
+            raise PipelineError("manifest digit base is below 2")
         if raw["width"] < 1:
             raise PipelineError("manifest element width is below 1")
         if raw["r"] != raw["block_count"] * raw["n"]:
@@ -600,6 +614,11 @@ def _encode_lengths(lengths: np.ndarray) -> str:
 
 # ---------------------------------------------------------------------------
 # store / fetch / reconstruct
+
+
+# run pieces averaging this many bits and more are copied packed, shorter
+# ones through one unpacked bit array
+_LONG_PIECE_BITS = 1536
 
 
 class _RunTable:
@@ -663,16 +682,36 @@ class _RunTable:
             entry[2].append((start, stop))
         return out
 
-    def assemble(self, sources, lo: int, hi: int, dtype) -> np.ndarray:
-        """Digits [lo, hi) of the stream, taken from sources[owner], each a
-        digit array or a Payload: one slice per owner, then one copy per run."""
-        out = np.empty(hi - lo, dtype=dtype)
+    def assemble(self, sources, lo: int, hi: int, bits: int) -> np.ndarray:
+        """Digits [lo, hi) of the stream as uint8 bytes packed bits bits a
+        digit (the last byte zero-padded), taken from sources[owner], each a
+        Payload of that many bits a digit.
+
+        An owner's pieces here that average at least _LONG_PIECE_BITS bits
+        take one codec.copy_bits each. Shorter ones, which a local share of
+        a digit or so per component makes by the thousand, would each pay
+        that call's fixed cost: their bits are unpacked once, a byte a bit,
+        sliced into one bit array for the segment and packed at the end."""
+        out = np.zeros(-(-(hi - lo) * bits // 8), dtype=np.uint8)
+        spread = None
         for owner, (first, end, parts) in self.pieces(lo, hi).items():
-            held = sources[owner][first:end]
+            payload = sources[owner].payload
+            if (end - first) * bits >= _LONG_PIECE_BITS * len(parts):
+                for start, stop in parts:
+                    count = (stop - start) * bits
+                    codec.copy_bits(out, (start - lo) * bits, payload, first * bits, count)
+                    first += stop - start
+                continue
+            if spread is None:  # a row of bits per digit
+                spread = np.zeros((hi - lo, bits), dtype=np.uint8)
+            held = codec.unpack_digits(payload, 2, (end - first) * bits, first * bits)
+            held = held.reshape(-1, bits)
             at = 0
             for start, stop in parts:
-                out[start - lo : stop - lo] = held[at : at + stop - start]
+                spread[start - lo : stop - lo] = held[at : at + stop - start]
                 at += stop - start
+        if spread is not None:
+            out |= np.packbits(spread)
         return out
 
 
@@ -752,8 +791,7 @@ def fetch_shards(manifest: Manifest, root) -> tuple[list[Payload], Payload]:
     """Every cloud's payload, then the local share's, each read once and
     checked against its checksum and the manifest's header fields; nothing
     is unpacked."""
-    j = manifest.d.bit_length() - 1
-    header = (j if 1 << j == manifest.d else 0, manifest.k)
+    header = (_header_j(manifest.d), manifest.k)
 
     def read(raw: bytes, checksum: str, what: str) -> Payload:
         if format(crc32c(raw), "08x") != checksum:
@@ -773,15 +811,23 @@ def fetch_shards(manifest: Manifest, root) -> tuple[list[Payload], Payload]:
 def _checked_runs(
     manifest: Manifest, clouds: list, local
 ) -> tuple[_RunTable, np.ndarray, list]:
-    """The run table, element lengths and sources (each cloud's digits, then
-    the local share's) of a manifest whose runs tile its stream exactly once
-    and hold exactly sources[owner].size digits of each owner (None for a
-    withheld shard). A strict stream is r * width digits long: summing its
-    zero-stride lengths would walk block_count * n entries, as many as an
-    edited manifest claims, before any run is checked."""
+    """The run table, element lengths and sources (each cloud's Payload,
+    then the local share's; a digit array is packed into one) of a manifest
+    whose runs tile its stream exactly once and hold exactly
+    sources[owner].size digits of each owner (None for a withheld shard).
+    A strict stream is r * width digits long: summing its zero-stride
+    lengths would walk block_count * n entries, as many as an edited
+    manifest claims, before any run is checked."""
     if len(clouds) != manifest.p:
         raise IncompleteDataError(f"{len(clouds)} shards for {manifest.p} clouds")
-    sources = [*clouds, local]
+    j = _header_j(manifest.d)
+    sources = [
+        s if s is None or isinstance(s, Payload)
+        else _parse_shard(pack_shard(s, manifest.d, 0))[0]
+        for s in (*clouds, local)
+    ]
+    if any(s is not None and s.j != j for s in sources):
+        raise PipelineError(f"a payload is not packed for base {manifest.d}")
     lengths = manifest.element_lengths()
     if manifest.mode == STRICT:
         total = manifest.r * manifest.width
@@ -805,7 +851,9 @@ def assemble_stream(manifest: Manifest, clouds: list, local) -> np.ndarray:
     taken from each cloud's digits and the local share's (digit arrays or
     Payloads, as fetch_shards returns them); the manifest runs must tile it."""
     table, _, sources = _checked_runs(manifest, clouds, local)
-    return table.assemble(sources, 0, table.total, codec.digit_dtype(manifest.d))
+    j = _header_j(manifest.d)
+    packed = table.assemble(sources, 0, table.total, j or 8)
+    return _unpacked(packed, j, table.total)
 
 
 def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
@@ -814,36 +862,45 @@ def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
     hold no run).
 
     Every check on the runs and counts comes first. Then each segment of
-    whole blocks (codec.segments) is assembled from the run pieces it
-    covers, unpacking from each payload only the digits it needs, parsed,
-    range-checked, decoded, expanded and written into the one output digit
-    array.
+    whole blocks (codec.segments) is assembled as packed bits, one bit copy
+    per run piece straight from the payloads. Where every element renders
+    to exactly 8 or 16 bits (strict mode, d = 2^j and k in {8, 16}) those
+    bytes are the elements, read as uint8 or big-endian uint16; otherwise
+    the digits are unpacked, parsed and range-checked. The elements are
+    decoded in the field's dtype (EncodingMatrix.decode_blocks), expanded
+    and written into the one output digit array, which is allocated once
+    the first segment is decoded.
     """
     table, lengths, sources = _checked_runs(manifest, clouds, local)
     if manifest.r == 0:  # no blocks, or blocks of no elements
         return DigitString(manifest.d, [])
-    field = get_field(manifest.k, manifest.reduction_poly)
-    inverse = cached_vandermonde(
-        manifest.k, manifest.reduction_poly, manifest.points
-    ).inverse()
+    matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
     grouping = manifest.grouping_plan()
     n, block_digits = manifest.n, manifest.n * manifest.width
-    dtype = codec.digit_dtype(manifest.d)
+    j = _header_j(manifest.d)
+    bits = j or 8
+    # every element is one or two whole bytes of the packed stream
+    whole = manifest.mode == STRICT and manifest.k in (8, 16)
+    whole = whole and j * manifest.width == manifest.k
     out = None
     lo = 0
     for first, part in codec.segments(grouping, n):
         part_lengths = lengths[first * n : first * n + part.r]
         hi = table.total if part is grouping else lo + int(part_lengths.sum())
-        stream = table.assemble(sources, lo, hi, dtype)
-        elements = codec.parse_renders(stream, part_lengths, manifest.d)
-        if int(elements.max()) >= field.q:
-            raise PipelineError("recovered digits parse outside the field")
-        decoded = field.mat_vec_batch(inverse, elements.reshape(-1, n))
+        packed = table.assemble(sources, lo, hi, bits)
+        if whole:
+            elements = packed.view(f">u{manifest.k // 8}")
+        else:
+            stream = _unpacked(packed, j, hi - lo)
+            elements = codec.parse_renders(stream, part_lengths, manifest.d)
+            if int(elements.max()) >= matrix.field.q:
+                raise PipelineError("recovered digits parse outside the field")
+        decoded = matrix.decode_blocks(elements.reshape(-1, n))
         digits = codec.ungroup(decoded.reshape(-1), part)
         if part is grouping:  # one segment: its digits are the message
             return digits
         if out is None:
-            out = np.empty(grouping.message_length, dtype=dtype)
+            out = np.empty(grouping.message_length, dtype=codec.digit_dtype(manifest.d))
         out[first * block_digits : first * block_digits + len(digits)] = digits.digits
         lo = hi
     out.setflags(write=False)  # fresh: DigitString need not copy it

@@ -207,6 +207,31 @@ class TestExpandDigits:
         assert got[0].tolist() == oracles.to_digits((1 << 62) + 5, 2, 70)
 
 
+class TestCopyBits:
+    @given(
+        start=st.integers(0, 63),
+        at=st.integers(0, 63),
+        count=st.integers(0, 300),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unpackbits_oracle(self, start, at, count, data):
+        """The copied bits land at their offset; every other bit of dst,
+        the partial bytes at both ends included, is kept."""
+        src_bytes = (start + count + 7) // 8
+        src = data.draw(st.binary(min_size=src_bytes, max_size=src_bytes + 2))
+        dst_bytes = (at + count + 7) // 8 + data.draw(st.integers(0, 2))
+        dst = np.frombuffer(
+            data.draw(st.binary(min_size=dst_bytes, max_size=dst_bytes)), np.uint8
+        ).copy()
+        want = np.unpackbits(dst)
+        want[at : at + count] = np.unpackbits(np.frombuffer(src, np.uint8))[
+            start : start + count
+        ]
+        codec.copy_bits(dst, at, src, start, count)
+        assert np.unpackbits(dst).tolist() == want.tolist()
+
+
 class TestNarrowDigits:
     @pytest.mark.parametrize(
         "d,dtype",
@@ -249,6 +274,15 @@ class TestNarrowDigits:
         frozen = np.array([1, 0, 1], dtype=np.uint8)
         frozen.setflags(write=False)
         assert codec.DigitString(2, frozen).digits is frozen
+
+    def test_byte_base_unpack_is_a_fresh_copy(self):
+        """At d = 256 the bytes are the digits, copied out of the caller's
+        buffer, and pack_digits gives them back."""
+        data = bytearray(b"\x00\x07\xff\x80")
+        digits = codec.unpack_digits(data, 256, 3, 1)
+        data[1] = 9
+        assert digits.dtype == np.uint8 and digits.tolist() == [7, 255, 128]
+        assert codec.pack_digits(digits, 256) == b"\x07\xff\x80"
 
     @pytest.mark.parametrize("d,width", [(16, 4), (4, 5), (2, 300), (8, 3)])
     def test_expand_narrow_values(self, d, width):

@@ -432,6 +432,42 @@ class TestMatInvert:
         assert np.array_equal(back, vecs)
 
 
+class TestDecodeBlocks:
+    @pytest.mark.parametrize(
+        "k,n,batch", [(4, 5, 300), (8, 12, 700), (8, 3, 2), (12, 4, 50), (16, 9, 600)]
+    )
+    def test_matches_the_inverse_product(self, k, n, batch):
+        """The cached tables of A^-1 give A^-1 . v in the field's dtype, and
+        count n^2 products a block; decoding the encoded blocks gives them
+        back."""
+        f = field_for(k)
+        a = gf.build_vandermonde(f, gf.default_points(n))
+        vs = np.random.default_rng(k * n).integers(0, f.q, size=(batch, n))
+        f.counter = gf.OpCounter()
+        try:
+            out = a.decode_blocks(vs.astype(f.dtype))
+            assert f.counter.muls == batch * n * n
+        finally:
+            f.counter = None
+        assert out.dtype == f.dtype and out.shape == (batch, n)
+        inverse = a.inverse().tolist()
+        for v, got in zip(vs[:20], out):
+            assert got.tolist() == oracles.slow_mat_vec(inverse, v.tolist(), f.poly, k)
+        coded = vs.copy()
+        a.encode_blocks(coded)
+        assert a.decode_blocks(coded).tolist() == vs.tolist()
+
+    def test_tables_are_built_on_first_decode_and_kept(self):
+        a = gf.build_vandermonde(gf.get_field(8), gf.default_points(6))
+        a.inverse()
+        assert a._decode is None  # inverting alone builds no decode table
+        a.decode_blocks(np.zeros((1, 6), np.uint8))
+        tables = a._decode
+        assert tables.shape == (6, 256, 6) and not tables.flags.writeable
+        a.decode_blocks(np.ones((3, 6), np.uint8))
+        assert a._decode is tables
+
+
 class TestOpCounter:
     def test_counts_matrix_work(self, gf8):
         a = gf.build_vandermonde(gf8, (1, 2, 3))

@@ -270,6 +270,82 @@ class TestNarrowPacking:
             storage.fetch_shards(edited, root)
 
 
+# every (d, k) whose field holds a base-d digit (each has a strict width);
+# each is stored strict and alpha-bounded
+RECONSTRUCT_SHAPES = [
+    (d, k, mode)
+    for d in (2, 4, 16, 256)
+    for k in (4, 8, 16)
+    if (1 << k) >= d
+    for mode in (STRICT, ALPHA_BOUNDED)
+]
+
+
+def _odd_runs(total: int, bits: int, withheld: bool):
+    """Runs of two clouds and the local share over a total-digit stream, cut
+    at odd and even digit offsets alike: cloud 0 takes runs of more than
+    _LONG_PIECE_BITS bits (copied packed), cloud 1 runs of 3 and 5 digits
+    and the local share single digits (through one unpacked bit array).
+    withheld moves cloud 1's runs to the local share, leaving cloud 1
+    empty."""
+    runs = ([], [], [])
+    pattern = [(0, storage._LONG_PIECE_BITS // bits + 7), (1, 3), (2, 1), (1, 5)]
+    pos = 0
+    while pos < total:
+        for owner, size in pattern:
+            stop = min(total, pos + size)
+            runs[2 if withheld and owner == 1 else owner].append((pos, stop))
+            pos = stop
+    return [tuple(r) for r in runs]
+
+
+class TestReconstructMatrix:
+    @pytest.mark.parametrize("withheld", [False, True], ids=["3-owners", "withheld"])
+    @pytest.mark.parametrize("d,k,mode", RECONSTRUCT_SHAPES, ids=str)
+    def test_odd_runs_round_trip(self, monkeypatch, d, k, mode, withheld):
+        """Strict streams span several segments (512 payload bytes each);
+        the runs cut digits mid-byte and mid-element."""
+        monkeypatch.setattr(codec, "_SEGMENT_BYTES", 512)
+        bits = d.bit_length() - 1
+        m = 3 * 4096 // bits + 11
+        digits = DigitString(d, np.random.default_rng([d, k]).integers(0, d, m))
+        root = storage.MemoryRoot(2)
+        pipeline.store_digits(
+            digits, root, gf.FieldSpec(k=k, d=d), n=3,
+            profile=SecurityProfile((0.5, 0.25), 1e-6), mode=mode,
+            alpha=2.0 if mode == ALPHA_BOUNDED else None,
+        )
+        manifest = pipeline.load_manifest(root)
+        stream = storage.assemble_stream(manifest, *storage.fetch_shards(manifest, root))
+        runs = _odd_runs(stream.size, bits, withheld)
+        held = [
+            np.concatenate([stream[a:b] for a, b in owner_runs] or [stream[:0]])
+            for owner_runs in runs
+        ]
+        raw = [storage.pack_shard(h, d, k) for h in held]
+        edited = dataclasses.replace(
+            manifest, cloud_runs=tuple(runs[:2]), local_runs=runs[2],
+            checksums=tuple(format(storage.crc32c(r), "08x") for r in raw[:2]),
+            local_checksum=format(storage.crc32c(raw[2]), "08x"),
+        )
+        clouds = [held[0], None if withheld else held[1]]
+        assert storage.reconstruct(edited, clouds, held[2]) == digits
+        for i in range(2):
+            root.write_shard(i, raw[i])
+        root.write_local(raw[2])
+        assert pipeline.recover(root, edited) == digits
+
+    @pytest.mark.parametrize("d,k,mode", RECONSTRUCT_SHAPES, ids=str)
+    def test_empty_message(self, d, k, mode):
+        root = storage.MemoryRoot(2)
+        pipeline.store_digits(
+            DigitString(d, []), root, gf.FieldSpec(k=k, d=d), n=3,
+            profile=SecurityProfile((0.5, 0.25), 1e-6), mode=mode,
+            alpha=2.0 if mode == ALPHA_BOUNDED else None,
+        )
+        assert pipeline.recover(root) == DigitString(d, [])
+
+
 class TestStoreFetch:
     def test_table3_shard_digits(self):
         root = storage.MemoryRoot(2)
@@ -532,6 +608,8 @@ MANIFEST_PROBES = [
     ("points", [0, 2, 3, 4]),  # zero is no evaluation point
     ("points", [1, 1, 3, 4]),  # a repeated point: the matrix is singular
     ("points", [300, 2, 3, 4]),  # outside GF(2^8)
+    ("d", 0),  # no digit base: 1 << log2(d) would be a negative shift
+    ("d", 1),
     # r, original_length and pad_count kept consistent, so the manifest loads
     # and the runs are checked against a 3.2e13-digit stream
     ("block_count", 10**12, {"r": 4 * 10**12, "original_length": 32 * 10**12}),
