@@ -10,8 +10,9 @@ product for a short batch, per-column table gathers for a long one.
 EncodingMatrix.encode_blocks codes a message's blocks in place: for k <= 8
 one gather from the matrix's column table (Field._column_table) and one XOR
 per block, for k > 8 one mat_vec_batch call. EncodingMatrix.decode_blocks
-runs the same per-column gathers (Field._gather_xor) over tables of the
-inverse that it builds once, in the field's dtype.
+runs the same per-column gathers (Field._gather_xor) for k <= 8 over tables
+of the inverse that it builds once, in the field's dtype; for k > 8 it too
+makes one mat_vec_batch call.
 """
 
 from __future__ import annotations
@@ -413,8 +414,8 @@ class EncodingMatrix:
     """Square Vandermonde matrix over GF(2^k): entry (i, j) = points[j]^i.
 
     Points are pairwise distinct and nonzero, so the matrix is invertible.
-    Instances are immutable; the inverse, the decode tables and, for k <= 8,
-    the column table are computed lazily and cached.
+    Instances are immutable; the inverse and, for k <= 8, the column and
+    decode tables are computed lazily and cached.
     """
 
     def __init__(self, field: Field, points: tuple[int, ...], rows: np.ndarray):
@@ -463,10 +464,13 @@ class EncodingMatrix:
     def decode_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """A^-1 times each row of blocks (integers of shape (count, n),
         entries in the field), in the field's dtype; count * n^2 products
-        are counted. The _gather_tables of A^-1's columns are built on the
-        first call and kept: n^2 q bytes for k <= 8, 2 n^2 (256 + 2^(k-8))
-        bytes above."""
+        are counted. For k <= 8 the _gather_tables of A^-1's columns are
+        built on the first call and kept: n^2 q bytes, as the column table.
+        k > 8 makes one mat_vec_batch call: kept tables would take
+        2 n^2 (256 + 2^(k-8)) bytes, a gigabyte at k=16 and n=1000."""
         field = self.field
+        if field._product is None:
+            return field.mat_vec_batch(self.inverse(), blocks).astype(field.dtype)
         if self._decode is None:
             tables = np.stack([field._gather_table(a) for a in self.inverse().T])
             tables.setflags(write=False)

@@ -12,7 +12,7 @@ elements in the field's dtype (straight from those bytes when each element
 is one or two whole bytes) and expands them into the output digit array,
 which is allocated after the first segment. So peak memory is the caller's
 input or output digits, plus the packed shards, plus one segment, plus the
-cached decode tables of the matrix (n^2 q bytes at k <= 8).
+cached decode tables of the matrix (n^2 q bytes at k <= 8, none above).
 An alpha-bounded message is one segment: its render lengths follow from
 the coded values, so it is coded before it is planned.
 

@@ -617,8 +617,12 @@ def _encode_lengths(lengths: np.ndarray) -> str:
 
 
 # run pieces averaging this many bits and more are copied packed, shorter
-# ones through one unpacked bit array
-_LONG_PIECE_BITS = 1536
+# ones through one unpacked bit array. Each copy_bits call has a fixed cost:
+# through copies alone, the pieces of 1 to 7 digits of an 8-byte strict
+# message made its recover about a fifth slower. Assembling a 2 Mi-digit
+# d=2 segment from two owners' alternating pieces takes equally long both
+# ways at 2,048 bits a piece
+_LONG_PIECE_BITS = 2048
 
 
 class _RunTable:
@@ -689,8 +693,9 @@ class _RunTable:
 
         An owner's pieces here that average at least _LONG_PIECE_BITS bits
         take one codec.copy_bits each. Shorter ones, which a local share of
-        a digit or so per component makes by the thousand, would each pay
-        that call's fixed cost: their bits are unpacked once, a byte a bit,
+        a digit or so per component makes by the thousand and an 8-byte
+        message by the dozen (1 to 7 digits each), would each pay that
+        call's fixed cost: their bits are unpacked once, a byte a bit,
         sliced into one bit array for the segment and packed at the end."""
         out = np.zeros(-(-(hi - lo) * bits // 8), dtype=np.uint8)
         spread = None

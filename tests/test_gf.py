@@ -467,6 +467,14 @@ class TestDecodeBlocks:
         a.decode_blocks(np.ones((3, 6), np.uint8))
         assert a._decode is tables
 
+    def test_k_above_8_keeps_no_tables(self):
+        """At k=16 the tables of A^-1 would take 2 n^2 512 bytes: the decode
+        builds them a column at a time and keeps none."""
+        a = gf.build_vandermonde(field_for(16), gf.default_points(6))
+        for batch in (1, 100, 600):
+            a.decode_blocks(np.ones((batch, 6), np.uint16))
+        assert a._decode is None
+
 
 class TestOpCounter:
     def test_counts_matrix_work(self, gf8):

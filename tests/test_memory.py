@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ncss import adversary, gf, pipeline, storage
+from ncss.codec import DigitString
 from ncss.planner import SecurityProfile
 
 BYTES_PER_BYTE = 64
@@ -75,6 +76,29 @@ def test_store_and_recover_peaks_grow_by_the_data_alone():
     for name, small, large in zip(("store", "recover"), *peaks.values()):
         growth = (large - small) / added
         assert growth <= GROWTH_PER_BYTE, f"{name}: {growth:.1f} B/B"
+
+
+# a k=16 recover holds one column's split product table of the inverse at
+# a time (512 x n uint16), never all n of them, which would take
+# 2 n^2 (256 + 256) bytes: 41 MB at n = 200
+K16_RECOVER_BYTES = 8 << 20
+
+
+@pytest.mark.parametrize("blocks", [1, 700], ids=["one-block", "two-segments"])
+def test_k16_large_n_recover_peak(blocks):
+    n = 200
+    gf.cached_vandermonde.cache_clear()  # so no earlier case's matrix is reused
+    rng = np.random.default_rng(blocks)
+    digits = DigitString(256, rng.integers(0, 256, 2 * n * blocks))
+    root = storage.MemoryRoot(2)
+    pipeline.store_digits(
+        digits, root, gf.FieldSpec(k=16, d=256), n=n,
+        profile=SecurityProfile(breach=(0.5, 0.25), pu=1e-6),
+    )
+    back = []
+    peak = _peak(lambda: back.append(pipeline.recover(root)))
+    assert back[0] == digits
+    assert peak <= K16_RECOVER_BYTES, f"{peak / 1e6:.1f} MB"
 
 
 BYTES_PER_PLAINTEXT = 96
