@@ -227,13 +227,13 @@ def _draws(rng, d: int, trials: int, chunk_size: int, u: int):
     rng.integers(0, d, size=(chunk, u)) returns, chunk after chunk, for
     chunks of chunk_size trials and a last one of the rest.
 
-    At d = 2^j <= 2^32 Generator.integers never rejects: each digit is the
-    top j bits of the next 32-bit half of a raw PCG64 word, low half first,
-    and an unused high half carries to the next chunk. Those digits are
-    drawn here in pieces of DRAW_PIECE halves into one buffer in the digit
-    dtype, reused by every chunk. Any other base draws by Generator.integers
-    (int64)."""
-    if not _is_power_of_two(d) or d > 1 << 32:
+    At d = 2^j Generator.integers never rejects (d is at most MAX_BASE, and
+    this holds up to 2^32): each digit is the top j bits of the next 32-bit
+    half of a raw PCG64 word, low half first, and an unused high half
+    carries to the next chunk. Those digits are drawn here in pieces of
+    DRAW_PIECE halves into one buffer in the digit dtype, reused by every
+    chunk. Any other base draws by Generator.integers (int64)."""
+    if not _is_power_of_two(d):
         for first in range(0, trials, chunk_size):
             yield rng.integers(0, d, size=(min(chunk_size, trials - first), u))
         return

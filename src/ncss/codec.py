@@ -94,7 +94,7 @@ def min_width_alpha(k: int, d: int, alpha: float) -> int:
     """
     if d < 2:
         raise BadBaseError(f"digit base must be >= 2, got {d}")
-    if alpha < 1:
+    if not alpha >= 1:  # NaN too
         raise BadAlphaError(f"expansion bound must be >= 1, got {alpha}")
     top = (1 << k) - 1
     s = max(1, math.ceil(math.log(top) / (math.log(d) * alpha)))

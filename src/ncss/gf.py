@@ -494,6 +494,8 @@ def build_vandermonde(spec: FieldSpec | Field, points) -> EncodingMatrix:
     field = spec.field() if isinstance(spec, FieldSpec) else spec
     points = tuple(int(p) for p in points)
     n = len(points)
+    if not n:
+        raise ConfigError("an encoding matrix needs at least one evaluation point")
     if n > field.q - 1:
         raise TooManyPointsError(
             f"{n} points requested but GF(2^{field.k}) has only {field.q - 1} "

@@ -11,18 +11,18 @@ log2(d) for power-of-two bases (0 otherwise), 1-byte k, 8-byte big-endian
 digit count, then the payload: log2(d) bits per digit packed big-endian for
 power-of-two bases, one byte per digit otherwise (d <= 256).
 
-Segments: store_shards takes the rendered stream as consecutive segments
-(codec.segments) and hands each run piece to the packer of its cloud or of
-the local share, which packs whole bytes at once and keeps the fewer than
-one byte's worth of digits left over for the next piece. Each shard is
-finished once the stream is complete (header, payload, CRC, atomic write);
-the manifest is written last. fetch_shards checks every shard's CRC and
-header and returns the packed payloads; reconstruct checks each digit count
-against its runs and that the runs tile the stream, then, one segment at a
-time, copies each run piece's bits straight from the packed payload into
-the segment's packed bits, reads the elements from those bytes (or unpacks
-and parses them where an element is not one or two whole bytes), decodes
-them in the field's dtype and expands them into the one output digit array.
+Segments: store_shards allocates each shard once, header first, at the
+size its runs give, then takes the rendered stream as consecutive segments
+(codec.segments) and packs each owner's digits of a segment at once, copying
+them to their digit offset in its shard (codec.copy_bits). The shards are
+written (CRC, atomic write) once the stream is complete, the manifest last.
+fetch_shards checks every shard's CRC and header and returns the packed
+payloads; reconstruct checks each digit count against its runs and that the
+runs tile the stream, then, one segment at a time, copies each run piece's
+bits straight from the packed payload into the segment's packed bits, reads
+the elements from those bytes (or unpacks and parses them where an element
+is not one or two whole bytes), decodes them in the field's dtype and
+expands them into the one output digit array.
 Peak memory is the caller's digits (the input of a store, the output of a
 recover) plus the packed shards plus one segment.
 
@@ -37,7 +37,6 @@ slice-by-8 loop alone.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import tempfile
@@ -218,52 +217,31 @@ def _header_j(d: int) -> int:
     return j if 1 << j == d else 0
 
 
-class _ShardPacker:
-    """One shard's bytes, packed as its digits arrive in stream order. Digits
-    that do not yet fill a whole byte wait for the next piece; the header,
-    whose count is known last, is written by finish()."""
+def _digit_bits(d: int) -> int:
+    """Bits a digit of a shard payload: log2(d) for a power-of-two base d,
+    else a byte, which holds any d <= 256."""
+    j = _header_j(d)
+    if not j and d > 256:
+        raise ConfigError(f"byte-per-digit payloads support d <= 256, got d={d}")
+    return j or 8
 
-    def __init__(self, d: int, k: int):
-        self.d, self.k = d, k
-        self.j = _header_j(d)
-        if not self.j and d > 256:
-            raise ConfigError(
-                f"byte-per-digit payloads support d <= 256, got d={d}"
-            )
-        # the fewest digits that fill whole bytes
-        self.whole = 8 // math.gcd(self.j, 8) if self.j else 1
-        self.buf = bytearray(_HEADER_BYTES)
-        self.count = 0
-        self.carry = np.zeros(0, dtype=np.uint8)
 
-    def add(self, digits: np.ndarray) -> None:
-        """Append base-d digits in digit_dtype(d), each known to be below d."""
-        self.count += digits.size
-        if not self.j:
-            self.buf += memoryview(np.ascontiguousarray(digits))
-            return
-        if self.carry.size:
-            digits = np.concatenate([self.carry, digits])
-        cut = digits.size - digits.size % self.whole
-        self.buf += codec.pack_digits(digits[:cut], self.d)
-        self.carry = digits[cut:].copy()  # not a view pinning the segment
+def _packed(digits: np.ndarray, d: int):
+    """Base-d digits in digit_dtype(d), each below d, as payload bytes:
+    _digit_bits(d) bits a digit, big-endian, the last byte zero-padded."""
+    if _digit_bits(d) == 8:
+        return digits.astype(np.uint8, copy=False)
+    return codec.pack_digits(digits, d)
 
-    def finish(self) -> bytearray:
-        if self.carry.size:  # the last byte zero-padded, as pack_digits does
-            self.buf += codec.pack_digits(self.carry, self.d)
-            self.carry = self.carry[:0]
-        self.buf[:_HEADER_BYTES] = (
-            MAGIC + bytes([FORMAT_VERSION, self.j, self.k])
-            + self.count.to_bytes(8, "big")
-        )
-        return self.buf
+
+def _header(d: int, k: int, count: int) -> bytes:
+    return MAGIC + bytes([FORMAT_VERSION, _header_j(d), k]) + count.to_bytes(8, "big")
 
 
 def pack_shard(digits: np.ndarray, d: int, k: int) -> bytes:
     """Serialize a digit payload with the shard header."""
-    packer = _ShardPacker(d, k)
-    packer.add(codec.as_digits(digits, d))
-    return bytes(packer.finish())
+    digits = codec.as_digits(digits, d)
+    return _header(d, k, digits.size) + bytes(_packed(digits, d))
 
 
 def _unpacked(packed, j: int, count: int, start: int = 0) -> np.ndarray:
@@ -731,32 +709,34 @@ def store_shards(
 ) -> Manifest:
     """Write one shard per cloud plus the local share; returns the manifest.
 
-    segments yields the rendered digit stream as consecutive arrays, which
-    are packed into the shards as they arrive, so no more than one of them
-    is held unpacked. Each shard is finished and written once the stream is
-    complete; the manifest is persisted last, so a failure leaves no manifest
-    behind and the partial dataset reads as absent.
+    segments yields the rendered digit stream as consecutive arrays, each
+    packed into the shards, which are allocated at their final sizes, as it
+    arrives, so no more than one is held unpacked. The shards are written
+    once the stream is complete and the manifest last, so a failure leaves
+    no manifest behind and the partial dataset reads as absent.
     """
     if root.cloud_count != plan.p:
         raise ConfigError(
             f"root exposes {root.cloud_count} clouds, plan wants {plan.p}"
         )
     table = _RunTable([*plan.cloud_runs, plan.local_runs], plan.total_digits)
-    packers = [_ShardPacker(spec.d, spec.k) for _ in table.sizes]
+    bits = _digit_bits(spec.d)
+    payloads = [bytearray(_HEADER_BYTES + -(-size * bits // 8)) for size in table.sizes]
+    for payload, size in zip(payloads, table.sizes):
+        payload[:_HEADER_BYTES] = _header(spec.d, spec.k, size)
     pos = 0
     for digits in segments:
         lo, pos = pos, pos + digits.size
         if pos > plan.total_digits:
             continue  # a stream too long for the plan, refused below
-        for owner, (_, _, parts) in table.pieces(lo, pos).items():
+        for owner, (first, _, parts) in table.pieces(lo, pos).items():
             pieces = [digits[a - lo : b - lo] for a, b in parts]
-            packers[owner].add(
-                pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            )
+            held = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            dst = np.frombuffer(payloads[owner], np.uint8, offset=_HEADER_BYTES)
+            codec.copy_bits(dst, first * bits, _packed(held, spec.d), 0, held.size * bits)
     if pos != plan.total_digits:
         raise PipelineError("coded stream does not match the distribution plan")
 
-    payloads = [packer.finish() for packer in packers]
     for i, payload in enumerate(payloads[:-1]):
         root.write_shard(i, payload)
     root.write_local(payloads[-1])

@@ -219,6 +219,13 @@ class TestUtilityCommands:
             "d83c9f7f4ab5eb4507d98e1ccf9755fb79f690aed36dfa0f2a6d321b0fac4b02"
         )
 
+    def test_audit_without_points_exits_2(self, capsys):
+        code, out, err = run(capsys, "audit", "--k", "4", "--n", "0", "--grid")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid configuration:")
+        assert "Traceback" not in err
+
     def test_bench_mul_csv(self, capsys):
         code, out, _ = run(
             capsys, "bench", "--suite", "mul", "--k", "3",
@@ -282,6 +289,19 @@ class TestConfigHandling:
         assert err.startswith("invalid configuration:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_alpha_nan_exits_2(self, tmp_path, stored_root, capsys):
+        _, infile, _ = stored_root
+        code, out, err = run(
+            capsys, "store", "--in", str(infile), "--root", str(tmp_path / "r"),
+            "--d", "2", "--k", "8", "--n", "4", "--mode", "alpha",
+            "--alpha", "nan", "--breach", "0.5", "--pu", "0.1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid configuration:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_list_valued_config_round_trip(self, tmp_path, stored_root, capsys):
         payload, infile, root = stored_root

@@ -79,6 +79,13 @@ class TestWidthSelection:
         with pytest.raises(BadAlphaError):
             codec.min_width_alpha(3, 2, 0.5)
 
+    def test_alpha_nan_refused(self):
+        with pytest.raises(BadAlphaError):
+            codec.min_width_alpha(8, 2, float("nan"))
+
+    def test_alpha_inf_is_one_digit(self):
+        assert codec.min_width_alpha(8, 2, float("inf")) == 1
+
     def test_alpha_matches_oracle_grid(self):
         for k in range(2, 17):
             for d in (2, 3, 4, 5, 16):

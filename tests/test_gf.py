@@ -162,6 +162,10 @@ class TestVandermonde:
         with pytest.raises(ZeroPointError):
             gf.build_vandermonde(gf8, (0, 1))
 
+    def test_no_points(self, gf8):
+        with pytest.raises(ConfigError):
+            gf.build_vandermonde(gf8, ())
+
     def test_too_many_points(self, gf8):
         with pytest.raises(TooManyPointsError):
             gf.build_vandermonde(gf8, tuple(range(1, 9)))

@@ -270,6 +270,53 @@ class TestNarrowPacking:
             storage.fetch_shards(edited, root)
 
 
+class TestStorePacking:
+    """Every payload store_shards writes is the oracle's packing of its
+    owner's digits, gathered by the owner's runs from the one-segment
+    render, whatever the segment size and wherever the runs cut."""
+
+    SHAPES = [
+        (2, 8, STRICT), (2, 8, ALPHA_BOUNDED), (3, 8, ALPHA_BOUNDED),
+        (4, 8, STRICT), (4, 8, ALPHA_BOUNDED), (10, 8, ALPHA_BOUNDED),
+        (16, 8, STRICT), (16, 8, ALPHA_BOUNDED),
+        (256, 16, STRICT), (256, 16, ALPHA_BOUNDED),
+    ]
+
+    @pytest.mark.parametrize("segment_bytes", [1, 5, 1 << 40])
+    @pytest.mark.parametrize("d,k,mode", SHAPES, ids=str)
+    def test_payloads_match_oracle(self, monkeypatch, d, k, mode, segment_bytes):
+        spec = gf.FieldSpec(k=k, d=d)
+        n, alpha = 3, 2.0 if mode == ALPHA_BOUNDED else None
+        m = 7 * n * 16 + 5  # the last block padded
+        digits = DigitString(d, np.random.default_rng([d, k]).integers(0, d, m))
+        grouping = codec.make_grouping_plan(m, spec, n=n, mode=mode, alpha=alpha)
+        matrix = gf.cached_vandermonde(k, spec.reduction_poly, gf.default_points(n))
+        coded = codec.encode_stream(digits, grouping, matrix)
+        stream, total = coded.render_digits, coded.render_digits.size
+        starts = np.cumsum(coded.render_lengths) - coded.render_lengths
+        monkeypatch.setattr(codec, "_SEGMENT_BYTES", segment_bytes)
+        # no local digits; three; a local digit of every element and two more
+        for local in (0, 3, grouping.r + 2):
+            root = storage.MemoryRoot(2)
+            caps = ((total - local) // 2, total - local - (total - local) // 2)
+            manifest = pipeline.store_digits(
+                digits, root, spec, n=n, profile=SecurityProfile((0.5, 0.25), 1e-6),
+                mode=mode, alpha=alpha, caps=caps,
+            ).manifest
+            kept = np.zeros(total, dtype=np.int64)
+            for a, b in manifest.local_runs:
+                kept[a:b] = 1
+            assert kept.sum() == local
+            assert local < grouping.r or np.add.reduceat(kept, starts).all()
+            shards, share, _ = root.snapshot()
+            for runs, raw in zip(
+                [*manifest.cloud_runs, manifest.local_runs], [shards[0], shards[1], share]
+            ):
+                held = np.concatenate([stream[:0]] + [stream[a:b] for a, b in runs])
+                assert int.from_bytes(raw[7:15], "big") == held.size
+                assert raw[15:] == oracles.slow_pack(held, d), (caps, runs[:3])
+
+
 # every (d, k) whose field holds a base-d digit (each has a strict width);
 # each is stored strict and alpha-bounded
 RECONSTRUCT_SHAPES = [
