@@ -22,13 +22,14 @@ reachable through this module with identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import codec, planner, storage
 from .codec import STRICT, DigitString, GroupingPlan
-from .errors import ConfigError
+from .errors import BadAlphaError, ConfigError
 from .gf import FieldSpec, cached_vandermonde, default_points
 from .planner import DistributionPlan, SecurityProfile
 from .storage import Manifest
@@ -71,6 +72,8 @@ def store_digits(
         points = default_points(n)
     if len(points) != n:
         raise ConfigError(f"{len(points)} points for block size {n}")
+    if alpha is not None and not math.isfinite(alpha):  # no JSON for it
+        raise BadAlphaError(f"expansion bound must be finite, got {alpha}")
     if len(digits) == 0:
         grouping = _empty_grouping(spec, mode, alpha)
     else:

@@ -27,11 +27,10 @@ Peak memory is the caller's digits (the input of a store, the output of a
 recover) plus the packed shards plus one segment.
 
 Integrity is CRC-32C per shard; confidentiality rests on the coding scheme.
-Inputs of 16 KiB and more run a head of len % 32 bytes through the
-pure-Python slice-by-8 loop, then checksum the 32-byte chunks side by side
-(one table lookup per byte position over every chunk) and join the chunk
-registers pairwise with zlib's crc32_combine method; shorter inputs run the
-slice-by-8 loop alone.
+Inputs under 1 KiB run a one-table byte loop. Longer ones run a head of
+len % 32 bytes through it, then checksum the 32-byte chunks side by side
+(one position-table lookup per byte, the incoming register folded into the
+first chunk) and join them pairwise by zero-byte tables built by doubling.
 """
 
 from __future__ import annotations
@@ -68,31 +67,28 @@ SHARD_NAME = "shard_000.bin"
 LOCAL_NAME = "share.bin"
 
 # ---------------------------------------------------------------------------
-# CRC-32C (Castagnoli): slice-by-8 for short inputs and the head, 32-byte
-# chunks checksummed side by side for long inputs
+# CRC-32C (Castagnoli): a one-table byte loop for short inputs and the head,
+# 32-byte chunks checksummed side by side and joined pairwise for long inputs
 
-_LANES = 1024  # inputs of 16 * _LANES bytes and more take the chunked path
+# inputs of 16 * _LANES bytes (1 KiB) and more take the chunk tree: about
+# where it overtakes the byte loop
+_LANES = 64
 _CHUNK = 32
 
 
-def _make_crc_tables() -> list[list[int]]:
+def _make_crc_table() -> list[int]:
     poly = 0x82F63B78
-    t0 = []
+    table = []
     for i in range(256):
         crc = i
         for _ in range(8):
             crc = (crc >> 1) ^ (poly if crc & 1 else 0)
-        t0.append(crc)
-    tables = [t0]
-    for _ in range(7):
-        prev = tables[-1]
-        tables.append([(prev[i] >> 8) ^ t0[prev[i] & 0xFF] for i in range(256)])
-    return tables
+        table.append(crc)
+    return table
 
 
-_CRC_TABLES = _make_crc_tables()
-_CRC_T0 = np.array(_CRC_TABLES[0], dtype=np.uint32)
-_BITS = np.arange(32, dtype=np.uint32)
+_CRC_TABLE = _make_crc_table()
+_CRC_T0 = np.array(_CRC_TABLE, dtype=np.uint32)
 
 
 def _make_position_tables() -> np.ndarray:
@@ -110,38 +106,6 @@ def _make_position_tables() -> np.ndarray:
 _POSITION_TABLES = _make_position_tables()
 
 
-def _apply_gf2(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
-    """Image of each 32-bit register under a GF(2)-linear map, given as the
-    images op[i] of the unit registers 1 << i."""
-    bits = ((regs[:, None] >> _BITS) & 1).astype(bool)
-    return np.bitwise_xor.reduce(np.where(bits, op, np.uint32(0)), axis=1)
-
-
-@lru_cache(maxsize=1024)
-def _zeros_operator(nbytes: int) -> np.ndarray:
-    """The map advancing a CRC register over nbytes zero bytes, built by
-    squaring as zlib's crc32_combine does: O(log nbytes) compositions."""
-    if nbytes == 1:
-        units = np.uint32(1) << _BITS
-        op = (units >> 8) ^ _CRC_T0.take(units & 0xFF)
-    else:
-        half = _zeros_operator(nbytes // 2)
-        op = _apply_gf2(half, half)
-        if nbytes % 2:
-            op = _apply_gf2(_zeros_operator(1), op)
-    op.setflags(write=False)
-    return op
-
-
-@lru_cache(maxsize=256)
-def _zeros_tables(nbytes: int) -> np.ndarray:
-    """_zeros_operator(nbytes) as four 256-entry tables, one per register byte."""
-    units = np.arange(256, dtype=np.uint32)[None, :] << (8 * _BITS[:4, None])
-    tables = _apply_gf2(_zeros_operator(nbytes), units.reshape(-1)).reshape(4, 256)
-    tables.setflags(write=False)
-    return tables
-
-
 def _advance(t: np.ndarray, regs: np.ndarray) -> np.ndarray:
     """Registers advanced over the zero bytes whose _zeros_tables t is."""
     return (
@@ -150,55 +114,54 @@ def _advance(t: np.ndarray, regs: np.ndarray) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=64)
+def _zeros_tables(nbytes: int) -> np.ndarray:
+    """Four 256-entry tables, one per register byte, whose XOR advances a
+    register over nbytes zero bytes, nbytes a power of two: one zero byte
+    is a T0 step, 2s zero bytes the s-byte tables applied twice."""
+    shifts = np.arange(0, 32, 8, dtype=np.uint32)[:, None]
+    units = np.arange(256, dtype=np.uint32) << shifts  # row i: byte i set
+    if nbytes == 1:
+        tables = (units >> 8) ^ _CRC_T0.take(units & 0xFF)
+    else:
+        half = _zeros_tables(nbytes // 2)
+        tables = _advance(half, _advance(half, units))
+    tables.setflags(write=False)
+    return tables
+
+
 def _crc_chunks(data: memoryview, reg: int) -> int:
     """Register after data, whose length is a multiple of _CHUNK: each
     chunk's register from zero is an XOR of one position-table lookup per
-    byte, taken for every chunk at once; the chunk registers are joined
-    pairwise, and the incoming register is advanced over the whole length."""
+    byte, taken for every chunk at once; the incoming register acts as its
+    four bytes XORed into the first four data bytes, so it is folded into
+    the first chunk's register; the chunk registers are joined pairwise."""
     chunks = np.frombuffer(data, dtype=np.uint8).reshape(-1, _CHUNK)
     regs = _POSITION_TABLES[0].take(chunks[:, 0])
     for p in range(1, _CHUNK):
         regs ^= _POSITION_TABLES[p].take(chunks[:, p])
+    for p in range(4):
+        regs[0] ^= _POSITION_TABLES[p, (reg >> 8 * p) & 0xFF]
     span = _CHUNK
     while regs.size > 1:
         if regs.size % 2:  # a zero register in front: zeros keep it zero
             regs = np.concatenate([np.zeros(1, dtype=np.uint32), regs])
         regs = _advance(_zeros_tables(span), regs[0::2]) ^ regs[1::2]
         span *= 2
-    # over len(data) zero bytes, one power-of-two run per set bit of it
-    incoming = np.array([reg], dtype=np.uint32)
-    for bit in range(len(data).bit_length()):
-        if len(data) >> bit & 1:
-            incoming = _advance(_zeros_tables(1 << bit), incoming)
-    return int(incoming[0] ^ regs[0])
+    return int(regs[0])
 
 
 def crc32c(data: bytes, crc: int = 0) -> int:
     """CRC-32C checksum of data; crc is the checksum of preceding bytes, so
     crc32c(b, crc32c(a)) == crc32c(a + b)."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
+    t0 = _CRC_TABLE
     crc ^= 0xFFFFFFFF
     view = memoryview(data).cast("B")
     # inputs of 16 * _LANES bytes and more: a head of len % _CHUNK bytes
     # here, then the chunks
     chunked = len(view) >= 16 * _LANES
     head = view[: len(view) % _CHUNK] if chunked else view
-    n8 = len(head) // 8
-    for i in range(n8):
-        chunk = head[8 * i : 8 * i + 8]
-        low = int.from_bytes(chunk[:4], "little") ^ crc
-        high = int.from_bytes(chunk[4:], "little")
-        crc = (
-            t7[low & 0xFF]
-            ^ t6[(low >> 8) & 0xFF]
-            ^ t5[(low >> 16) & 0xFF]
-            ^ t4[low >> 24]
-            ^ t3[high & 0xFF]
-            ^ t2[(high >> 8) & 0xFF]
-            ^ t1[(high >> 16) & 0xFF]
-            ^ t0[high >> 24]
-        )
-    for b in head[n8 * 8 :]:
+    for b in head:
         crc = (crc >> 8) ^ t0[(crc ^ b) & 0xFF]
     if chunked:
         crc = _crc_chunks(view[len(head) :], crc)

@@ -303,6 +303,22 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["store", "plan"])
+    def test_alpha_inf_exits_2(self, tmp_path, stored_root, capsys, command):
+        _, infile, _ = stored_root
+        root = ["--root", str(tmp_path / "r")] if command == "store" else []
+        code, out, err = run(
+            capsys, command, "--in", str(infile), *root,
+            "--d", "2", "--k", "8", "--n", "4", "--mode", "alpha",
+            "--alpha", "inf", "--breach", "0.5", "--pu", "0.1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid configuration:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     def test_list_valued_config_round_trip(self, tmp_path, stored_root, capsys):
         payload, infile, root = stored_root
         cfg = tmp_path / "cfg.json"

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncss import codec, gf, pipeline, planner, storage
 from ncss.codec import ALPHA_BOUNDED, STRICT, DigitString
 from ncss.errors import (
     BackendUnavailableError,
+    BadAlphaError,
     ChecksumMismatchError,
     ConfigError,
     IncompleteDataError,
@@ -138,6 +141,19 @@ class TestCrc32cChunks:
         a, b = data[:split], data[split:]
         assert storage.crc32c(b, storage.crc32c(a)) == storage.crc32c(data)
         assert storage.crc32c(data) == oracles.slow_crc32c(data)
+
+
+class TestCrc32cContinuation:
+    SIZES = st.integers(0, 3 * 16 * LANES + 64)
+
+    @given(SIZES, SIZES, st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_continuation_property(self, len_a, len_b, seed):
+        # the incoming register is folded into the first chunk of b at
+        # whatever split, on either side of the chunked threshold
+        rng = np.random.default_rng(seed)
+        a, b = rng.bytes(len_a), rng.bytes(len_b)
+        assert storage.crc32c(b, storage.crc32c(a)) == oracles.slow_crc32c(a + b)
 
 
 class TestShardFormat:
@@ -567,6 +583,21 @@ class TestPipelineRoundTrip:
             DigitString(2, []), root, spec, n=3, profile=profile
         )
         assert pipeline.recover(root) == DigitString(2, [])
+
+    @pytest.mark.parametrize("m", [0, 40])
+    def test_infinite_alpha_refused_before_writing(self, tmp_path, m):
+        # the manifest would hold the non-JSON token Infinity; the empty
+        # message takes a grouping path of its own
+        spec = gf.FieldSpec(k=8, d=2)
+        profile = SecurityProfile(breach=(0.5,), pu=0.5)
+        root = storage.DirectoryRoot(tmp_path / "inf", clouds=1)
+        with pytest.raises(BadAlphaError, match="finite"):
+            pipeline.store_digits(
+                DigitString(2, [1] * m), root, spec, n=3, profile=profile,
+                mode=ALPHA_BOUNDED, alpha=float("inf"),
+            )
+        assert not (tmp_path / "inf").exists()
+        assert codec.min_width_alpha(8, 2, float("inf")) == 1
 
 
 class TestRenderLengths:
