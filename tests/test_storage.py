@@ -91,7 +91,9 @@ class TestCrc32cLanes:
     @pytest.mark.parametrize(
         "size",
         [0, 1, 16 * LANES - 1, 16 * LANES, 16 * LANES + 1,
-         17 * LANES - 1, 17 * LANES + 1, 3_000_000],
+         17 * LANES - 1, 17 * LANES + 1,
+         # well past the threshold, with heads of 31, 0, 1, 31 and 1 bytes
+         16383, 16384, 16385, 17407, 17409, 3_000_000],
     )
     def test_matches_bytewise_reference(self, size):
         data = np.random.default_rng(size).bytes(size)
