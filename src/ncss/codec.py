@@ -12,6 +12,9 @@ digits form one field element:
 encode_stream regroups a message and codes its blocks in place with
 gf.EncodingMatrix.encode_blocks; encode_block and decode_block code a single
 block with Field.mat_vec_batch.
+
+pack_digits and unpack_digits own the packed layout of data and shard
+payloads, digit_bits(d) bits a digit; strict_width owns s.
 """
 
 from __future__ import annotations
@@ -361,11 +364,23 @@ def expand_digits(values: np.ndarray, d: int, width: int, dtype=np.int64) -> np.
     return out
 
 
-def pack_digits(digits: np.ndarray, d: int) -> bytes:
-    """Power-of-two-base digits as log2(d) bits each, big-endian, with the
-    last byte zero-padded: the byte layout of data and of shard payloads.
-    At d = 256 the digits are the bytes."""
+def digit_bits(d: int) -> int:
+    """Bits a base-d digit takes in the packed layout of data and shard
+    payloads: log2(d) for a power-of-two base up to 2^16, a byte for any
+    other base up to 256. Any other base raises ConfigError."""
     j = d.bit_length() - 1
+    if d >= 2 and 1 << j == d and j <= 16:
+        return j
+    if not 2 < d <= 256:
+        raise ConfigError(f"no packed layout for base {d}: d must be 2^j, j <= 16, or 3..256")
+    return 8
+
+
+def pack_digits(digits: np.ndarray, d: int) -> bytes:
+    """Base-d digits, each below d, as digit_bits(d) bits each, big-endian,
+    with the last byte zero-padded: the byte layout of data and of shard
+    payloads. At a byte a digit the digits are the bytes."""
+    j = digit_bits(d)
     if j == 8:
         return np.asarray(digits).astype(np.uint8, copy=False).tobytes()
     if j > 1:
@@ -376,8 +391,8 @@ def pack_digits(digits: np.ndarray, d: int) -> bytes:
 def unpack_digits(payload: bytes, d: int, count: int, start: int = 0) -> np.ndarray:
     """Inverse of pack_digits: count digits from digit start on, in
     digit_dtype(d), as a fresh array; only the bytes holding them are read.
-    payload must hold at least (start + count) * log2(d) bits."""
-    j = d.bit_length() - 1
+    payload must hold at least (start + count) * digit_bits(d) bits."""
+    j = digit_bits(d)
     if j == 8:
         return np.frombuffer(payload, np.uint8, count, start).copy()
     first, skip = divmod(start * j, 8)
@@ -436,7 +451,7 @@ def segments(plan: GroupingPlan, n: int):
     block_digits = n * plan.width
     step = max(1, blocks)
     if plan.mode == STRICT:
-        bits = block_digits * max(1, (plan.d - 1).bit_length())
+        bits = block_digits * digit_bits(plan.d)
         whole = 8 // math.gcd(block_digits, 8)
         step = max(1, _SEGMENT_BYTES * 8 // bits // whole) * whole
     if 0 < blocks <= step:

@@ -17,7 +17,7 @@ makes one mat_vec_batch call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -378,15 +378,13 @@ def get_field(k: int, poly: int | None = None) -> Field:
 class FieldSpec:
     """Field parameters joined with the digit base of the plaintext.
 
-    s is the width-preserving element width k/log2(d) in base-d digits,
-    or None when no such width exists (d not a power of two dividing into k).
-    The field must be able to represent every digit: 2^k >= d.
+    The field must be able to represent every digit: 2^k >= d. The
+    width-preserving element width is codec.strict_width(k, d).
     """
 
     k: int
     d: int
     reduction_poly: int = 0  # 0 selects the default for k
-    s: int | None = dc_field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -398,9 +396,6 @@ class FieldSpec:
             raise ConfigError(
                 f"field size 2^{self.k} cannot represent base-{self.d} digits"
             )
-        j = self.d.bit_length() - 1
-        if (1 << j) == self.d and self.k % j == 0:
-            object.__setattr__(self, "s", self.k // j)
 
     @property
     def q(self) -> int:
@@ -489,24 +484,31 @@ def default_points(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def build_vandermonde(spec: FieldSpec | Field, points) -> EncodingMatrix:
-    """Construct the encoding matrix from distinct nonzero evaluation points."""
-    field = spec.field() if isinstance(spec, FieldSpec) else spec
+def check_points(field: Field, points) -> tuple[int, ...]:
+    """points as a tuple of ints, checked to be at most q - 1 distinct nonzero
+    field elements: the points of an invertible Vandermonde matrix."""
     points = tuple(int(p) for p in points)
-    n = len(points)
-    if not n:
-        raise ConfigError("an encoding matrix needs at least one evaluation point")
-    if n > field.q - 1:
+    if len(points) > field.q - 1:
         raise TooManyPointsError(
-            f"{n} points requested but GF(2^{field.k}) has only {field.q - 1} "
-            "distinct nonzero elements"
+            f"{len(points)} points requested but GF(2^{field.k}) has only "
+            f"{field.q - 1} distinct nonzero elements"
         )
     if any(p == 0 for p in points):
         raise ZeroPointError("evaluation points must be nonzero")
     for p in points:
         field.check(p)
-    if len(set(points)) != n:
+    if len(set(points)) != len(points):
         raise DuplicatePointError(f"evaluation points contain duplicates: {points}")
+    return points
+
+
+def build_vandermonde(spec: FieldSpec | Field, points) -> EncodingMatrix:
+    """Construct the encoding matrix from distinct nonzero evaluation points."""
+    field = spec.field() if isinstance(spec, FieldSpec) else spec
+    points = check_points(field, points)
+    n = len(points)
+    if not n:
+        raise ConfigError("an encoding matrix needs at least one evaluation point")
     pts = np.asarray(points, dtype=np.int64)
     rows = np.empty((n, n), dtype=np.int64)
     rows[0] = 1

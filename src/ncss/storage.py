@@ -8,8 +8,10 @@ Layout (directory backend):
 
 Shard binary format: 4-byte magic "NCSS", 1-byte version, 1 byte holding
 log2(d) for power-of-two bases (0 otherwise), 1-byte k, 8-byte big-endian
-digit count, then the payload: log2(d) bits per digit packed big-endian for
-power-of-two bases, one byte per digit otherwise (d <= 256).
+digit count, then the payload in codec's packed layout (codec.digit_bits).
+Manifest.from_json leaves the field and points to gf (get_field,
+check_points), the mode, alpha and strict width to codec, and raises what
+they refuse as PipelineError.
 
 Segments: store_shards allocates each shard once, header first, at the
 size its runs give, then takes the rendered stream as consecutive segments
@@ -58,7 +60,7 @@ from .errors import (
     PipelineError,
     WriteFailureError,
 )
-from .gf import FieldSpec, cached_vandermonde
+from .gf import FieldSpec, cached_vandermonde, check_points, get_field
 from .planner import DistributionPlan, SecurityProfile
 
 MAGIC = b"NCSS"
@@ -180,23 +182,6 @@ def _header_j(d: int) -> int:
     return j if 1 << j == d else 0
 
 
-def _digit_bits(d: int) -> int:
-    """Bits a digit of a shard payload: log2(d) for a power-of-two base d,
-    else a byte, which holds any d <= 256."""
-    j = _header_j(d)
-    if not j and d > 256:
-        raise ConfigError(f"byte-per-digit payloads support d <= 256, got d={d}")
-    return j or 8
-
-
-def _packed(digits: np.ndarray, d: int):
-    """Base-d digits in digit_dtype(d), each below d, as payload bytes:
-    _digit_bits(d) bits a digit, big-endian, the last byte zero-padded."""
-    if _digit_bits(d) == 8:
-        return digits.astype(np.uint8, copy=False)
-    return codec.pack_digits(digits, d)
-
-
 def _header(d: int, k: int, count: int) -> bytes:
     return MAGIC + bytes([FORMAT_VERSION, _header_j(d), k]) + count.to_bytes(8, "big")
 
@@ -204,28 +189,23 @@ def _header(d: int, k: int, count: int) -> bytes:
 def pack_shard(digits: np.ndarray, d: int, k: int) -> bytes:
     """Serialize a digit payload with the shard header."""
     digits = codec.as_digits(digits, d)
-    return _header(d, k, digits.size) + bytes(_packed(digits, d))
-
-
-def _unpacked(packed, j: int, count: int, start: int = 0) -> np.ndarray:
-    """count digits from digit start on of bytes packed as a shard payload
-    whose header holds j: log2(d) bits a digit, or a byte a digit for 0."""
-    if not j:
-        return np.frombuffer(packed, np.uint8, count, start)
-    return codec.unpack_digits(packed, 1 << j, count, start)
+    return _header(d, k, digits.size) + codec.pack_digits(digits, d)
 
 
 class Payload:
     """A shard payload: size digits packed as the header's j says (log2(d)
-    bits a digit, or a byte a digit for 0). Slicing unpacks only the digits
-    asked for, read-only, in the digit dtype of the shard's base."""
+    bits a digit, or a byte a digit, base 256's layout, for 0). A slice of
+    step 1 unpacks only its digits, read-only, in the shard's digit dtype."""
 
     def __init__(self, payload: memoryview, j: int, count: int):
         self.payload, self.j, self.size = payload, j, count
 
     def __getitem__(self, part: slice) -> np.ndarray:
-        start, stop, _ = part.indices(self.size)
-        digits = _unpacked(self.payload, self.j, max(0, stop - start), start)
+        start, stop, step = part.indices(self.size)
+        if step != 1:
+            raise ConfigError(f"a shard payload slices with step 1, not {step}")
+        base = 1 << (self.j or 8)
+        digits = codec.unpack_digits(self.payload, base, max(0, stop - start), start)
         digits.setflags(write=False)
         return digits
 
@@ -498,12 +478,6 @@ class Manifest:
             raise PipelineError(
                 f"manifest lists {len(raw['points'])} points for n={raw['n']}"
             )
-        # distinct nonzero elements of GF(2^k), as build_vandermonde requires
-        points = raw["points"]
-        if len(set(points)) != len(points) or not all(
-            0 < p and p.bit_length() <= raw["k"] for p in points
-        ):
-            raise PipelineError("manifest points are not distinct nonzero field elements")
         clouds = len(raw["cloud_runs"])
         for name in ("checksums", "caps", "stored", "breach"):
             if len(raw[name]) != clouds:
@@ -518,7 +492,16 @@ class Manifest:
             raise PipelineError("manifest element count is not block_count * n")
         if raw["r"] * raw["width"] - raw["pad_count"] != raw["original_length"]:
             raise PipelineError("manifest padding does not match the message length")
-        return cls(**{name: _tuples(raw[name]) for name in _MANIFEST_FIELDS})
+        manifest = cls(**{name: _tuples(raw[name]) for name in _MANIFEST_FIELDS})
+        try:
+            check_points(get_field(manifest.k, manifest.reduction_poly), manifest.points)
+            manifest.grouping_plan()
+            strict = manifest.mode == STRICT
+            if strict and manifest.width != codec.strict_width(manifest.k, manifest.d):
+                raise ConfigError(f"width {manifest.width} is not the strict width")
+        except ConfigError as exc:
+            raise PipelineError(f"manifest is inconsistent: {exc}") from exc
+        return manifest
 
     def grouping_plan(self) -> GroupingPlan:
         return GroupingPlan(
@@ -683,7 +666,7 @@ def store_shards(
             f"root exposes {root.cloud_count} clouds, plan wants {plan.p}"
         )
     table = _RunTable([*plan.cloud_runs, plan.local_runs], plan.total_digits)
-    bits = _digit_bits(spec.d)
+    bits = codec.digit_bits(spec.d)
     payloads = [bytearray(_HEADER_BYTES + -(-size * bits // 8)) for size in table.sizes]
     for payload, size in zip(payloads, table.sizes):
         payload[:_HEADER_BYTES] = _header(spec.d, spec.k, size)
@@ -696,7 +679,9 @@ def store_shards(
             pieces = [digits[a - lo : b - lo] for a, b in parts]
             held = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             dst = np.frombuffer(payloads[owner], np.uint8, offset=_HEADER_BYTES)
-            codec.copy_bits(dst, first * bits, _packed(held, spec.d), 0, held.size * bits)
+            codec.copy_bits(
+                dst, first * bits, codec.pack_digits(held, spec.d), 0, held.size * bits
+            )
     if pos != plan.total_digits:
         raise PipelineError("coded stream does not match the distribution plan")
 
@@ -799,9 +784,8 @@ def assemble_stream(manifest: Manifest, clouds: list, local) -> np.ndarray:
     taken from each cloud's digits and the local share's (digit arrays or
     Payloads, as fetch_shards returns them); the manifest runs must tile it."""
     table, _, sources = _checked_runs(manifest, clouds, local)
-    j = _header_j(manifest.d)
-    packed = table.assemble(sources, 0, table.total, j or 8)
-    return _unpacked(packed, j, table.total)
+    packed = table.assemble(sources, 0, table.total, codec.digit_bits(manifest.d))
+    return codec.unpack_digits(packed, manifest.d, table.total)
 
 
 def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
@@ -825,11 +809,10 @@ def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
     matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
     grouping = manifest.grouping_plan()
     n, block_digits = manifest.n, manifest.n * manifest.width
-    j = _header_j(manifest.d)
-    bits = j or 8
-    # every element is one or two whole bytes of the packed stream
+    bits = codec.digit_bits(manifest.d)
+    # a strict element is k bits (Manifest.from_json holds the width to
+    # strict_width): for these k, one or two whole bytes of the packed stream
     whole = manifest.mode == STRICT and manifest.k in (8, 16)
-    whole = whole and j * manifest.width == manifest.k
     out = None
     lo = 0
     for first, part in codec.segments(grouping, n):
@@ -839,7 +822,7 @@ def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
         if whole:
             elements = packed.view(f">u{manifest.k // 8}")
         else:
-            stream = _unpacked(packed, j, hi - lo)
+            stream = codec.unpack_digits(packed, manifest.d, hi - lo)
             elements = codec.parse_renders(stream, part_lengths, manifest.d)
             if int(elements.max()) >= matrix.field.q:
                 raise PipelineError("recovered digits parse outside the field")

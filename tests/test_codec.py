@@ -239,6 +239,52 @@ class TestCopyBits:
         assert np.unpackbits(dst).tolist() == want.tolist()
 
 
+PACKED_BASES = st.one_of(
+    st.integers(2, 256), st.sampled_from([1 << j for j in range(9, 17)])
+)
+
+
+class TestPackedLayout:
+    @given(
+        PACKED_BASES.flatmap(
+            lambda d: st.tuples(st.just(d), st.lists(st.integers(0, d - 1), max_size=40))
+        ),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_slow_pack(self, d_digits, data):
+        """Every base a shard can hold packs as the oracle does, log2(d)
+        bits a digit for a power of two and a byte a digit otherwise, and
+        any run of digits unpacks from the packed bytes."""
+        d, digits = d_digits
+        x = np.array(digits, dtype=codec.digit_dtype(d))
+        start = data.draw(st.integers(0, x.size))
+        count = data.draw(st.integers(0, x.size - start))
+        packed = codec.pack_digits(x, d)
+        assert packed == oracles.slow_pack(digits, d)
+        back = codec.unpack_digits(packed, d, count, start)
+        assert back.dtype == codec.digit_dtype(d)
+        assert back.tolist() == digits[start : start + count]
+
+    @given(st.integers(257, 1 << 20).filter(lambda d: d & (d - 1)))
+    @settings(max_examples=50, deadline=None)
+    def test_wide_base_refused(self, d):
+        with pytest.raises(ConfigError):
+            codec.digit_bits(d)
+        with pytest.raises(ConfigError):
+            codec.pack_digits(np.zeros(1, np.int64), d)
+        with pytest.raises(ConfigError):
+            codec.unpack_digits(b"\0\0\0", d, 1)
+
+    def test_digit_bits(self):
+        assert [codec.digit_bits(d) for d in (2, 4, 10, 255, 256, 512, 1 << 16)] == [
+            1, 2, 8, 8, 8, 9, 16
+        ]
+        for d in (0, 1, 1 << 17):
+            with pytest.raises(ConfigError):
+                codec.digit_bits(d)
+
+
 class TestNarrowDigits:
     @pytest.mark.parametrize(
         "d,dtype",

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from ncss import gf
+from ncss import codec, gf
 from ncss.errors import (
     ConfigError,
     DimensionMismatchError,
     DuplicatePointError,
     SingularMatrixError,
+    StrictUnavailableError,
     TooManyPointsError,
     ZeroInverseError,
     ZeroPointError,
@@ -123,14 +124,15 @@ class TestFieldConstruction:
 
 class TestFieldSpec:
     def test_strict_width_derived(self):
-        assert gf.FieldSpec(k=3, d=2).s == 3
-        assert gf.FieldSpec(k=8, d=2).s == 8
-        assert gf.FieldSpec(k=8, d=4).s == 4
-        assert gf.FieldSpec(k=16, d=16).s == 4
+        for k, d, s in [(3, 2, 3), (8, 2, 8), (8, 4, 4), (16, 16, 4)]:
+            spec = gf.FieldSpec(k=k, d=d)
+            assert codec.strict_width(spec.k, spec.d) == s
 
     def test_strict_width_absent(self):
-        assert gf.FieldSpec(k=4, d=8).s is None  # 3 does not divide 4
-        assert gf.FieldSpec(k=3, d=5).s is None  # 5 not a power of two
+        for k, d in [(4, 8), (3, 5)]:  # 3 does not divide 4; 5 not a power of two
+            spec = gf.FieldSpec(k=k, d=d)
+            with pytest.raises(StrictUnavailableError):
+                codec.strict_width(spec.k, spec.d)
 
     def test_field_must_cover_digit_base(self):
         with pytest.raises(ConfigError):
@@ -179,6 +181,27 @@ class TestVandermonde:
         f = gf.get_field(8)
         a = gf.build_vandermonde(f, gf.default_points(20))
         assert np.all(a.rows[0] == 1)
+
+
+class TestCheckPoints:
+    def test_returns_int_tuple(self, gf8):
+        assert gf.check_points(gf8, np.array([3, 1, 7])) == (3, 1, 7)
+        assert gf.check_points(gf8, []) == ()  # build_vandermonde wants one
+
+    @pytest.mark.parametrize(
+        "points,error",
+        [
+            ((1, 2, 1), DuplicatePointError),
+            ((0, 1), ZeroPointError),
+            ((1, 8), ConfigError),  # outside GF(2^3)
+            (tuple(range(1, 9)), TooManyPointsError),
+        ],
+    )
+    def test_refused(self, gf8, points, error):
+        with pytest.raises(error):
+            gf.check_points(gf8, points)
+        with pytest.raises(error):
+            gf.build_vandermonde(gf8, points)
 
 
 def one(f, m, v):

@@ -213,6 +213,15 @@ class TestNarrowPacking:
         assert all(a.flags.writeable for a in mine)
         assert stream.tolist() == [0, 1, 0, 1, 0, 0, 0, 0, 1]
 
+    def test_payload_slices_only_with_step_one(self):
+        root = storage.MemoryRoot(2)
+        (_, shard), _ = storage.fetch_shards(store_table3(root), root)
+        assert shard[:].tolist() == [0, 0, 0, 0, 1]
+        assert shard[2:5].tolist() == [0, 0, 1]
+        for part in (slice(0, 4, 2), slice(None, None, -1)):
+            with pytest.raises(ConfigError, match="step"):
+                shard[part]
+
     @pytest.mark.parametrize("d", [2, 3, 4, 10, 16, 256])
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 1001])
     def test_pack_matches_oracle(self, d, size):
@@ -698,6 +707,20 @@ PROBE_IDS = [f"{field}={json.dumps(value)}" for field, value, *_ in MANIFEST_PRO
 HUGE_BLOCK_COUNT = MANIFEST_PROBES[-1]
 
 
+# edits that keep every structural field consistent, so that only the
+# field, point and mode checks gf and codec own can refuse them
+OWNED_PROBES = [
+    ("reduction_poly", 256),  # reducible: x^8
+    ("reduction_poly", 0),  # not of degree 8
+    ("points", [1, 2, 2, 4]),
+    ("width", 4, {"r": 128, "block_count": 32}),  # strict width is 8
+    ("alpha", 5.0),  # a strict plan takes no alpha
+    ("mode", "alpha_bounded"),  # with a null alpha
+    ("mode", "bogus"),
+]
+OWNED_IDS = [f"{field}={json.dumps(value)}" for field, value, *_ in OWNED_PROBES]
+
+
 class TestManifestValidation:
     @pytest.fixture()
     def edited_root(self, tmp_path, request):
@@ -751,3 +774,19 @@ class TestManifestValidation:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("pipeline error:")
         assert "manifest" in proc.stderr
+
+    @pytest.mark.parametrize("edited_root", OWNED_PROBES, indirect=True, ids=OWNED_IDS)
+    def test_owned_checks_refuse_as_pipeline_errors(self, edited_root, tmp_path):
+        with pytest.raises(PipelineError, match="manifest is inconsistent"):
+            pipeline.recover(edited_root)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncss.cli", "fetch",
+             "--root", str(edited_root.path), "--out", str(tmp_path / "out.bin")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pipeline error:"), lines
