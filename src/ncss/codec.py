@@ -57,16 +57,17 @@ def digit_length(value: int, d: int) -> int:
 
 
 def digit_lengths(values: np.ndarray, d: int) -> np.ndarray:
-    """Vectorized digit_length."""
+    """Vectorized digit_length: one more than the count of the powers
+    d, d^2, ... that are at most the value."""
     if d < 2:
         raise BadBaseError(f"digit base must be >= 2, got {d}")
     values = np.asarray(values, dtype=np.int64)
-    out = np.ones(values.shape, dtype=np.int64)
-    rest = values // d
-    while np.any(rest > 0):
-        out += rest > 0
-        rest //= d
-    return out
+    powers, power = [], d
+    top = int(values.max()) if values.size else 0
+    while power <= top:
+        powers.append(power)
+        power *= d
+    return np.array(powers, dtype=np.int64).searchsorted(values, side="right") + 1
 
 
 def strict_width(k: int, d: int) -> int:
@@ -132,7 +133,7 @@ def as_digits(values, d: int) -> np.ndarray:
         raise ConfigError("digits must be one-dimensional")
     if arr.size == 0:  # an empty list arrives as float64
         return np.zeros(0, dtype=digit_dtype(d))
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ConfigError(f"digits must be integers, got dtype {arr.dtype}")
     if (arr.dtype.kind == "i" and int(arr.min()) < 0) or int(arr.max()) >= d:
         raise ConfigError(f"digits out of range for base {d}")
@@ -427,9 +428,11 @@ def copy_bits(dst: np.ndarray, at: int, src, start: int, count: int) -> None:
     else:
         out[:] = raw
     before = (0xFF00 >> (at & 7)) & 0xFF  # dst bits ahead of the copy
-    out[0] = head & before | int(out[0]) & ~before
+    if before:
+        out[0] = head & before | int(out[0]) & ~before
     after = (1 << (-(at + count) & 7)) - 1  # dst bits behind it
-    out[-1] = tail & after | int(out[-1]) & ~after
+    if after:
+        out[-1] = tail & after | int(out[-1]) & ~after
 
 
 _SEGMENT_BYTES = 256 << 10  # payload per segment of the store and recover loops

@@ -15,7 +15,9 @@ second digit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,12 +99,10 @@ def _merge(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Drop empty runs from an ordered run list and join adjacent ones."""
     keep = stops > starts
     starts, stops = starts[keep], stops[keep]
-    joins = np.nonzero(starts[1:] == stops[:-1])[0]
-    return np.delete(starts, joins + 1), np.delete(stops, joins)
-
-
-def _as_runs(starts: np.ndarray, stops: np.ndarray) -> tuple[Run, ...]:
-    return tuple(zip(starts.tolist(), stops.tolist()))
+    # joins[i + 1]: run i + 1 starts where run i stops; the ends never join
+    joins = np.zeros(starts.size + 1, dtype=bool)
+    np.equal(starts[1:], stops[:-1], out=joins[1:-1])
+    return starts[~joins[:-1]], stops[~joins[1:]]
 
 
 @dataclass(frozen=True)
@@ -164,35 +164,35 @@ def make_plan(
         raise ConfigError(f"{len(caps)} caps for {profile.p} clouds")
 
     local_need = max(0, total - sum(caps))
-    local_starts = local_stops = np.zeros(0, dtype=np.int64)
+    local_starts = local_stops = []
     if local_need:
         # one digit per component from the stream tail, then a second
         # round, ...; while local_need < component count, only the last
         # local_need components keep a digit, so only they are looked at
         rounds, partial = 0, local_need
         if local_need >= lengths.size:
-            max_len = int(lengths.max())
-            avail = np.array(
-                [int(np.count_nonzero(lengths > r)) for r in range(max_len)]
-            )
-            csum = np.concatenate([[0], np.cumsum(avail)])
-            rounds = int(np.searchsorted(csum, local_need, side="right")) - 1
-            partial = local_need - int(csum[rounds])
+            # kept[r]: the digits rounds 1..r + 1 take, round r + 1 one from
+            # each component longer than r; kept[0] <= lengths.size, so at
+            # least one round is whole
+            kept = (lengths.size - np.bincount(lengths).cumsum()).cumsum()
+            rounds = int(kept.searchsorted(local_need, side="right"))
+            partial = local_need - int(kept[rounds - 1])
         tail = lengths[-partial:] if rounds == 0 else lengths
         prefix = np.minimum(tail, rounds)
         if partial:
-            eligible = np.nonzero(tail > rounds)[0]
+            eligible = (tail > rounds).nonzero()[0]
             prefix[eligible[-partial:]] += 1
-        first = total - np.cumsum(tail[::-1])[::-1]  # stream start of each
-        local_starts, local_stops = _merge(first, first + prefix)
-    local_runs = _as_runs(local_starts, local_stops)
+        first = total - tail[::-1].cumsum()[::-1]  # stream start of each
+        starts, stops = _merge(first, first + prefix)
+        local_starts, local_stops = starts.tolist(), stops.tolist()
 
-    # the clouds hold the complement of the local runs, in stream order;
-    # cloud i takes the digits at offsets [cut[i], cut[i+1]) of these runs
-    starts, stops = _merge(
-        np.concatenate([[0], local_stops]), np.concatenate([local_starts, [total]])
-    )
-    run_cum = np.concatenate([[0], np.cumsum(stops - starts)])
+    # the clouds hold the gaps between the local runs, in stream order;
+    # cloud i takes the digits at offsets [lo, hi) of the gaps, where lo is
+    # the count of the clouds before it
+    gaps = [
+        (a, b) for a, b in zip([0, *local_stops], [*local_starts, total]) if a < b
+    ]
+    ends = list(accumulate(b - a for a, b in gaps))  # offset after each gap
 
     remaining = total - local_need
     counts = [0] * len(caps)
@@ -201,17 +201,17 @@ def make_plan(
         remaining -= counts[i]
 
     cloud_runs: list[tuple[Run, ...]] = []
-    cut = np.concatenate([[0], np.cumsum(counts)])
-    for lo, hi in zip(cut[:-1].tolist(), cut[1:].tolist()):
-        if hi <= lo:
-            cloud_runs.append(())
-            continue
-        i = int(np.searchsorted(run_cum, lo, side="right")) - 1
-        j = int(np.searchsorted(run_cum, hi, side="left"))
-        s, t = starts[i:j].copy(), stops[i:j].copy()
-        s[0] += lo - run_cum[i]
-        t[-1] -= run_cum[j] - hi
-        cloud_runs.append(_as_runs(s, t))
+    lo = 0
+    for count in counts:
+        hi = lo + count
+        runs = []
+        if count:  # offsets lo and hi - 1 lie in gaps i and j
+            i, j = bisect_right(ends, lo), bisect_left(ends, hi)
+            runs = gaps[i : j + 1]
+            runs[0] = (runs[0][1] - ends[i] + lo, runs[0][1])
+            runs[-1] = (runs[-1][0], runs[-1][1] - ends[j] + hi)
+        cloud_runs.append(tuple(runs))
+        lo = hi
 
     guess = tuple(
         guess_probability(total, counts[i], d, profile.breach[i])
@@ -222,7 +222,7 @@ def make_plan(
         caps=caps,
         stored=tuple(counts),
         cloud_runs=tuple(cloud_runs),
-        local_runs=local_runs,
+        local_runs=tuple(zip(local_starts, local_stops)),
         guess_prob=guess,
         n=n,
         d=d,

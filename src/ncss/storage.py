@@ -13,6 +13,17 @@ Manifest.from_json leaves the field and points to gf (get_field,
 check_points), the mode, alpha and strict width to codec, and raises what
 they refuse as PipelineError.
 
+Manifest text: Manifest.to_json writes, byte for byte, what
+json.dumps(dataclasses.asdict(manifest), indent=1) would, without json's
+pure-Python indenting encoder. One %s template holds every field name in
+order, and each field's writer fills its value: counts by int.__repr__,
+strings by json's C encode_basestring_ascii, other scalars as json writes
+them (floats by float.__repr__, NaN and the infinities as the words
+NaN, Infinity and -Infinity), int tuples joined a line an item, and every
+run list through one %d template of [start, stop] pairs. Manifest.from_json
+reads each field with the reader of its kind, which checks its JSON value
+and turns its lists into tuples.
+
 Segments: store_shards allocates each shard once, header first, at the
 size its runs give, then takes the rendered stream as consecutive segments
 (codec.segments) and packs each owner's digits of a segment at once, copying
@@ -42,9 +53,11 @@ import os
 import re
 import tempfile
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +214,8 @@ class Payload:
         self.payload, self.j, self.size = payload, j, count
 
     def __getitem__(self, part: slice) -> np.ndarray:
+        if type(part) is not slice:
+            raise ConfigError(f"a shard payload takes a slice, not {type(part).__name__}")
         start, stop, step = part.indices(self.size)
         if step != 1:
             raise ConfigError(f"a shard payload slices with step 1, not {step}")
@@ -356,64 +371,138 @@ class DirectoryRoot:
 # manifest
 
 
-def _count(x) -> bool:
-    return type(x) is int and x >= 0
+# Manifest fields are read and written by kind. A reader takes a field's
+# JSON value to its Manifest value, JSON lists to tuples, or to _BAD if the
+# value has the wrong shape; a writer takes a Manifest value to the text
+# json.dumps(indent=1) writes for it as a value of the top-level object.
 
-
-def _real(x) -> bool:
-    return type(x) in (int, float)
-
-
-def _text(x) -> bool:
-    return type(x) is str
-
-
-def _list_of(item):
-    return lambda x: type(x) is list and all(map(item, x))
-
-
-def _run(x) -> bool:
-    return type(x) is list and len(x) == 2 and all(map(_count, x))
-
-
+_BAD = object()
 _HEX = re.compile("[0-9a-f]*")
 
-# every manifest field, in order, with the check its JSON value must pass
+
+def _counts_ok(xs: list) -> bool:
+    """Every item of the list xs is a non-negative int."""
+    return {*map(type, xs)} <= {int} and (not xs or min(xs) >= 0)
+
+
+def _read_count(x):
+    return x if type(x) is int and x >= 0 else _BAD
+
+
+def _read_real(x):
+    return x if type(x) is int or type(x) is float else _BAD
+
+
+def _read_text(x):
+    return x if type(x) is str else _BAD
+
+
+def _read_items(types):
+    """The reader of a JSON list whose items' types are all in types."""
+    return lambda x: tuple(x) if type(x) is list and {*map(type, x)} <= types else _BAD
+
+
+def _read_runs(x):
+    ok = (
+        type(x) is list
+        and {*map(type, x)} <= {list}
+        and {*map(len, x)} <= {2}
+        and _counts_ok([*chain.from_iterable(x)])
+    )
+    return tuple(map(tuple, x)) if ok else _BAD
+
+
+def _read_run_lists(x):
+    if type(x) is not list:
+        return _BAD
+    runs = tuple(map(_read_runs, x))
+    return _BAD if _BAD in runs else runs
+
+
+# float.__repr__ of the floats json writes as bare words
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(x) -> str:
+    """A JSON scalar as json.dumps writes it."""
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return _json_string(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _list(items: list, depth: int) -> str:
+    """A JSON list of written items, as indent=1 writes it depth levels in."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _write_items(write):
+    """The writer of a tuple whose items write writes."""
+    return lambda xs: _list(list(map(write, xs)), 1)
+
+
+def _runs_text(runs, depth: int) -> str:
+    """Runs, a list of [start, stop] pairs depth levels in: one %d template
+    for all of them."""
+    if not runs:
+        return "[]"
+    pad, inner = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
+    pair = "[" + inner + "%d," + inner + "%d" + pad + "]"
+    template = "[" + pad + ("," + pad).join([pair] * len(runs)) + "\n" + " " * depth + "]"
+    return template % tuple(chain.from_iterable(runs))
+
+
+_COUNT = (_read_count, int.__repr__)
+_TEXT = (_read_text, _json_string)
+_COUNTS = (
+    lambda x: tuple(x) if type(x) is list and _counts_ok(x) else _BAD,
+    _write_items(int.__repr__),
+)
+
+# every manifest field, in order, with its reader and writer
 _MANIFEST_FIELDS = {
-    "format_version": _count,
-    "k": _count,
-    "reduction_poly": _count,
-    "d": _count,
-    "mode": _text,
-    "width": _count,
-    "r": _count,
-    "pad_count": _count,
-    "original_length": _count,
-    "alpha": lambda x: x is None or _real(x),
-    "render_lengths": lambda x: x is None or (_text(x) and bool(_HEX.fullmatch(x))),
-    "points": _list_of(_count),
-    "n": _count,
-    "block_count": _count,
-    "cloud_runs": _list_of(_list_of(_run)),
-    "local_runs": _list_of(_run),
-    "caps": _list_of(_count),
-    "stored": _list_of(_count),
-    "breach": _list_of(_real),
-    "pu": _real,
-    "checksums": _list_of(_text),
-    "local_checksum": _text,
-    "shard_name": _text,
-    "local_name": _text,
+    "format_version": _COUNT,
+    "k": _COUNT,
+    "reduction_poly": _COUNT,
+    "d": _COUNT,
+    "mode": _TEXT,
+    "width": _COUNT,
+    "r": _COUNT,
+    "pad_count": _COUNT,
+    "original_length": _COUNT,
+    "alpha": (lambda x: None if x is None else _read_real(x), _scalar),
+    "render_lengths": (
+        lambda x: x if x is None or type(x) is str and _HEX.fullmatch(x) else _BAD,
+        _scalar,
+    ),
+    "points": _COUNTS,
+    "n": _COUNT,
+    "block_count": _COUNT,
+    "cloud_runs": (
+        _read_run_lists,
+        lambda clouds: _list([_runs_text(runs, 2) for runs in clouds], 1),
+    ),
+    "local_runs": (_read_runs, lambda runs: _runs_text(runs, 1)),
+    "caps": _COUNTS,
+    "stored": _COUNTS,
+    "breach": (_read_items({int, float}), _write_items(_scalar)),
+    "pu": (_read_real, _scalar),
+    "checksums": (_read_items({str}), _write_items(_json_string)),
+    "local_checksum": _TEXT,
+    "shard_name": _TEXT,
+    "local_name": _TEXT,
 }
-
-
-def _tuples(value):
-    """JSON lists, nested or not, as tuples."""
-    if type(value) is not list:
-        return value
-    if value and type(value[0]) is list:
-        return tuple(map(_tuples, value))
-    return tuple(value)
+_field_values = attrgetter(*_MANIFEST_FIELDS)
+_MANIFEST_TEXT = "{\n" + ",\n".join(f' "{name}": %s' for name in _MANIFEST_FIELDS) + "\n}"
 
 
 @dataclass(frozen=True)
@@ -450,10 +539,12 @@ class Manifest:
         return len(self.cloud_runs)
 
     def to_json(self) -> str:
-        # shallow: json writes the nested tuples as lists, as asdict's deep
-        # copy of them would
-        fields_ = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(fields_, indent=1)
+        """The text json.dumps(dataclasses.asdict(self), indent=1) writes,
+        byte for byte, written field by field (see the module docstring)."""
+        return _MANIFEST_TEXT % tuple([
+            write(value)
+            for (_, write), value in zip(_MANIFEST_FIELDS.values(), _field_values(self))
+        ])
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
@@ -464,35 +555,38 @@ class Manifest:
             raise PipelineError(f"manifest is not valid JSON: {exc}") from exc
         if type(raw) is not dict:
             raise PipelineError("manifest is not a JSON object")
-        raw = {"shard_name": SHARD_NAME, "local_name": LOCAL_NAME, **raw}
-        for name, valid in _MANIFEST_FIELDS.items():
-            if name not in raw:
-                raise PipelineError(f"manifest is missing field {name!r}")
-            if not valid(raw[name]):
-                raise PipelineError(f"manifest field {name!r} has a bad value")
-        if raw["format_version"] != FORMAT_VERSION:
+        raw.setdefault("shard_name", SHARD_NAME)
+        raw.setdefault("local_name", LOCAL_NAME)
+        try:
+            values = {name: read(raw[name]) for name, (read, _) in _MANIFEST_FIELDS.items()}
+        except KeyError as exc:
+            raise PipelineError(f"manifest is missing field {exc.args[0]!r}") from None
+        if _BAD in values.values():
+            name = next(name for name, value in values.items() if value is _BAD)
+            raise PipelineError(f"manifest field {name!r} has a bad value")
+        if values["format_version"] != FORMAT_VERSION:
             raise PipelineError(
-                f"unsupported manifest format version {raw['format_version']}"
+                f"unsupported manifest format version {values['format_version']}"
             )
-        if len(raw["points"]) != raw["n"]:
+        if len(values["points"]) != values["n"]:
             raise PipelineError(
-                f"manifest lists {len(raw['points'])} points for n={raw['n']}"
+                f"manifest lists {len(values['points'])} points for n={values['n']}"
             )
-        clouds = len(raw["cloud_runs"])
+        clouds = len(values["cloud_runs"])
         for name in ("checksums", "caps", "stored", "breach"):
-            if len(raw[name]) != clouds:
+            if len(values[name]) != clouds:
                 raise PipelineError(
-                    f"manifest lists {len(raw[name])} {name} for {clouds} clouds"
+                    f"manifest lists {len(values[name])} {name} for {clouds} clouds"
                 )
-        if raw["d"] < 2:
+        if values["d"] < 2:
             raise PipelineError("manifest digit base is below 2")
-        if raw["width"] < 1:
+        if values["width"] < 1:
             raise PipelineError("manifest element width is below 1")
-        if raw["r"] != raw["block_count"] * raw["n"]:
+        if values["r"] != values["block_count"] * values["n"]:
             raise PipelineError("manifest element count is not block_count * n")
-        if raw["r"] * raw["width"] - raw["pad_count"] != raw["original_length"]:
+        if values["r"] * values["width"] - values["pad_count"] != values["original_length"]:
             raise PipelineError("manifest padding does not match the message length")
-        manifest = cls(**{name: _tuples(raw[name]) for name in _MANIFEST_FIELDS})
+        manifest = cls(**values)
         try:
             check_points(get_field(manifest.k, manifest.reduction_poly), manifest.points)
             manifest.grouping_plan()
@@ -768,13 +862,12 @@ def _checked_runs(
         total = int(lengths.sum())
     table = _RunTable([*manifest.cloud_runs, manifest.local_runs], total)
     for i, (need, source) in enumerate(zip(table.sizes, sources)):
-        what = f"cloud {i} shard" if i < manifest.p else "local share"
-        if source is None:
-            if need:
+        if (0 if source is None else source.size) != need:
+            what = f"cloud {i} shard" if i < manifest.p else "local share"
+            if source is None:
                 raise IncompleteDataError(f"{what} is withheld")
-        elif source.size < need:
-            raise IncompleteDataError(f"{what} is shorter than its runs")
-        elif source.size > need:
+            if source.size < need:
+                raise IncompleteDataError(f"{what} is shorter than its runs")
             raise IncompleteDataError(f"{what} holds digits outside its runs")
     return table, lengths, sources
 

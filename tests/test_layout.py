@@ -37,6 +37,16 @@ CASES = {
         size=0, d=2, k=8, n=4, mode=STRICT, alpha=None,
         breach=(0.5, 0.25), pu=1e-6,
     ),
+    # the benchmark's audit shape: 10 digits stay local, one or two per
+    # element, so both owners hold runs of 1 to 7 digits
+    "audit-strict-8B": dict(
+        size=8, d=2, k=8, n=4, mode=STRICT, alpha=None,
+        breach=(1.0,), pu=2.0**-10,
+    ),
+    "audit-alpha5-8B": dict(
+        size=8, d=2, k=8, n=4, mode=ALPHA_BOUNDED, alpha=5.0,
+        breach=(1.0,), pu=2.0**-10,
+    ),
     # 275 blocks: a stream longer than q = 256, each column's table rows
     # gathered many times over
     "strict-d2-275-blocks": dict(
@@ -46,6 +56,16 @@ CASES = {
 }
 
 DIGESTS = {
+    "audit-strict-8B": {
+        "cloud_0": "43f4ba16082fd31c998c5c4e650666d1600017640788ba5a3e3dd7b4d3124285",
+        "local": "456db6ab9246a8f8571ac7d79dae81882e08df3399dbb30fbe108ec50d814fb4",
+        "manifest": "16e8da213905ad769ac97d22f02f14b3aae242825d50b1fbb72722ca4dc2abc0",
+    },
+    "audit-alpha5-8B": {
+        "cloud_0": "7ede5a352eeb4bd65fcf44e0222aa04baa2c00eb75ad96061f32f12c35086cc7",
+        "local": "86f3e07d5fa55f4b58d53d7ea6b0909370b79d9889b849a558a393dbb6647c68",
+        "manifest": "f520bd2d5c343817e24fa49753774e03e7864d6504294b5fb1ccb3cb9efaf152",
+    },
     "strict-d2-local": {
         "cloud_0": "c3313f80e292ffbb320009b0f4031055d23729a2638613c1c910ac2fd489c5b7",
         "cloud_1": "31e7d067107bdb2817768bafeffd6e2362fb8f258bf4e4b29597967979fe8f14",

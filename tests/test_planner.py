@@ -245,6 +245,64 @@ class TestPlanRunsOracle:
             assert plan.local_count > 0
             assert (plan.cloud_runs, plan.local_runs) == (cloud, local), (trial, caps)
 
+    @staticmethod
+    def check(lengths, profile, caps=None):
+        """make_plan of lengths against the reference, caps from
+        per_cloud_caps when None; returns the plan."""
+        plan = planner.make_plan(lengths, 4, 2, profile, caps=caps)
+        if caps is None:
+            caps = planner.per_cloud_caps(int(np.sum(lengths)), 2, profile)
+        cloud, local = oracles.plan_runs(np.asarray(lengths).tolist(), caps)
+        assert (plan.cloud_runs, plan.local_runs) == (cloud, local), (lengths, caps)
+        return plan
+
+    @staticmethod
+    def profile(rng, p, unseen):
+        """p clouds whose breach and pu leave about unseen digits unstored."""
+        breach = tuple(float(b) for b in rng.uniform(0.05, 1.0, size=p))
+        return planner.SecurityProfile(breach=breach, pu=2.0 ** -min(unseen, 990))
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 16])
+    def test_strict_zero_stride_lengths(self, width):
+        """codec.fixed_lengths, one int64 seen count times, as a strict
+        store plans; caps from per_cloud_caps, local shares from none to
+        several rounds."""
+        rng = np.random.default_rng(width)
+        for _ in range(60):
+            count = int(rng.integers(1, 30))
+            p = int(rng.integers(1, 5))
+            unseen = int(rng.integers(0, 3 * count * width))
+            self.check(codec.fixed_lengths(count, width), self.profile(rng, p, unseen))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_caps_from_the_profile(self, p):
+        rng = np.random.default_rng(40 + p)
+        for _ in range(80):
+            lengths = rng.integers(1, 17, size=int(rng.integers(1, 30)))
+            unseen = int(rng.integers(0, 2 * int(lengths.sum())))
+            self.check(lengths, self.profile(rng, p, unseen))
+
+    def test_several_rounds(self):
+        """Local need of at least the element count: whole rounds of one
+        digit per component, elements emptied on the way, then a partial
+        round from the tail."""
+        profile = planner.SecurityProfile(breach=(0.5, 0.5), pu=1.0)
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 20)))
+            total = int(lengths.sum())
+            need = int(rng.integers(lengths.size, total + 1))
+            split = int(rng.integers(0, total - need + 1))
+            plan = self.check(lengths, profile, caps=(split, total - need - split))
+            assert plan.local_count == need
+
+    def test_empty_stream(self):
+        profile = planner.SecurityProfile(breach=(0.5, 0.25, 1.0), pu=1e-6)
+        empty = np.zeros(0, dtype=np.int64)
+        for caps in (None, (0, 0, 0), (3, 0, 1)):
+            plan = self.check(empty, profile, caps=caps)
+            assert plan.cloud_runs == ((), (), ()) and plan.local_runs == ()
+
 
 class TestPerfectSecrecySplit:
     def test_single_digit_components(self):

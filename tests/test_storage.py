@@ -222,6 +222,13 @@ class TestNarrowPacking:
             with pytest.raises(ConfigError, match="step"):
                 shard[part]
 
+    @pytest.mark.parametrize("index", [1, -1, np.int64(0), (slice(None),), [0, 1]])
+    def test_payload_refuses_a_non_slice(self, index):
+        root = storage.MemoryRoot(2)
+        (_, shard), _ = storage.fetch_shards(store_table3(root), root)
+        with pytest.raises(ConfigError, match="takes a slice"):
+            shard[index]
+
     @pytest.mark.parametrize("d", [2, 3, 4, 10, 16, 256])
     @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 1001])
     def test_pack_matches_oracle(self, d, size):
@@ -511,6 +518,19 @@ class TestStoreFetch:
         ).manifest
         assert manifest.to_json() == json.dumps(dataclasses.asdict(manifest), indent=1)
 
+    def test_non_finite_floats_are_written_as_json_writes_them(self):
+        # NaN and the infinities are not RFC 8259 JSON, but they are what
+        # json.dumps writes and what Manifest.from_json reads back
+        manifest = dataclasses.replace(
+            store_table3(storage.MemoryRoot(2)),
+            breach=(float("inf"), float("-inf")), pu=float("nan"),
+        )
+        text = manifest.to_json()
+        assert text == json.dumps(dataclasses.asdict(manifest), indent=1)
+        assert '"pu": NaN' in text
+        assert "  Infinity,\n  -Infinity\n" in text
+        assert storage.Manifest.from_json(text).to_json() == text
+
     def test_manifest_coverage_partition(self):
         root = storage.MemoryRoot(2)
         manifest = store_table3(root)
@@ -519,6 +539,44 @@ class TestStoreFetch:
             for start, stop in runs:
                 seen[start:stop] += 1
         assert seen.tolist() == [1] * 9
+
+
+COUNTS = st.integers(0, 2**64)  # past 2^32 too
+RUNS = st.lists(st.tuples(COUNTS, COUNTS), max_size=4).map(tuple)
+REALS = st.one_of(
+    st.sampled_from([1e-300, 0.1, 2**-10, 1.0, 0.5]),
+    st.floats(min_value=1e-300, max_value=1.0),
+    st.integers(0, 1),
+)
+TEXTS = st.one_of(st.sampled_from(["shard_000.bin", "shard_é.bin", "日本"]), st.text(max_size=8))
+
+
+@st.composite
+def manifests(draw):
+    p = draw(st.integers(1, 4))
+    per_cloud = lambda items: tuple(draw(items) for _ in range(p))
+    return storage.Manifest(
+        format_version=draw(COUNTS), k=draw(COUNTS), reduction_poly=draw(COUNTS),
+        d=draw(COUNTS), mode=draw(st.sampled_from([STRICT, ALPHA_BOUNDED])),
+        width=draw(COUNTS), r=draw(COUNTS), pad_count=draw(COUNTS),
+        original_length=draw(COUNTS),
+        alpha=draw(st.none() | st.floats(1.0, 1e6)),
+        render_lengths=draw(st.none() | st.text("0123456789abcdef", max_size=40)),
+        points=tuple(draw(st.lists(COUNTS, max_size=5))),
+        n=draw(COUNTS), block_count=draw(COUNTS),
+        cloud_runs=per_cloud(RUNS), local_runs=draw(RUNS),
+        caps=per_cloud(COUNTS), stored=per_cloud(COUNTS),
+        breach=per_cloud(REALS), pu=draw(REALS),
+        checksums=per_cloud(st.text("0123456789abcdef", min_size=8, max_size=8)),
+        local_checksum=draw(TEXTS), shard_name=draw(TEXTS), local_name=draw(TEXTS),
+    )
+
+
+class TestManifestText:
+    @given(manifests())
+    @settings(max_examples=600, deadline=None)
+    def test_written_text_is_the_asdict_text(self, manifest):
+        assert manifest.to_json() == json.dumps(dataclasses.asdict(manifest), indent=1)
 
 
 class TestDirectoryRoot:
