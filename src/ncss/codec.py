@@ -20,7 +20,7 @@ payloads, digit_bits(d) bits a digit; strict_width owns s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
 
@@ -155,32 +155,111 @@ def read_only(arr: np.ndarray, source) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False, frozen=True)
 class DigitString:
     """An ordered sequence of base-d digits; the plaintext/recovered currency.
 
-    digits is read-only and kept in digit_dtype(d) (uint8 for d <= 256).
+    The digits are held either as an array or packed (pack_digits' layout,
+    pad bits zero), as bytes ingestion and a whole-byte recover make them.
+    digits is read-only and kept in digit_dtype(d) (uint8 for d <= 256); a
+    packed string expands to it when it is first read, and keeps it. len(),
+    repr() and == never expand: == compares the digits whichever form each
+    side holds.
     """
 
-    d: int
-    digits: np.ndarray
+    __slots__ = ("d", "_digits", "_packed", "_count")
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise BadBaseError(f"digit base must be >= 2, got {self.d}")
-        arr = read_only(as_digits(self.digits, self.d), self.digits)
-        object.__setattr__(self, "digits", arr)
+    def __init__(self, d: int, digits) -> None:
+        if d < 2:
+            raise BadBaseError(f"digit base must be >= 2, got {d}")
+        arr = read_only(as_digits(digits, d), digits)
+        self._hold(d, arr, None, arr.size)
+
+    def _hold(self, d: int, digits, packed, count: int) -> None:
+        for name, value in (("d", d), ("_digits", digits), ("_packed", packed), ("_count", count)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_packed(cls, d: int, data, count: int) -> "DigitString":
+        """count digits whose pack_digits layout fills the first bytes of
+        the buffer data. Bytes of exactly that length with zero pad bits are
+        held as they are; anything else is copied once, cut to length, its
+        pad bits cleared."""
+        bits = count * digit_bits(d)
+        size, spare = -(-bits // 8), (1 << (-bits & 7)) - 1  # pad bits' mask
+        view = memoryview(data).cast("B")[:size]
+        if len(view) != size:
+            raise ConfigError(f"{len(view)} bytes do not hold {count} base-{d} digits")
+        if size and view[-1] & spare:
+            data = b"".join((view[:-1], bytes([view[-1] & ~spare])))
+        elif type(data) is not bytes or len(data) != size:
+            data = bytes(view)
+        self = object.__new__(cls)
+        self._hold(d, None, data, count)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def digits(self) -> np.ndarray:
+        if self._digits is None:
+            object.__setattr__(self, "_digits", self._unpacked())
+        return self._digits
+
+    def _unpacked(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Digits [start, stop) as a read-only array: a view of the array
+        held, else those digits unpacked afresh and not kept, so that a
+        caller's packed message stays packed."""
+        stop = self._count if stop is None else min(stop, self._count)
+        if self._digits is not None:
+            return self._digits[start:stop]
+        digits = unpack_digits(self._packed, self.d, stop - start, start)
+        digits.setflags(write=False)
+        return digits
+
+    def _bytes(self):
+        """The digits in pack_digits' layout: the buffer held (bytes, or a
+        slice's memoryview of them), else the array packed."""
+        if self._packed is None:
+            return pack_digits(self._digits, self.d)
+        return self._packed
+
+    def _slice(self, start: int, stop: int) -> "DigitString":
+        """Digits [start, stop) as a new DigitString. A packed string whose
+        slice starts on a byte and ends on one, or at its end, shares the
+        slice's bytes, whose pad bits are then its own or none; otherwise
+        only the slice's digits are unpacked."""
+        if self._packed is not None:
+            j = digit_bits(self.d)
+            if not start * j % 8 and (stop == self._count or not stop * j % 8):
+                piece = object.__new__(DigitString)
+                view = memoryview(self._packed)[start * j // 8 : -(-stop * j // 8)]
+                piece._hold(self.d, None, view, stop - start)
+                return piece
+        return DigitString(self.d, self._unpacked(start, stop))
+
+    def __reduce__(self):
+        if self._packed is None:
+            return DigitString, (self.d, self._digits)
+        return DigitString._from_packed, (self.d, bytes(self._packed), self._count)
 
     def __len__(self) -> int:
-        return int(self.digits.size)
+        return int(self._count)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitString):
             return NotImplemented
-        return self.d == other.d and np.array_equal(self.digits, other.digits)
+        if self.d != other.d or len(self) != len(other):
+            return False
+        if self._digits is not None and other._digits is not None:
+            return np.array_equal(self._digits, other._digits)
+        return self._bytes() == other._bytes()
 
     def __repr__(self) -> str:
-        head = ",".join(str(x) for x in self.digits[:16])
+        head = ",".join(str(x) for x in self._unpacked(0, 16))
         tail = ",..." if len(self) > 16 else ""
         return f"DigitString(d={self.d}, [{head}{tail}], len={len(self)})"
 
@@ -271,8 +350,22 @@ def make_grouping_plan(
     )
 
 
+def _element_bytes(plan: GroupingPlan) -> int:
+    """The bytes a field element of the plan takes in the packed digit
+    layout where it is one or two whole bytes, else 0: a strict element of
+    width digits of log2(d) bits is k bits on k-bit boundaries, so whole
+    bytes for k in {8, 16}."""
+    j = plan.d.bit_length() - 1
+    whole = plan.mode == STRICT and plan.k in (8, 16) and 1 << j == plan.d
+    return plan.k // 8 if whole and plan.width * j == plan.k else 0
+
+
 def regroup(b: DigitString, plan: GroupingPlan) -> np.ndarray:
-    """Fold digits into field elements, big-endian within each width slice."""
+    """Fold digits into field elements, big-endian within each width slice.
+
+    Where each element is whole bytes (_element_bytes) the packed digits
+    are the elements; otherwise a packed string's digits are unpacked for
+    the fold and not kept on b."""
     if len(b) == 0:
         raise EmptyInputError("cannot regroup an empty digit string")
     if b.d != plan.d:
@@ -281,7 +374,13 @@ def regroup(b: DigitString, plan: GroupingPlan) -> np.ndarray:
         raise PlanMismatchError(
             f"plan covers {plan.message_length} digits, message has {len(b)}"
         )
-    digits = b.digits
+    size = _element_bytes(plan)
+    if size:
+        octets = np.zeros(plan.r * size, dtype=np.uint8)  # zero padding
+        packed = np.frombuffer(b._bytes(), dtype=np.uint8)
+        octets[: packed.size] = packed
+        return octets.view(f">u{size}").astype(np.int64)
+    digits = b._unpacked()
     if plan.pad_count:
         digits = np.concatenate([digits, np.zeros(plan.pad_count, digits.dtype)])
     elements = fold_digits(digits.reshape(plan.r, plan.width), plan.d)

@@ -7,12 +7,17 @@ one segment at a time, and storage.store_shards packs each segment into
 the shards as it arrives. recover is reconstruct(manifest,
 *fetch_shards(manifest, root)): fetch_shards checks every shard and returns
 its packed payload, and reconstruct checks the runs, then, one segment at a
-time, gathers the segment's packed bits from the payloads, decodes its
-elements in the field's dtype (straight from those bytes when each element
-is one or two whole bytes) and expands them into the output digit array,
-which is allocated after the first segment. So peak memory is the caller's
-input or output digits, plus the packed shards, plus one segment, plus the
-cached decode tables of the matrix (n^2 q bytes at k <= 8, none above).
+time, gathers the segment's packed bits from the payloads and decodes its
+elements in the field's dtype. Where each element is one or two whole bytes
+(strict mode, k in {8, 16}) the elements are read straight from those bytes
+and written back as bytes into one packed output; otherwise they are
+expanded into one output digit array. Either is allocated after the first
+segment. bytes_to_digits holds the caller's bytes as the packed digits and
+digits_to_bytes returns the packed output as it is, so a byte-base message
+(d in {2, 4, 16, 256}) is never expanded to a digit a byte: peak memory is
+the caller's bytes, plus the packed shards, plus the packed output of a
+recover, plus one segment, plus the cached decode tables of the matrix
+(n^2 q bytes at k <= 8, none above).
 An alpha-bounded message is one segment: its render lengths follow from
 the coded values, so it is coded before it is planned.
 
@@ -87,8 +92,8 @@ def store_digits(
         for first, part in codec.segments(grouping, n):
             matrix = cached_vandermonde(spec.k, spec.reduction_poly, tuple(points))
             start = first * span
-            piece = digits.digits[start : start + part.message_length]
-            yield codec.encode_stream(DigitString(spec.d, piece), part, matrix)
+            piece = digits._slice(start, start + part.message_length)
+            yield codec.encode_stream(piece, part, matrix)
 
     streams = coded()
     if grouping.mode == STRICT:  # every length is the width: plan first
@@ -126,11 +131,11 @@ def _byte_base(d: int, what: str) -> int:
 
 
 def bytes_to_digits(data: bytes, d: int) -> DigitString:
-    """View bytes as base-d digits; d must be 2^j with j dividing 8."""
+    """View bytes as base-d digits; d must be 2^j with j dividing 8. The
+    bytes are the digits packed: bytes are held as they are, any other
+    buffer copied once."""
     j = _byte_base(d, "ingestion")
-    digits = codec.unpack_digits(data, d, len(data) * 8 // j)
-    digits.setflags(write=False)  # fresh: DigitString need not copy it
-    return DigitString(d, digits)
+    return DigitString._from_packed(d, data, len(data) * 8 // j)
 
 
 def digits_to_bytes(digits: DigitString) -> bytes:
@@ -140,4 +145,4 @@ def digits_to_bytes(digits: DigitString) -> bytes:
         raise ConfigError(
             f"{len(digits)} base-{digits.d} digits do not fill whole bytes"
         )
-    return codec.pack_digits(digits.digits, digits.d)
+    return bytes(digits._bytes())  # the same object when it holds bytes

@@ -41,6 +41,7 @@ class SecurityProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "breach", tuple(float(b) for b in self.breach))
+        object.__setattr__(self, "pu", float(self.pu))
         if len(self.breach) < 1:
             raise ConfigError("profile needs at least one cloud")
         if not all(0 < b <= 1 for b in self.breach):

@@ -32,12 +32,14 @@ written (CRC, atomic write) once the stream is complete, the manifest last.
 fetch_shards checks every shard's CRC and header and returns the packed
 payloads; reconstruct checks each digit count against its runs and that the
 runs tile the stream, then, one segment at a time, copies each run piece's
-bits straight from the packed payload into the segment's packed bits, reads
-the elements from those bytes (or unpacks and parses them where an element
-is not one or two whole bytes), decodes them in the field's dtype and
-expands them into the one output digit array.
-Peak memory is the caller's digits (the input of a store, the output of a
-recover) plus the packed shards plus one segment.
+bits straight from the packed payload into the segment's packed bits and
+decodes the elements in the field's dtype. Where an element is one or two
+whole bytes (codec._element_bytes) the elements are read from those bytes
+and the decoded ones written back into one packed output; otherwise the
+digits are unpacked and parsed, and the decoded elements expanded into one
+output digit array. Peak memory is the caller's message (packed bytes for
+a store from bytes) plus the packed shards plus one segment, and for a
+recover its output, packed where the elements are whole bytes.
 
 Integrity is CRC-32C per shard; confidentiality rests on the coding scheme.
 Inputs under 1 KiB run a one-table byte loop. Longer ones run a head of
@@ -888,13 +890,16 @@ def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
 
     Every check on the runs and counts comes first. Then each segment of
     whole blocks (codec.segments) is assembled as packed bits, one bit copy
-    per run piece straight from the payloads. Where every element renders
-    to exactly 8 or 16 bits (strict mode, d = 2^j and k in {8, 16}) those
-    bytes are the elements, read as uint8 or big-endian uint16; otherwise
-    the digits are unpacked, parsed and range-checked. The elements are
-    decoded in the field's dtype (EncodingMatrix.decode_blocks), expanded
-    and written into the one output digit array, which is allocated once
-    the first segment is decoded.
+    per run piece straight from the payloads, and its elements decoded in
+    the field's dtype (EncodingMatrix.decode_blocks). Where every element
+    is one or two whole bytes (codec._element_bytes: strict mode, k in
+    {8, 16}) the assembled bytes are the elements, read as uint8 or
+    big-endian uint16, and the decoded ones are written back as bytes into
+    one packed output, the message in pack_digits' layout, which the
+    returned DigitString holds. Otherwise the digits are unpacked, parsed
+    and range-checked, and the decoded elements expanded (codec.ungroup)
+    into one output digit array. Either output is allocated once the first
+    segment is decoded.
     """
     table, lengths, sources = _checked_runs(manifest, clouds, local)
     if manifest.r == 0:  # no blocks, or blocks of no elements
@@ -903,29 +908,34 @@ def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
     grouping = manifest.grouping_plan()
     n, block_digits = manifest.n, manifest.n * manifest.width
     bits = codec.digit_bits(manifest.d)
-    # a strict element is k bits (Manifest.from_json holds the width to
-    # strict_width): for these k, one or two whole bytes of the packed stream
-    whole = manifest.mode == STRICT and manifest.k in (8, 16)
+    size = codec._element_bytes(grouping)
     out = None
     lo = 0
     for first, part in codec.segments(grouping, n):
         part_lengths = lengths[first * n : first * n + part.r]
         hi = table.total if part is grouping else lo + int(part_lengths.sum())
         packed = table.assemble(sources, lo, hi, bits)
-        if whole:
-            elements = packed.view(f">u{manifest.k // 8}")
+        if size:
+            elements = packed.view(f">u{size}")
         else:
             stream = codec.unpack_digits(packed, manifest.d, hi - lo)
             elements = codec.parse_renders(stream, part_lengths, manifest.d)
             if int(elements.max()) >= matrix.field.q:
                 raise PipelineError("recovered digits parse outside the field")
-        decoded = matrix.decode_blocks(elements.reshape(-1, n))
-        digits = codec.ungroup(decoded.reshape(-1), part)
-        if part is grouping:  # one segment: its digits are the message
-            return digits
-        if out is None:
-            out = np.empty(grouping.message_length, dtype=codec.digit_dtype(manifest.d))
-        out[first * block_digits : first * block_digits + len(digits)] = digits.digits
+        decoded = matrix.decode_blocks(elements.reshape(-1, n)).reshape(-1)
+        if size:  # the elements' bytes are the packed message
+            if out is None:
+                out = np.empty(grouping.r * size, dtype=np.uint8)
+            out.view(f">u{size}")[first * n : first * n + part.r] = decoded
+        else:
+            digits = codec.ungroup(decoded, part)
+            if part is grouping:  # one segment: its digits are the message
+                return digits
+            if out is None:
+                out = np.empty(grouping.message_length, dtype=codec.digit_dtype(manifest.d))
+            out[first * block_digits : first * block_digits + len(digits)] = digits.digits
         lo = hi
+    if size:
+        return DigitString._from_packed(manifest.d, out, grouping.message_length)
     out.setflags(write=False)  # fresh: DigitString need not copy it
     return DigitString(manifest.d, out)

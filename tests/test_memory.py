@@ -42,8 +42,9 @@ def test_strict_d2_round_trip_peak():
 
 
 # growth of the store and the recover peaks from 1 MiB to 8 MiB of payload,
-# per added payload byte: the recovered d=2 digit array alone takes 8, the
-# packed shards about 1; one segment's working set does not grow
+# per added payload byte: the packed shards take about 1 and the recovered
+# message, packed, 1 more as its bytes are copied out; one segment's working
+# set does not grow
 GROWTH_PER_BYTE = 10
 
 
@@ -76,6 +77,36 @@ def test_store_and_recover_peaks_grow_by_the_data_alone():
     for name, small, large in zip(("store", "recover"), *peaks.values()):
         growth = (large - small) / added
         assert growth <= GROWTH_PER_BYTE, f"{name}: {growth:.1f} B/B"
+
+
+# the byte path, bytes to digits to shards and back to bytes, keeps a d=2
+# message packed throughout: the growth is the packed shards and the
+# recovered bytes, about 1 B each, never the 8 B of a digit per bit
+BYTE_PATH_GROWTH_PER_BYTE = 3
+
+
+def test_byte_path_peaks_grow_by_the_packed_data_alone():
+    spec = gf.FieldSpec(k=8, d=2)
+    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
+    rng = np.random.default_rng(9)
+    peaks = {}
+    for size in (1 << 20, 8 << 20):
+        payload = rng.bytes(size)
+        root = storage.MemoryRoot(3)
+        store = _peak(lambda: pipeline.store_digits(
+            pipeline.bytes_to_digits(payload, 2), root, spec, n=100, profile=profile
+        ))
+        back = []
+        recover = _peak(lambda: back.append(
+            pipeline.digits_to_bytes(pipeline.recover(root))
+        ))
+        assert back[0] == payload
+        peaks[size] = store, recover
+        del payload, root, back
+    added = (8 << 20) - (1 << 20)
+    for name, small, large in zip(("store", "recover"), *peaks.values()):
+        growth = (large - small) / added
+        assert growth <= BYTE_PATH_GROWTH_PER_BYTE, f"{name}: {growth:.1f} B/B"
 
 
 # a k=16 recover holds one column's split product table of the inverse at

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from ncss.errors import (
     BadAlphaError,
     ChecksumMismatchError,
     ConfigError,
+    ElementOverflowError,
     IncompleteDataError,
     MissingShardError,
     PipelineError,
@@ -734,6 +736,134 @@ class TestByteLayer:
         pipeline.store_digits(digits, root, spec, n=8, profile=profile)
         recovered = pipeline.recover(storage.DirectoryRoot(tmp_path / "bytes"))
         assert pipeline.digits_to_bytes(recovered) == payload
+
+
+    def test_profile_pu_of_true_stores_and_recovers(self):
+        """A bool pu passes 0 < pu <= 1; the profile holds it as 1.0, so the
+        manifest says 1.0 and loads again."""
+        root = storage.MemoryRoot(2)
+        profile = SecurityProfile(breach=(0.5, 0.25), pu=True)
+        assert type(profile.pu) is float and profile.pu == 1.0
+        digits = pipeline.bytes_to_digits(b"abc", 2)
+        pipeline.store_digits(digits, root, gf.FieldSpec(k=8, d=2), n=4, profile=profile)
+        assert '"pu": 1.0' in root.read_manifest()
+        assert pipeline.digits_to_bytes(pipeline.recover(root)) == b"abc"
+
+
+def _packed(digits: np.ndarray, d: int) -> DigitString:
+    """digits as a DigitString that holds them packed."""
+    return DigitString._from_packed(d, codec.pack_digits(digits, d), digits.size)
+
+
+class TestPackedMessages:
+    """A DigitString held packed (bytes ingestion, a whole-byte recover)
+    behaves as the array-backed one with the same digits. The pad bits of
+    the last byte are the risk: counts here rarely fill whole bytes."""
+
+    @given(
+        st.sampled_from([2, 4, 16, 256]),
+        st.sampled_from([8, 16]),
+        st.sampled_from([(STRICT, None), (ALPHA_BOUNDED, 5.0)]),
+        st.integers(1, 300),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_packed_and_array_forms_agree(self, d, k, grouping, m, n, p, seed):
+        mode, alpha = grouping
+        rng = np.random.default_rng(seed)
+        digits = rng.integers(0, d, size=m).astype(np.uint8)
+        array, packed = DigitString(d, digits), _packed(digits, d)
+        assert packed == array and array == packed
+        assert len(packed) == m and repr(packed) == repr(array)
+        other = digits.copy()
+        other[-1] = (int(other[-1]) + 1) % d
+        assert packed != DigitString(d, other) and DigitString(d, other) != packed
+        assert packed != _packed(other, d) and packed != _packed(digits[:-1], d)
+        data = rng.bytes(m % 9)
+        assert pipeline.digits_to_bytes(pipeline.bytes_to_digits(data, d)) == data
+        spec = gf.FieldSpec(k=k, d=d)
+        profile = SecurityProfile(breach=tuple(rng.uniform(0.1, 0.9, size=p)), pu=1e-3)
+        stored = []
+        for message in (array, packed):
+            root = storage.MemoryRoot(p)
+            pipeline.store_digits(message, root, spec, n=n, profile=profile,
+                                  mode=mode, alpha=alpha)
+            stored.append(root.snapshot())
+            back = pipeline.recover(root)
+            assert back == array and array == back and back == packed
+        assert stored[0] == stored[1]
+        assert packed._digits is None  # storing did not expand it
+        assert packed.digits.tolist() == digits.tolist()
+
+    @pytest.mark.parametrize("d,m", [(2, 13), (4, 7), (16, 3), (256, 5)])
+    def test_pad_bits_cleared(self, d, m):
+        """Bytes whose pad bits are set, or that run past the digits, are
+        copied, cut and cleared; exact bytes are held as they are."""
+        digits = np.full(m, d - 1, dtype=np.uint8)
+        exact = codec.pack_digits(digits, d)
+        held = DigitString._from_packed(d, exact, m)
+        assert held._packed is exact
+        for data in (exact[:-1] + b"\xff", exact + b"\xff", bytearray(exact)):
+            loaded = DigitString._from_packed(d, data, m)
+            assert loaded._packed == exact and type(loaded._packed) is bytes
+            assert loaded == held and loaded.digits.tolist() == digits.tolist()
+        with pytest.raises(ConfigError):
+            DigitString._from_packed(d, exact[:-1], m)
+
+    def test_bytes_held_without_a_copy(self):
+        data = bytes(range(256))
+        digits = pipeline.bytes_to_digits(data, 2)
+        assert digits._packed is data and pipeline.digits_to_bytes(digits) is data
+        mine = bytearray(data)
+        copied = pipeline.bytes_to_digits(mine, 4)
+        mine[0] = 255
+        assert pipeline.digits_to_bytes(copied) == data
+
+    def test_digits_expand_once_and_stay(self):
+        digits = pipeline.bytes_to_digits(b"\x80\x01", 2)
+        assert digits._digits is None and "[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]" in repr(digits)
+        assert digits._digits is None
+        first = digits.digits
+        assert digits.digits is first and not first.flags.writeable
+        assert first.tolist() == [1] + [0] * 14 + [1]
+
+    @pytest.mark.parametrize("k,mode,alpha", [(4, STRICT, None), (8, ALPHA_BOUNDED, 5.0)])
+    def test_other_layouts_leave_the_message_packed(self, k, mode, alpha):
+        """A store that needs the digits unpacks only the segment it codes
+        and does not keep it on the caller's message."""
+        payload = np.random.default_rng(k).bytes(3000)
+        digits = pipeline.bytes_to_digits(payload, 2)
+        root = storage.MemoryRoot(2)
+        pipeline.store_digits(
+            digits, root, gf.FieldSpec(k=k, d=2), n=4, mode=mode, alpha=alpha,
+            profile=SecurityProfile(breach=(0.5, 0.25), pu=1e-6),
+        )
+        assert digits._digits is None
+        assert pipeline.digits_to_bytes(pipeline.recover(root)) == payload
+
+    def test_misconfigured_strict_width_still_folds(self):
+        """Elements are whole bytes only where width * log2(d) == k: a
+        hand-built strict plan of width 9 at k=8 folds the digits and
+        overflows the field, in either form."""
+        bad = codec.GroupingPlan(mode=STRICT, d=2, k=8, width=9, r=2, pad_count=0)
+        for digits in (pipeline.bytes_to_digits(b"\xff\xff\xc0", 2)._slice(0, 18),
+                       DigitString(2, [1] * 18)):
+            with pytest.raises(ElementOverflowError):
+                codec.regroup(digits, bad)
+
+    def test_pickles_in_either_form(self):
+        for digits in (pipeline.bytes_to_digits(b"\x80\x01", 4), DigitString(4, [3, 0, 1])):
+            back = pickle.loads(pickle.dumps(digits))
+            assert back == digits and (back._packed is None) == (digits._packed is None)
+
+    def test_immutable(self):
+        digits = pipeline.bytes_to_digits(b"x", 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            digits.d = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del digits.d
 
 
 # hand edits of a stored manifest that must be refused on load
