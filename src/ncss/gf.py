@@ -1,9 +1,11 @@
 """GF(2^k) arithmetic and the Vandermonde linear algebra used for encoding.
 
 Field elements are plain integers in [0, 2^k - 1]; bit i is the coefficient
-of x^i in the polynomial basis. Scalar and elementwise multiplication go
-through log/antilog tables built once per (k, polynomial) pair; for k <= 8
-the field also keeps its full q x q product table (64 KiB at k=8).
+of x^i in the polynomial basis. Products go through log/antilog tables
+built once per (k, polynomial) pair. Every table of a constant's products
+is built one way, Field._gather_table, by linearity: the k products a * 2^b
+and, by XOR doubling, the rest (split at the low byte above k = 8, as in
+Plank, Greenan & Miller, FAST 2013). No q x q product table is kept.
 
 Field.mat_vec_batch is the general matrix product: a broadcast log/antilog
 product for a short batch, per-column table gathers for a long one.
@@ -73,20 +75,6 @@ def find_irreducible(k: int) -> int:
     raise ConfigError(f"no irreducible polynomial of degree {k}")  # unreachable
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class OpCounter:
     """Mutable tally of scalar field multiplications, for work accounting.
 
@@ -105,10 +93,6 @@ class OpCounter:
 # batches up to this size take one broadcast product, faster than tables
 _BROADCAST_BATCH = 8
 
-# split-table indices for k > 8: the low byte t and the high part t << 8
-_LOW_BYTES = np.arange(256, dtype=np.int64)
-_HIGH_BYTES = _LOW_BYTES << 8
-
 
 class Field:
     """Arithmetic over GF(2^k) via precomputed exp/log tables.
@@ -116,8 +100,8 @@ class Field:
     The exp table is laid out twice over so that exp[log a + log b] needs
     no modular reduction. Tables are built from a verified generator of the
     multiplicative group, so any irreducible polynomial works (x itself is
-    not always a generator, e.g. for 0x11B at k=8). For k <= 8 the full
-    product table (uint8, q x q) is built as well.
+    not always a generator, e.g. for 0x11B at k=8). They take 24 (q - 1)
+    bytes: 6 KB at k=8, 1.57 MB at k=16.
     """
 
     def __init__(self, k: int, poly: int | None = None):
@@ -159,45 +143,26 @@ class Field:
                 a ^= self.poly
         return r
 
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
-
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        checks = [n // p for p in _prime_factors(n)]
-        for g in range(2, self.q):
-            if all(self._pow_slow(g, c) != 1 for c in checks):
-                return g
-        raise ConfigError("no generator found; polynomial is not irreducible")
-
     def _build_tables(self) -> None:
+        """exp and log to the base of the smallest generator g: the first
+        element whose powers take q - 1 steps to come back to 1."""
         n = self.q - 1
-        g = self._find_generator()
-        exp = np.zeros(2 * n, dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_slow(x, g)
+        exp = np.ones(2 * n, dtype=np.int64)
+        for g in range(2, self.q):
+            i, x = 1, g
+            while x != 1:
+                exp[i] = x
+                i, x = i + 1, self._mul_slow(x, g)
+            if i == n:
+                break
         exp[n:] = exp[:n]
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp[:n]] = np.arange(n)
         exp.setflags(write=False)
         log.setflags(write=False)
         self.generator = g
         self._exp = exp
         self._log = log
-        self._product = None
-        if self.k <= 8:
-            a = np.arange(self.q, dtype=np.int64)
-            product = self._products(a[:, None], a[None, :]).astype(np.uint8)
-            product.setflags(write=False)
-            self._product = product
 
     # -- scalar operations ---------------------------------------------
 
@@ -269,9 +234,9 @@ class Field:
         viewed as uint64. XORing the rows j*q + v[j] over every column j
         gives the product m . v in the first m.shape[0] bytes."""
         rows, cols = m.shape
-        table = np.zeros((cols, self.q, -(-rows // 8) * 8), dtype=np.uint8)
-        table[:, :, :rows] = self._product[m.T].transpose(0, 2, 1)
-        return table.reshape(cols * self.q, -1).view(np.uint64)
+        columns = np.zeros((cols, -(-rows // 8) * 8), dtype=np.int64)
+        columns[:, :rows] = m.T  # zero entries pad each row of products
+        return self._gather_table(columns).reshape(cols * self.q, -1).view(np.uint64)
 
     def mat_vec_batch(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """out[b, i] = XOR_j m[i,j] * vs[b,j]: m times every row of vs. One
@@ -281,10 +246,10 @@ class Field:
         A batch of at most _BROADCAST_BATCH rows takes one broadcast product.
         Otherwise column j's products m[:, j] * t, for every value t, form a
         (t, row) table (_gather_table) gathered at vs[:, j] and XORed into
-        the accumulator (_gather_xor): k <= 8 slices the product table; k > 8
-        builds split tables for the low byte and the high part of t (two
-        gathers), unless the batch is shorter than those (256 + 2^(k-8)
-        rows): then the column's products are computed directly.
+        the accumulator (_gather_xor), one column's table at a time. k > 8
+        gathers twice, for the low byte and the high part of t, and computes
+        the column's products directly instead when the batch is shorter
+        than the table (256 + 2^(k-8) rows).
         """
         m, vs = self._operand(m), self._operand(vs)
         if m.ndim != 2 or vs.ndim != 2 or m.shape[1] != vs.shape[1]:
@@ -298,7 +263,7 @@ class Field:
         if batch <= _BROADCAST_BATCH:
             return np.bitwise_xor.reduce(self._products(m, vs[:, None, :]), axis=2)
         columns = np.ascontiguousarray(vs.T)
-        if self._product is None and batch < _LOW_BYTES.size + (self.q >> 8):
+        if self.k > 8 and batch < 256 + (self.q >> 8):
             acc = np.zeros((batch, rows), dtype=self.dtype)
             for a, v in zip(m.T, columns):
                 acc ^= self._products(v[:, None], a[None, :]).astype(self.dtype)
@@ -307,15 +272,24 @@ class Field:
         return acc.astype(np.int64)
 
     def _gather_table(self, a: np.ndarray) -> np.ndarray:
-        """The products of column a (int64, entries in the field) by every
-        value, not counted, as a C-contiguous (value, row) table in the
-        field's dtype: row t holds a * t for k <= 8. For k > 8, row t < 256
-        holds a * t and row 256 + h holds a * (h << 8), so a * v is row
-        v & 0xFF XOR row 256 + (v >> 8)."""
-        if self._product is not None:
-            return self._product[:, a]
-        values = np.concatenate([_LOW_BYTES, _HIGH_BYTES[: self.q >> 8]])
-        return self._products(values[:, None], a[None, :]).astype(self.dtype)
+        """The products of column a (int64 of shape (..., rows), entries in
+        the field) by every value, not counted, as a C-contiguous (...,
+        value, row) table in the field's dtype: row t holds a * t for k <= 8.
+        For k > 8, row t < 256 holds a * t and row 256 + h holds a * (h << 8),
+        so a * v is row v & 0xFF XOR row 256 + (v >> 8). Only the rows
+        a * 2^b are products; by linearity bit b, with s = 256 (b div 8) and
+        i = 2^(b mod 8), fills rows s + i to s + 2i as rows s to s + i XOR
+        a * 2^b: the high half starts over at row 256."""
+        units = self._products(a[..., None, :], 1 << np.arange(self.k)[:, None])
+        units = units.astype(self.dtype)
+        top = self.k - 1  # the last bit fills the last rows
+        shape = a.shape[:-1] + ((top >> 3 << 8) + (2 << (top & 7)), a.shape[-1])
+        table = np.zeros(shape, self.dtype)
+        for b in range(self.k):
+            s, i = b >> 3 << 8, 1 << (b & 7)
+            np.bitwise_xor(table[..., s : s + i, :], units[..., b, None, :],
+                           out=table[..., s + i : s + 2 * i, :])
+        return table
 
     def _gather_xor(self, tables, columns: np.ndarray, rows: int) -> np.ndarray:
         """out[b] = XOR over j of tables[j] gathered at columns[j, b]: the
@@ -324,11 +298,10 @@ class Field:
         each column contiguous). Returns (batch, rows) in the field's dtype."""
         acc = np.zeros((columns.shape[1], rows), dtype=self.dtype)
         for table, v in zip(tables, columns):
-            if self._product is not None:
-                acc ^= table.take(v, axis=0)
-            else:
-                acc ^= table[:256].take(v & 0xFF, axis=0)
+            if self.k > 8:
                 acc ^= table[256:].take(v >> 8, axis=0)
+                v = v & 0xFF
+            acc ^= table.take(v, axis=0)
         return acc
 
     # The benchmark's tracer lists these two names (perfbench/tracer.py); no
@@ -368,10 +341,18 @@ class Field:
         return f"Field(k={self.k}, poly={self.poly:#x})"
 
 
-@lru_cache(maxsize=None)
 def get_field(k: int, poly: int | None = None) -> Field:
-    """Shared Field instance per (k, polynomial); tables are built once."""
-    return Field(k, poly)
+    """Shared Field instance per (k, polynomial); tables are built once.
+    poly None and the default polynomial of k give one field, kept for good
+    (five at most). Of other polynomials (4,080 at k=16, named by manifests)
+    the last 8 fields are kept: at most 12.6 MB, 1.57 MB each at k=16."""
+    if poly is None or poly == DEFAULT_POLYS.get(k):
+        return _default_field(k)
+    return _other_field(k, poly)
+
+
+_default_field = lru_cache(maxsize=None)(Field)  # Field(k) fails for other k
+_other_field = lru_cache(maxsize=8)(Field)
 
 
 @dataclass(frozen=True)
@@ -410,7 +391,8 @@ class EncodingMatrix:
 
     Points are pairwise distinct and nonzero, so the matrix is invertible.
     Instances are immutable; the inverse and, for k <= 8, the column and
-    decode tables are computed lazily and cached.
+    decode tables (Field._gather_tables of A's and A^-1's columns, about
+    n^2 q bytes each) are computed lazily and cached. k > 8 keeps no tables.
     """
 
     def __init__(self, field: Field, points: tuple[int, ...], rows: np.ndarray):
@@ -440,7 +422,7 @@ class EncodingMatrix:
         than n=10, which holds for per-block dispatch and not for the batch
         kernel (n multiplications per element make large n the slower)."""
         field, n = self.field, self.n
-        if field._product is None:
+        if field.k > 8:
             blocks[:] = field.mat_vec_batch(self.rows, blocks)
             return
         if self._columns is None:
@@ -464,10 +446,10 @@ class EncodingMatrix:
         k > 8 makes one mat_vec_batch call: kept tables would take
         2 n^2 (256 + 2^(k-8)) bytes, a gigabyte at k=16 and n=1000."""
         field = self.field
-        if field._product is None:
+        if field.k > 8:
             return field.mat_vec_batch(self.inverse(), blocks).astype(field.dtype)
         if self._decode is None:
-            tables = np.stack([field._gather_table(a) for a in self.inverse().T])
+            tables = field._gather_table(self.inverse().T)
             tables.setflags(write=False)
             self._decode = tables
         columns = np.ascontiguousarray(blocks.T, dtype=field.dtype)
@@ -517,8 +499,10 @@ def build_vandermonde(spec: FieldSpec | Field, points) -> EncodingMatrix:
     return EncodingMatrix(field, points, rows)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=8)
 def cached_vandermonde(k: int, poly: int, points: tuple[int, ...]) -> EncodingMatrix:
-    """Memoized matrix construction for repeated store/recover cycles."""
+    """Memoized matrix construction for repeated store/recover cycles. The
+    last 8 are kept with their inverses and tables: at k <= 8 at most 34 MB
+    each (n = 255: int64 rows and inverse, 1 MB; a 16.7 MB column table and
+    16.6 MB of decode tables), 275 MB in all; above k = 8 16 n^2 bytes each."""
     return build_vandermonde(get_field(k, poly), points)
-

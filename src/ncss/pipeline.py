@@ -16,8 +16,10 @@ segment. bytes_to_digits holds the caller's bytes as the packed digits and
 digits_to_bytes returns the packed output as it is, so a byte-base message
 (d in {2, 4, 16, 256}) is never expanded to a digit a byte: peak memory is
 the caller's bytes, plus the packed shards, plus the packed output of a
-recover, plus one segment, plus the cached decode tables of the matrix
-(n^2 q bytes at k <= 8, none above).
+recover, plus one segment, plus the matrix's cached tables, built by
+linearity (gf.Field._gather_table): about n^2 q bytes each for encode and
+decode at k <= 8; above k = 8 none, only one column's split table (1 KiB
+per row of the matrix at k = 16) while a segment is coded.
 An alpha-bounded message is one segment: its render lengths follow from
 the coded values, so it is coded before it is planned.
 

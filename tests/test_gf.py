@@ -121,6 +121,89 @@ class TestFieldConstruction:
         f = gf.Field(8, 0b101110001)
         assert f.mul(f.inv(0xAB), 0xAB) == 1
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_generator_is_the_smallest_element_of_full_order(self, k):
+        """Every irreducible polynomial of degree k: the generator's powers
+        first return to 1 after q - 1 steps, and no smaller element's do."""
+        q = 1 << k
+
+        def order(g, poly):
+            x, steps = g, 1
+            while x != 1:
+                x, steps = oracles.slow_mul(x, g, poly, k), steps + 1
+            return steps
+
+        for poly in range(q, 2 * q):
+            if gf.is_irreducible(poly, k):
+                g = gf.Field(k, poly).generator
+                assert order(g, poly) == q - 1
+                assert all(order(h, poly) < q - 1 for h in range(2, g))
+
+
+class TestGetField:
+    @pytest.mark.parametrize("k", sorted(gf.DEFAULT_POLYS))
+    def test_default_polynomial_is_one_field(self, k):
+        """None and the default polynomial name the same instance, so a
+        counter attached to one sees the work done through the other."""
+        f = gf.get_field(k)
+        assert gf.get_field(k, gf.DEFAULT_POLYS[k]) is f
+        assert gf.FieldSpec(k=k, d=2).field() is f
+        f.counter = gf.OpCounter()
+        try:
+            gf.get_field(k, gf.DEFAULT_POLYS[k]).mul(2, 3)
+            assert f.counter.muls == 1
+        finally:
+            f.counter = None
+
+    def test_other_polynomials_keep_the_last_eight(self):
+        polys = [p for p in range(1 << 8, 1 << 9) if gf.is_irreducible(p, 8)]
+        polys.remove(gf.DEFAULT_POLYS[8])
+        default = gf.get_field(8)
+        first = [gf.get_field(8, p) for p in polys[:8]]
+        assert all(gf.get_field(8, p) is f for p, f in zip(polys[:8], first))
+        for p in polys[8:]:
+            gf.get_field(8, p)
+        assert all(gf.get_field(8, p) is not f for p, f in zip(polys[:8], first))
+        assert gf.get_field(8) is default
+
+    def test_bad_fields_are_rejected_through_either_cache(self):
+        for k, poly in [(5, None), (17, None), (4, 0b10101), (8, 0)]:
+            with pytest.raises(ConfigError):
+                gf.get_field(k, poly)
+
+
+class TestGatherTable:
+    """_gather_table builds every product table by linearity: the k rows
+    a * 2^b as products, every other row as an XOR of two earlier ones."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_every_column_value_matches_the_oracle(self, k):
+        f = gf.get_field(k)
+        table = f._gather_table(np.arange(f.q))
+        assert table.shape == (f.q, f.q) and table.dtype == f.dtype
+        assert table.flags.c_contiguous
+        # table[t, a] = a * t
+        assert table.T.tolist() == oracles.mul_table(f.poly, k)
+
+    @pytest.mark.parametrize("k", [9, 12, 16])
+    def test_both_halves_of_the_split_table_match_mul(self, k):
+        f = field_for(k)
+        a = np.concatenate([[0, 1, f.q - 1], np.random.default_rng(k).integers(0, f.q, 6)])
+        table = f._gather_table(a)
+        assert table.shape == (256 + (f.q >> 8), a.size) and table.dtype == f.dtype
+        for t in range(256):
+            assert table[t].tolist() == [f.mul(int(x), t) for x in a]
+        for h in range(f.q >> 8):
+            assert table[256 + h].tolist() == [f.mul(int(x), h << 8) for x in a]
+
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    def test_columns_stacked_build_their_tables_stacked(self, k):
+        f = gf.get_field(k)
+        m = np.random.default_rng(k).integers(0, f.q, size=(5, 7))
+        table = f._gather_table(m)
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, np.stack([f._gather_table(c) for c in m]))
+
 
 class TestFieldSpec:
     def test_strict_width_derived(self):

@@ -53,6 +53,16 @@ CASES = {
         size=1100, d=2, k=8, n=4, mode=STRICT, alpha=None,
         breach=(0.5, 0.25), pu=1e-300,
     ),
+    # k=16 blocks of 10 elements: 100 blocks take the direct products of
+    # mat_vec_batch, 600 the split tables (at least 256 + 256 blocks)
+    "strict-d256-k16-100-blocks": dict(
+        size=2000, d=256, k=16, n=10, mode=STRICT, alpha=None,
+        breach=(0.5, 0.25), pu=1e-12,
+    ),
+    "strict-d256-k16-600-blocks": dict(
+        size=12000, d=256, k=16, n=10, mode=STRICT, alpha=None,
+        breach=(0.5, 0.25), pu=1e-12,
+    ),
 }
 
 DIGESTS = {
@@ -96,6 +106,18 @@ DIGESTS = {
         "cloud_1": "9f53c0da1f1c4c0a17829345581cf691c368daecb2e5bb524d4121c8f930c83a",
         "local": "2fae360b4d953484a729069ded9ac8c0d292334a750f7648a455c104a680db93",
         "manifest": "e0e85af186e7c1f555dbaccd0b9b86feebb493bd9050d6f95980a1bc7ee57bbb",
+    },
+    "strict-d256-k16-100-blocks": {
+        "cloud_0": "5e4bb897e7c8e232a6963c43b43a63b24669cb06c547cbb82abaddcbf20a1a80",
+        "cloud_1": "e663706704e7d353be62d753dd2c51764995e97d19b9515abd3aed0a11b7f5ad",
+        "local": "561b73ac24580706faea282ee2f04e8f4fb0a9ff4e539a8212454cb18f392ffe",
+        "manifest": "f633cbbc765a1ec566a37dbf24c07ea51834634529249265fd82dcb96c6a4ada",
+    },
+    "strict-d256-k16-600-blocks": {
+        "cloud_0": "2a3d7da1fe2c6233bb863a1f7158237ca60516b0c0b28288f3198534a76efb41",
+        "cloud_1": "a2b33b8505d7acaedede5d1bb3462546ed91dfab5900f953dc26f8042812bb76",
+        "local": "561b73ac24580706faea282ee2f04e8f4fb0a9ff4e539a8212454cb18f392ffe",
+        "manifest": "ccbb3fd3646766c93969485bc5e40ba0e0cb4a6d495063bd433df0904aea1f51",
     },
 }
 

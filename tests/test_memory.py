@@ -132,6 +132,38 @@ def test_k16_large_n_recover_peak(blocks):
     assert peak <= K16_RECOVER_BYTES, f"{peak / 1e6:.1f} MB"
 
 
+# the field and matrix caches keep a fixed number of entries: 8 fields of
+# other than the default polynomials (1.57 MB each at k=16: 12.6 MB) and
+# 8 matrices (at k=8 and n=16 about 130 KB of tables each)
+CACHE_BYTES = 24 << 20
+
+
+def test_round_trips_of_many_fields_and_points_keep_the_caches_bounded():
+    """600 k=8 round trips over all 30 polynomials of degree 8 with distinct
+    points, and 12 at k=16 with distinct polynomials: every manifest names
+    a new matrix, and caches that kept them all would hold about 90 MB."""
+    rng = np.random.default_rng(8)
+    polys8 = [p for p in range(1 << 8, 1 << 9) if gf.is_irreducible(p, 8)]
+    polys16 = [p for p in range((1 << 16) + 1, (1 << 16) + 304) if gf.is_irreducible(p, 16)]
+    cases = [(8, polys8[i // 20], 2, 16) for i in range(600)] + [(16, p, 256, 4) for p in polys16]
+    profile = SecurityProfile(breach=(0.5, 0.25), pu=1e-6)
+
+    def round_trips():
+        for k, poly, d, n in cases:
+            points = tuple(int(p) for p in rng.choice(np.arange(1, 256), n, replace=False))
+            digits = pipeline.bytes_to_digits(rng.bytes(32), d)
+            root = storage.MemoryRoot(2)
+            pipeline.store_digits(
+                digits, root, gf.FieldSpec(k=k, d=d, reduction_poly=poly),
+                n=n, profile=profile, points=points,
+            )
+            assert pipeline.recover(root) == digits
+
+    assert (len(polys8), len(polys16)) == (30, 12)
+    peak = _peak(round_trips)
+    assert peak <= CACHE_BYTES, f"{peak / 1e6:.1f} MB"
+
+
 BYTES_PER_PLAINTEXT = 96
 
 
