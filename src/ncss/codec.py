@@ -4,10 +4,12 @@ A message is a string of base-d digits. Width selection decides how many
 digits form one field element:
 
 * strict mode uses s = k / log2(d), so every encoded element re-renders in
-  exactly the digits its plaintext slice occupied (width-preserving);
+  exactly the digits its plaintext slice occupied (width-preserving): with
+  d^s = 2^k, element i is bits [i k, (i + 1) k) of the packed message, which
+  regroup and storage.reconstruct unpack and pack at base 2^k;
 * alpha-bounded mode allows any width >= log_d(2^k - 1) / alpha and renders
   encoded elements at their minimal digit length, bounding the per-cloud
-  expansion by the factor alpha.
+  expansion by the factor alpha; its digits are folded into elements.
 
 encode_stream regroups a message and codes its blocks in place with
 gf.EncodingMatrix.encode_blocks; encode_block and decode_block code a single
@@ -159,7 +161,7 @@ class DigitString:
     """An ordered sequence of base-d digits; the plaintext/recovered currency.
 
     The digits are held either as an array or packed (pack_digits' layout,
-    pad bits zero), as bytes ingestion and a whole-byte recover make them.
+    pad bits zero), as bytes ingestion and a strict recover make them.
     digits is read-only and kept in digit_dtype(d) (uint8 for d <= 256); a
     packed string expands to it when it is first read, and keeps it. len(),
     repr() and == never expand: == compares the digits whichever form each
@@ -193,8 +195,14 @@ class DigitString:
             data = b"".join((view[:-1], bytes([view[-1] & ~spare])))
         elif type(data) is not bytes or len(data) != size:
             data = bytes(view)
+        return cls._wrap(d, data, count)
+
+    @classmethod
+    def _wrap(cls, d: int, packed, count: int) -> "DigitString":
+        """count digits held as packed: exactly their bytes in pack_digits'
+        layout, pad bits zero, that nothing writes to any more."""
         self = object.__new__(cls)
-        self._hold(d, None, data, count)
+        self._hold(d, None, packed, count)
         return self
 
     def __setattr__(self, name, value):
@@ -235,10 +243,8 @@ class DigitString:
         if self._packed is not None:
             j = digit_bits(self.d)
             if not start * j % 8 and (stop == self._count or not stop * j % 8):
-                piece = object.__new__(DigitString)
                 view = memoryview(self._packed)[start * j // 8 : -(-stop * j // 8)]
-                piece._hold(self.d, None, view, stop - start)
-                return piece
+                return DigitString._wrap(self.d, view, stop - start)
         return DigitString(self.d, self._unpacked(start, stop))
 
     def __reduce__(self):
@@ -350,22 +356,18 @@ def make_grouping_plan(
     )
 
 
-def _element_bytes(plan: GroupingPlan) -> int:
-    """The bytes a field element of the plan takes in the packed digit
-    layout where it is one or two whole bytes, else 0: a strict element of
-    width digits of log2(d) bits is k bits on k-bit boundaries, so whole
-    bytes for k in {8, 16}."""
+def _packed_elements(plan) -> bool:
+    """Whether element i of plan is bits [i k, (i + 1) k) of its packed
+    message: strict, d = 2^j and width * j == k, as make_grouping_plan makes
+    every strict plan. plan may be a storage Manifest, which has its fields."""
     j = plan.d.bit_length() - 1
-    whole = plan.mode == STRICT and plan.k in (8, 16) and 1 << j == plan.d
-    return plan.k // 8 if whole and plan.width * j == plan.k else 0
+    return plan.mode == STRICT and 1 << j == plan.d and plan.width * j == plan.k
 
 
 def regroup(b: DigitString, plan: GroupingPlan) -> np.ndarray:
-    """Fold digits into field elements, big-endian within each width slice.
-
-    Where each element is whole bytes (_element_bytes) the packed digits
-    are the elements; otherwise a packed string's digits are unpacked for
-    the fold and not kept on b."""
+    """Field elements of the message, big-endian within each width slice:
+    the packed message unpacked at base 2^k where _packed_elements, else the
+    folded digits (a packed string's unpacked for the fold, not kept on b)."""
     if len(b) == 0:
         raise EmptyInputError("cannot regroup an empty digit string")
     if b.d != plan.d:
@@ -374,12 +376,11 @@ def regroup(b: DigitString, plan: GroupingPlan) -> np.ndarray:
         raise PlanMismatchError(
             f"plan covers {plan.message_length} digits, message has {len(b)}"
         )
-    size = _element_bytes(plan)
-    if size:
-        octets = np.zeros(plan.r * size, dtype=np.uint8)  # zero padding
+    if _packed_elements(plan):
+        octets = np.zeros(-(-plan.r * plan.k // 8), dtype=np.uint8)  # zero padding
         packed = np.frombuffer(b._bytes(), dtype=np.uint8)
         octets[: packed.size] = packed
-        return octets.view(f">u{size}").astype(np.int64)
+        return unpack_digits(octets, 1 << plan.k, plan.r).astype(np.int64)
     digits = b._unpacked()
     if plan.pad_count:
         digits = np.concatenate([digits, np.zeros(plan.pad_count, digits.dtype)])
@@ -479,10 +480,10 @@ def digit_bits(d: int) -> int:
 def pack_digits(digits: np.ndarray, d: int) -> bytes:
     """Base-d digits, each below d, as digit_bits(d) bits each, big-endian,
     with the last byte zero-padded: the byte layout of data and of shard
-    payloads. At a byte a digit the digits are the bytes."""
+    payloads. Digits of one or two whole bytes are the bytes, big-endian."""
     j = digit_bits(d)
-    if j == 8:
-        return np.asarray(digits).astype(np.uint8, copy=False).tobytes()
+    if j in (8, 16):
+        return np.asarray(digits).astype(f">u{j // 8}", copy=False).tobytes()
     if j > 1:
         digits = expand_digits(digits, 2, j, np.uint8)
     return np.packbits(digits).tobytes()
@@ -493,8 +494,9 @@ def unpack_digits(payload: bytes, d: int, count: int, start: int = 0) -> np.ndar
     digit_dtype(d), as a fresh array; only the bytes holding them are read.
     payload must hold at least (start + count) * digit_bits(d) bits."""
     j = digit_bits(d)
-    if j == 8:
-        return np.frombuffer(payload, np.uint8, count, start).copy()
+    if j in (8, 16):
+        digits = np.frombuffer(payload, f">u{j // 8}", count, start * j // 8)
+        return digits.astype(digit_dtype(d))
     first, skip = divmod(start * j, 8)
     nbits = skip + count * j
     octets = np.frombuffer(payload, np.uint8, count=-(-nbits // 8), offset=first)
@@ -604,7 +606,7 @@ class CodedStream:
 def fixed_lengths(count: int, width: int) -> np.ndarray:
     """count render lengths, each the width: one read-only int64 seen count
     times through a zero stride (np.broadcast_to does the same at 4x the
-    call cost, which small recovers feel)."""
+    call cost, which small stores feel)."""
     lengths = np.ndarray((count,), np.int64, np.array(width, np.int64), strides=(0,))
     lengths.setflags(write=False)
     return lengths

@@ -8,18 +8,17 @@ the shards as it arrives. recover is reconstruct(manifest,
 *fetch_shards(manifest, root)): fetch_shards checks every shard and returns
 its packed payload, and reconstruct checks the runs, then, one segment at a
 time, gathers the segment's packed bits from the payloads and decodes its
-elements in the field's dtype. Where each element is one or two whole bytes
-(strict mode, k in {8, 16}) the elements are read straight from those bytes
-and written back as bytes into one packed output; otherwise they are
-expanded into one output digit array. Either is allocated after the first
-segment. bytes_to_digits holds the caller's bytes as the packed digits and
-digits_to_bytes returns the packed output as it is, so a byte-base message
-(d in {2, 4, 16, 256}) is never expanded to a digit a byte: peak memory is
-the caller's bytes, plus the packed shards, plus the packed output of a
-recover, plus one segment, plus the matrix's cached tables, built by
-linearity (gf.Field._gather_table): about n^2 q bytes each for encode and
-decode at k <= 8; above k = 8 none, only one column's split table (1 KiB
-per row of the matrix at k = 16) while a segment is coded.
+elements in the field's dtype. A strict element is k bits of the packed
+message for every strict (k, d), so the elements are unpacked and packed
+back at base 2^k into one packed output, which the recovered message holds
+uncopied. bytes_to_digits holds the caller's bytes as the packed digits and
+digits_to_bytes copies the packed output once, so a strict byte-base
+message (d in {2, 4, 16, 256}) is never expanded to a digit a byte: peak
+memory is the caller's bytes, plus the packed shards, plus the packed
+output of a recover, plus one segment, plus the matrix's cached tables,
+built by linearity (gf.Field._gather_table): about n^2 q bytes each for
+encode and decode at k <= 8; above k = 8 none, only one column's split
+table (1 KiB per row of the matrix at k = 16) while a segment is coded.
 An alpha-bounded message is one segment: its render lengths follow from
 the coded values, so it is coded before it is planned.
 

@@ -32,14 +32,14 @@ written (CRC, atomic write) once the stream is complete, the manifest last.
 fetch_shards checks every shard's CRC and header and returns the packed
 payloads; reconstruct checks each digit count against its runs and that the
 runs tile the stream, then, one segment at a time, copies each run piece's
-bits straight from the packed payload into the segment's packed bits and
-decodes the elements in the field's dtype. Where an element is one or two
-whole bytes (codec._element_bytes) the elements are read from those bytes
-and the decoded ones written back into one packed output; otherwise the
-digits are unpacked and parsed, and the decoded elements expanded into one
-output digit array. Peak memory is the caller's message (packed bytes for
-a store from bytes) plus the packed shards plus one segment, and for a
-recover its output, packed where the elements are whole bytes.
+bits straight from the packed payload into the segment's packed bits. A
+strict element is k bits of those (codec._packed_elements), so the segment
+is unpacked at base 2^k, decoded in the field's dtype and packed back at
+base 2^k into one packed output, which the recovered message holds. An
+alpha-bounded stream, one segment, is unpacked to digits, parsed, decoded
+and expanded. Peak memory is the caller's message (packed bytes for a store
+from bytes) plus the packed shards plus one segment, and for a strict
+recover its packed output.
 
 Integrity is CRC-32C per shard; confidentiality rests on the coding scheme.
 Inputs under 1 KiB run a one-table byte loop. Longer ones run a head of
@@ -839,14 +839,14 @@ def fetch_shards(manifest: Manifest, root) -> tuple[list[Payload], Payload]:
 
 def _checked_runs(
     manifest: Manifest, clouds: list, local
-) -> tuple[_RunTable, np.ndarray, list]:
+) -> tuple[_RunTable, np.ndarray | None, list]:
     """The run table, element lengths and sources (each cloud's Payload,
     then the local share's; a digit array is packed into one) of a manifest
     whose runs tile its stream exactly once and hold exactly
     sources[owner].size digits of each owner (None for a withheld shard).
-    A strict stream is r * width digits long: summing its zero-stride
-    lengths would walk block_count * n entries, as many as an edited
-    manifest claims, before any run is checked."""
+    Where codec._packed_elements, the lengths are None and the stream is
+    r * width digits: no lengths are built, nor summed over block_count * n
+    entries, as many as an edited manifest claims, before any run is checked."""
     if len(clouds) != manifest.p:
         raise IncompleteDataError(f"{len(clouds)} shards for {manifest.p} clouds")
     j = _header_j(manifest.d)
@@ -857,11 +857,8 @@ def _checked_runs(
     ]
     if any(s is not None and s.j != j for s in sources):
         raise PipelineError(f"a payload is not packed for base {manifest.d}")
-    lengths = manifest.element_lengths()
-    if manifest.mode == STRICT:
-        total = manifest.r * manifest.width
-    else:
-        total = int(lengths.sum())
+    lengths = None if codec._packed_elements(manifest) else manifest.element_lengths()
+    total = manifest.r * manifest.width if lengths is None else int(lengths.sum())
     table = _RunTable([*manifest.cloud_runs, manifest.local_runs], total)
     for i, (need, source) in enumerate(zip(table.sizes, sources)):
         if (0 if source is None else source.size) != need:
@@ -888,54 +885,45 @@ def reconstruct(manifest: Manifest, clouds: list, local) -> DigitString:
     share's (digit arrays or Payloads; None for a withheld shard, which must
     hold no run).
 
-    Every check on the runs and counts comes first. Then each segment of
-    whole blocks (codec.segments) is assembled as packed bits, one bit copy
-    per run piece straight from the payloads, and its elements decoded in
-    the field's dtype (EncodingMatrix.decode_blocks). Where every element
-    is one or two whole bytes (codec._element_bytes: strict mode, k in
-    {8, 16}) the assembled bytes are the elements, read as uint8 or
-    big-endian uint16, and the decoded ones are written back as bytes into
-    one packed output, the message in pack_digits' layout, which the
-    returned DigitString holds. Otherwise the digits are unpacked, parsed
-    and range-checked, and the decoded elements expanded (codec.ungroup)
-    into one output digit array. Either output is allocated once the first
-    segment is decoded.
+    Every check on the runs and counts comes first. A strict element is k
+    bits of the packed stream and message (codec._packed_elements): each
+    segment of whole blocks (codec.segments) is assembled as packed bits,
+    one bit copy per run piece straight from the payloads, unpacked at base
+    2^k, decoded in the field's dtype (EncodingMatrix.decode_blocks) and
+    packed back at base 2^k at its byte offset in one output, which the
+    returned DigitString holds uncopied, pad bits cleared, as a read-only
+    view. An alpha-bounded stream (or a hand-built strict one of another
+    width) is assembled whole, unpacked, parsed, range-checked, decoded and
+    expanded (codec.ungroup).
     """
     table, lengths, sources = _checked_runs(manifest, clouds, local)
     if manifest.r == 0:  # no blocks, or blocks of no elements
         return DigitString(manifest.d, [])
     matrix = cached_vandermonde(manifest.k, manifest.reduction_poly, manifest.points)
     grouping = manifest.grouping_plan()
-    n, block_digits = manifest.n, manifest.n * manifest.width
+    n, k, width = manifest.n, manifest.k, manifest.width
     bits = codec.digit_bits(manifest.d)
-    size = codec._element_bytes(grouping)
-    out = None
-    lo = 0
-    for first, part in codec.segments(grouping, n):
-        part_lengths = lengths[first * n : first * n + part.r]
-        hi = table.total if part is grouping else lo + int(part_lengths.sum())
-        packed = table.assemble(sources, lo, hi, bits)
-        if size:
-            elements = packed.view(f">u{size}")
-        else:
-            stream = codec.unpack_digits(packed, manifest.d, hi - lo)
-            elements = codec.parse_renders(stream, part_lengths, manifest.d)
-            if int(elements.max()) >= matrix.field.q:
-                raise PipelineError("recovered digits parse outside the field")
+    if lengths is not None:
+        packed = table.assemble(sources, 0, table.total, bits)
+        stream = codec.unpack_digits(packed, manifest.d, table.total)
+        elements = codec.parse_renders(stream, lengths, manifest.d)
+        if int(elements.max()) >= matrix.field.q:
+            raise PipelineError("recovered digits parse outside the field")
         decoded = matrix.decode_blocks(elements.reshape(-1, n)).reshape(-1)
-        if size:  # the elements' bytes are the packed message
-            if out is None:
-                out = np.empty(grouping.r * size, dtype=np.uint8)
-            out.view(f">u{size}")[first * n : first * n + part.r] = decoded
-        else:
-            digits = codec.ungroup(decoded, part)
-            if part is grouping:  # one segment: its digits are the message
-                return digits
-            if out is None:
-                out = np.empty(grouping.message_length, dtype=codec.digit_dtype(manifest.d))
-            out[first * block_digits : first * block_digits + len(digits)] = digits.digits
-        lo = hi
-    if size:
-        return DigitString._from_packed(manifest.d, out, grouping.message_length)
-    out.setflags(write=False)  # fresh: DigitString need not copy it
-    return DigitString(manifest.d, out)
+        return codec.ungroup(decoded, grouping)
+    out = None
+    for first, part in codec.segments(grouping, n):
+        lo = first * n * width
+        # one name, so that each stage's buffer is freed as the next is made
+        segment = table.assemble(sources, lo, lo + part.r * width, bits)
+        segment = codec.unpack_digits(segment, 1 << k, part.r).reshape(-1, n)
+        segment = codec.pack_digits(matrix.decode_blocks(segment).reshape(-1), 1 << k)
+        if out is None:  # after the first assembly, whose bit rows may be the largest
+            out = np.empty(-(-manifest.r * k // 8), dtype=np.uint8)
+        at = first * n * k // 8  # a segment but the last fills whole bytes
+        out[at : at + len(segment)] = np.frombuffer(segment, dtype=np.uint8)
+    used = grouping.message_length * bits
+    out = out[: -(-used // 8)]
+    out[-1:] &= 0xFF ^ ((1 << (-used & 7)) - 1)  # the pad bits cleared
+    out.setflags(write=False)
+    return DigitString._wrap(manifest.d, memoryview(out), grouping.message_length)

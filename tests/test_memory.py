@@ -80,13 +80,15 @@ def test_store_and_recover_peaks_grow_by_the_data_alone():
 
 
 # the byte path, bytes to digits to shards and back to bytes, keeps a d=2
-# message packed throughout: the growth is the packed shards and the
-# recovered bytes, about 1 B each, never the 8 B of a digit per bit
+# message packed throughout, at every strict k: the growth is the packed
+# shards and the recovered bytes, about 1 B each, never the 8 B of a digit
+# per bit
 BYTE_PATH_GROWTH_PER_BYTE = 3
 
 
-def test_byte_path_peaks_grow_by_the_packed_data_alone():
-    spec = gf.FieldSpec(k=8, d=2)
+@pytest.mark.parametrize("k,n", [(4, 15), (8, 100)])
+def test_byte_path_peaks_grow_by_the_packed_data_alone(k, n):
+    spec = gf.FieldSpec(k=k, d=2)
     profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
     rng = np.random.default_rng(9)
     peaks = {}
@@ -94,7 +96,7 @@ def test_byte_path_peaks_grow_by_the_packed_data_alone():
         payload = rng.bytes(size)
         root = storage.MemoryRoot(3)
         store = _peak(lambda: pipeline.store_digits(
-            pipeline.bytes_to_digits(payload, 2), root, spec, n=100, profile=profile
+            pipeline.bytes_to_digits(payload, 2), root, spec, n=n, profile=profile
         ))
         back = []
         recover = _peak(lambda: back.append(
@@ -107,6 +109,35 @@ def test_byte_path_peaks_grow_by_the_packed_data_alone():
     for name, small, large in zip(("store", "recover"), *peaks.values()):
         growth = (large - small) / added
         assert growth <= BYTE_PATH_GROWTH_PER_BYTE, f"{name}: {growth:.1f} B/B"
+
+
+# a recover from a directory reads the packed shards (1 B per payload byte)
+# and fills one packed output (1 B), which the recovered message holds as it
+# is; digits_to_bytes copies it once the shards are released, so the output
+# is never held twice beside the shards
+DIRECTORY_RECOVER_GROWTH_PER_BYTE = 2.2
+
+
+def test_directory_recover_to_bytes_holds_the_output_once(tmp_path):
+    spec = gf.FieldSpec(k=8, d=2)
+    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
+    rng = np.random.default_rng(10)
+    peaks = []
+    for size in (1 << 20, 8 << 20):
+        payload = rng.bytes(size)
+        path = tmp_path / str(size)
+        pipeline.store_digits(
+            pipeline.bytes_to_digits(payload, 2), storage.DirectoryRoot(path, 3),
+            spec, n=100, profile=profile,
+        )
+        back = []
+        peaks.append(_peak(lambda: back.append(
+            pipeline.digits_to_bytes(pipeline.recover(storage.DirectoryRoot(path)))
+        )))
+        assert back[0] == payload
+        del payload, back
+    growth = (peaks[1] - peaks[0]) / ((8 << 20) - (1 << 20))
+    assert growth <= DIRECTORY_RECOVER_GROWTH_PER_BYTE, f"{growth:.2f} B/B"
 
 
 # a k=16 recover holds one column's split product table of the inverse at
