@@ -58,7 +58,7 @@ from .errors import (
     TooManyUnknownsError,
 )
 from . import storage
-from .gf import EncodingMatrix, cached_vandermonde
+from .gf import EncodingMatrix, cached_vandermonde, check_count
 from .planner import DistributionPlan
 
 MAX_UNKNOWN_DIGITS = 40
@@ -210,15 +210,6 @@ def scenario_from_storage(manifest, root, target: int | str) -> AttackScenario:
     )
 
 
-def _checked_count(value, name: str, low: int) -> int:
-    """value as an int of at least low; a bool or a non-integer is refused."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ConfigError(f"{name} must be >= {low}, got {value}")
-    return int(value)
-
-
 DRAW_PIECE = 1 << 14  # 32-bit halves turned into digits at a time
 
 
@@ -267,8 +258,8 @@ def simulate_guess(
     Deterministic for a fixed seed. The breach factor is not simulated;
     multiply by scenario.breach for the end-to-end guess probability.
     """
-    trials = _checked_count(trials, "trials", 1)
-    seed = _checked_count(seed, "seed", 0)
+    trials = check_count(trials, "trials", 1)
+    seed = check_count(seed, "seed", 0)
     u = scenario.unknown_count
     if u > MAX_UNKNOWN_DIGITS:
         raise TooManyUnknownsError(

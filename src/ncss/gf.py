@@ -466,16 +466,25 @@ def default_points(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
+def check_count(value, name: str, low: int) -> int:
+    """value as an int of at least low; a bool or a non-integer is refused."""
+    if type(value) is not int and not isinstance(value, np.integer):  # bool too
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def check_points(field: Field, points) -> tuple[int, ...]:
     """points as a tuple of ints, checked to be at most q - 1 distinct nonzero
     field elements: the points of an invertible Vandermonde matrix."""
-    points = tuple(int(p) for p in points)
+    points = tuple([check_count(p, "evaluation point", 0) for p in points])
     if len(points) > field.q - 1:
         raise TooManyPointsError(
             f"{len(points)} points requested but GF(2^{field.k}) has only "
             f"{field.q - 1} distinct nonzero elements"
         )
-    if any(p == 0 for p in points):
+    if 0 in points:
         raise ZeroPointError("evaluation points must be nonzero")
     for p in points:
         field.check(p)

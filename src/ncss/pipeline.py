@@ -1,26 +1,26 @@
 """End-to-end flows: width selection, regroup, encode, distribute, recover.
 
-store_digits and recover run over segments of whole blocks of a fixed size,
-about 256 KiB of payload each (codec.segments). A strict store plans from
-the render lengths alone, all equal to the width, then codes and renders
-one segment at a time, and storage.store_shards packs each segment into
-the shards as it arrives. recover is reconstruct(manifest,
-*fetch_shards(manifest, root)): fetch_shards checks every shard and returns
-its packed payload, and reconstruct checks the runs, then, one segment at a
-time, gathers the segment's packed bits from the payloads and decodes its
-elements in the field's dtype. A strict element is k bits of the packed
-message for every strict (k, d), so the elements are unpacked and packed
-back at base 2^k into one packed output, which the recovered message holds
-uncopied. bytes_to_digits holds the caller's bytes as the packed digits and
-digits_to_bytes copies the packed output once, so a strict byte-base
-message (d in {2, 4, 16, 256}) is never expanded to a digit a byte: peak
-memory is the caller's bytes, plus the packed shards, plus the packed
-output of a recover, plus one segment, plus the matrix's cached tables,
-built by linearity (gf.Field._gather_table): about n^2 q bytes each for
-encode and decode at k <= 8; above k = 8 none, only one column's split
-table (1 KiB per row of the matrix at k = 16) while a segment is coded.
-An alpha-bounded message is one segment: its render lengths follow from
-the coded values, so it is coded before it is planned.
+store_digits and recover run over segments of whole blocks, about 256 KiB
+of payload each (codec.segments). A strict element is k bits of the packed
+message for every strict (k, d) (codec._packed_elements), and the coded
+element is k bits of the packed render, so a strict segment stays packed
+both ways. A strict store plans from the render lengths alone, all equal
+to the width; then each segment is regrouped (the message unpacked at base
+2^k), coded in place and packed back at base 2^k, and storage.store_shards
+copies its run pieces from those bits into the shards. recover is
+reconstruct(manifest, *fetch_shards(manifest, root)), the mirror image:
+each segment's run pieces are copied from the checked shard payloads,
+unpacked at base 2^k, decoded and packed into one output, which the
+recovered message holds uncopied. bytes_to_digits holds the caller's bytes
+as the packed digits and digits_to_bytes copies the packed output once, so
+a byte-base message (d in {2, 4, 16, 256}) is never held a digit a byte.
+Peak memory is the caller's bytes, the packed shards, a recover's packed
+output, one segment (its int64 elements and their packed form) and the
+matrix's tables, built by linearity (gf.Field._gather_table): about n^2 q
+bytes each for encode and decode at k <= 8; above k = 8 only one column's
+split table (1 KiB per row of the matrix at k = 16) while a segment is
+coded. An alpha-bounded message is one segment, coded before it is
+planned: its render lengths follow from the coded values.
 
 The CLI is a thin wrapper over these functions; anything it can do is
 reachable through this module with identical results.
@@ -29,14 +29,14 @@ reachable through this module with identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import codec, planner, storage
 from .codec import STRICT, DigitString, GroupingPlan
 from .errors import BadAlphaError, ConfigError
-from .gf import FieldSpec, cached_vandermonde, default_points
+from .gf import FieldSpec, cached_vandermonde, check_count, check_points, default_points
 from .planner import DistributionPlan, SecurityProfile
 from .storage import Manifest
 
@@ -46,16 +46,6 @@ class StoreResult:
     manifest: Manifest
     plan: DistributionPlan
     grouping: GroupingPlan
-
-
-def _empty_grouping(spec: FieldSpec, mode: str, alpha: float | None) -> GroupingPlan:
-    if mode == STRICT:
-        width = codec.strict_width(spec.k, spec.d)
-    else:
-        width = codec.min_width_alpha(spec.k, spec.d, alpha)
-    return GroupingPlan(
-        mode=mode, d=spec.d, k=spec.k, width=width, r=0, pad_count=0, alpha=alpha
-    )
 
 
 def store_digits(
@@ -72,43 +62,41 @@ def store_digits(
     """Encode a digit string and distribute it across the root's clouds."""
     if digits.d != spec.d:
         raise ConfigError(f"digit base {digits.d} != field spec base {spec.d}")
-    if n < 1:
-        raise ConfigError(f"block size must be >= 1, got {n}")
-    if points is None:
-        points = default_points(n)
+    n = check_count(n, "block size", 1)
+    points = check_points(spec.field(), default_points(n) if points is None else points)
     if len(points) != n:
         raise ConfigError(f"{len(points)} points for block size {n}")
     if alpha is not None and not math.isfinite(alpha):  # no JSON for it
         raise BadAlphaError(f"expansion bound must be finite, got {alpha}")
-    if len(digits) == 0:
-        grouping = _empty_grouping(spec, mode, alpha)
-    else:
-        grouping = codec.make_grouping_plan(
-            len(digits), spec, n=n, mode=mode, alpha=alpha
-        )
+    grouping = codec.make_grouping_plan(
+        max(len(digits), 1), spec, n=n, mode=mode, alpha=alpha
+    )
+    if len(digits) == 0:  # the plan of one digit, without its block
+        grouping = replace(grouping, r=0, pad_count=0)
+    matrix = cached_vandermonde(spec.k, spec.reduction_poly, points)
 
     def coded():
-        """Each segment of the message, coded."""
+        """Each segment of a strict message, coded and packed: element i is
+        bits [i k, (i + 1) k) of the message and of its render alike
+        (codec._packed_elements), so packing the coded elements at base 2^k
+        renders them."""
         span = n * grouping.width
         for first, part in codec.segments(grouping, n):
-            matrix = cached_vandermonde(spec.k, spec.reduction_poly, tuple(points))
             start = first * span
-            piece = digits._slice(start, start + part.message_length)
-            yield codec.encode_stream(piece, part, matrix)
+            # one name, so that no buffer outlives its stage or its segment
+            segment = codec.regroup(digits._slice(start, start + part.message_length), part)
+            matrix.encode_blocks(segment.reshape(-1, n))
+            segment = codec.pack_digits(segment, 1 << spec.k)
+            yield DigitString._wrap(spec.d, segment, part.r * grouping.width)
+            del segment
 
-    streams = coded()
-    if grouping.mode == STRICT:  # every length is the width: plan first
-        lengths = codec.fixed_lengths(grouping.r, grouping.width)
-    else:  # the lengths follow the coded values: code first, one segment
-        streams = list(streams)
-        lengths = np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + [s.render_lengths for s in streams]
-        )
+    if grouping.mode == STRICT or not len(digits):  # every length is the width
+        segments, lengths = coded(), codec.fixed_lengths(grouping.r, grouping.width)
+    else:  # one segment, coded first: its render lengths follow the coded values
+        stream = codec.encode_stream(digits, grouping, matrix)
+        segments, lengths = [stream.render_digits], stream.render_lengths
     plan = planner.make_plan(lengths, n, spec.d, profile, caps=caps)
-    manifest = storage.store_shards(
-        plan, (s.render_digits for s in streams), root, grouping, spec,
-        tuple(points), profile,
-    )
+    manifest = storage.store_shards(plan, segments, root, grouping, spec, points, profile)
     return StoreResult(manifest=manifest, plan=plan, grouping=grouping)
 
 

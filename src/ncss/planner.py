@@ -23,6 +23,7 @@ import numpy as np
 
 from .codec import CodedStream
 from .errors import BadCountError, ConfigError, TooManySecretDigitsError
+from .gf import check_count
 
 Run = tuple[int, int]  # half-open [start, stop) positions in the digit stream
 
@@ -160,7 +161,7 @@ def make_plan(
     total = int(lengths.sum())
     if caps is None:
         caps = per_cloud_caps(total, d, profile)
-    caps = tuple(int(c) for c in caps)
+    caps = tuple([check_count(c, "cap", 0) for c in caps])
     if len(caps) != profile.p:
         raise ConfigError(f"{len(caps)} caps for {profile.p} clouds")
 

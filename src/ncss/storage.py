@@ -24,22 +24,14 @@ run list through one %d template of [start, stop] pairs. Manifest.from_json
 reads each field with the reader of its kind, which checks its JSON value
 and turns its lists into tuples.
 
-Segments: store_shards allocates each shard once, header first, at the
-size its runs give, then takes the rendered stream as consecutive segments
-(codec.segments) and packs each owner's digits of a segment at once, copying
-them to their digit offset in its shard (codec.copy_bits). The shards are
-written (CRC, atomic write) once the stream is complete, the manifest last.
-fetch_shards checks every shard's CRC and header and returns the packed
-payloads; reconstruct checks each digit count against its runs and that the
-runs tile the stream, then, one segment at a time, copies each run piece's
-bits straight from the packed payload into the segment's packed bits. A
-strict element is k bits of those (codec._packed_elements), so the segment
-is unpacked at base 2^k, decoded in the field's dtype and packed back at
-base 2^k into one packed output, which the recovered message holds. An
-alpha-bounded stream, one segment, is unpacked to digits, parsed, decoded
-and expanded. Peak memory is the caller's message (packed bytes for a store
-from bytes) plus the packed shards plus one segment, and for a strict
-recover its packed output.
+Segments: the stream moves between its packed segments (codec.segments)
+and the packed shard payloads through _RunTable, every owner's runs in
+stream order: store_shards scatters each segment's run pieces into shards
+allocated once at their final sizes, and reconstruct assembles each segment
+from the payloads fetch_shards has checked. A run piece is one bit copy
+(codec.copy_bits), or, where an owner's pieces are short, a slice of one
+unpacked bit array for the segment. The shards are written once the stream
+is complete, the manifest last.
 
 Integrity is CRC-32C per shard; confidentiality rests on the coding scheme.
 Inputs under 1 KiB run a one-table byte loop. Longer ones run a head of
@@ -709,14 +701,11 @@ class _RunTable:
     def assemble(self, sources, lo: int, hi: int, bits: int) -> np.ndarray:
         """Digits [lo, hi) of the stream as uint8 bytes packed bits bits a
         digit (the last byte zero-padded), taken from sources[owner], each a
-        Payload of that many bits a digit.
-
-        An owner's pieces here that average at least _LONG_PIECE_BITS bits
-        take one codec.copy_bits each. Shorter ones, which a local share of
-        a digit or so per component makes by the thousand and an 8-byte
-        message by the dozen (1 to 7 digits each), would each pay that
-        call's fixed cost: their bits are unpacked once, a byte a bit,
-        sliced into one bit array for the segment and packed at the end."""
+        Payload of that many bits a digit. An owner's pieces that average at
+        least _LONG_PIECE_BITS bits take one codec.copy_bits each; shorter
+        ones (a local share's of a digit or so, an 8-byte message's of 1 to
+        7) would each pay that call's fixed cost, so their bits are unpacked
+        once, a byte a bit, into one bit array for the segment."""
         out = np.zeros(-(-(hi - lo) * bits // 8), dtype=np.uint8)
         spread = None
         for owner, (first, end, parts) in self.pieces(lo, hi).items():
@@ -739,6 +728,26 @@ class _RunTable:
             out |= np.packbits(spread)
         return out
 
+    def scatter(self, packed, lo: int, hi: int, bits: int, dsts, at: int) -> None:
+        """The inverse of assemble: digits [lo, hi) of the stream, the bytes
+        packed bits bits a digit, copied to each owner's digits in
+        dsts[owner], a uint8 array whose digit 0 starts at bit at. An
+        owner's short pieces are cut from one bit array, joined and packed."""
+        spread = None
+        for owner, (first, end, parts) in self.pieces(lo, hi).items():
+            dst, to = dsts[owner], at + first * bits
+            if (end - first) * bits >= _LONG_PIECE_BITS * len(parts):
+                for start, stop in parts:
+                    count = (stop - start) * bits
+                    codec.copy_bits(dst, to, packed, (start - lo) * bits, count)
+                    to += count
+                continue
+            if spread is None:  # a row of bits per digit
+                spread = np.unpackbits(np.frombuffer(packed, np.uint8), count=(hi - lo) * bits)
+                spread = spread.reshape(-1, bits)
+            held = np.concatenate([spread[a - lo : b - lo] for a, b in parts])
+            codec.copy_bits(dst, to, np.packbits(held), 0, held.size)
+
 
 def store_shards(
     plan: DistributionPlan,
@@ -751,11 +760,12 @@ def store_shards(
 ) -> Manifest:
     """Write one shard per cloud plus the local share; returns the manifest.
 
-    segments yields the rendered digit stream as consecutive arrays, each
-    packed into the shards, which are allocated at their final sizes, as it
-    arrives, so no more than one is held unpacked. The shards are written
-    once the stream is complete and the manifest last, so a failure leaves
-    no manifest behind and the partial dataset reads as absent.
+    segments yields the coded stream's consecutive segments, each a packed
+    DigitString (a digit array is packed once as it arrives), whose run
+    pieces are copied from its packed bits into the shards (_RunTable.scatter),
+    allocated once at their final sizes. The shards are written once the
+    stream is complete and the manifest last, so a failure leaves no
+    manifest behind and the partial dataset reads as absent.
     """
     if root.cloud_count != plan.p:
         raise ConfigError(
@@ -766,18 +776,17 @@ def store_shards(
     payloads = [bytearray(_HEADER_BYTES + -(-size * bits // 8)) for size in table.sizes]
     for payload, size in zip(payloads, table.sizes):
         payload[:_HEADER_BYTES] = _header(spec.d, spec.k, size)
+    dsts = [np.frombuffer(payload, np.uint8) for payload in payloads]
     pos = 0
-    for digits in segments:
-        lo, pos = pos, pos + digits.size
-        if pos > plan.total_digits:
-            continue  # a stream too long for the plan, refused below
-        for owner, (first, _, parts) in table.pieces(lo, pos).items():
-            pieces = [digits[a - lo : b - lo] for a, b in parts]
-            held = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            dst = np.frombuffer(payloads[owner], np.uint8, offset=_HEADER_BYTES)
-            codec.copy_bits(
-                dst, first * bits, codec.pack_digits(held, spec.d), 0, held.size * bits
-            )
+    for segment in segments:
+        if not isinstance(segment, DigitString):  # a digit array
+            segment = DigitString(spec.d, segment)
+        if segment.d != spec.d:
+            raise ConfigError(f"segment base {segment.d} != field spec base {spec.d}")
+        lo, pos = pos, pos + len(segment)
+        if pos <= plan.total_digits:  # a stream too long for the plan is refused below
+            table.scatter(segment._bytes(), lo, pos, bits, dsts, _HEADER_BYTES * 8)
+        del segment  # before the next one is coded
     if pos != plan.total_digits:
         raise PipelineError("coded stream does not match the distribution plan")
 

@@ -63,9 +63,32 @@ CASES = {
         size=12000, d=256, k=16, n=10, mode=STRICT, alpha=None,
         breach=(0.5, 0.25), pu=1e-12,
     ),
+    # two segments (34,952 blocks of 15 four-bit elements, then 5,048);
+    # 996 single-digit local runs in the tail of the second
+    "strict-d2-k4-two-segments-local": dict(
+        size=300000, d=2, k=4, n=15, mode=STRICT, alpha=None,
+        breach=(0.5,), pu=1e-300,
+    ),
+    # two-bit digits: 36 of the 96 digits stay local, one or two of each
+    # element, so runs of 1 to 3 digits start and stop inside bytes
+    "strict-d4-k8-mid-byte": dict(
+        size=24, d=4, k=8, n=3, mode=STRICT, alpha=None,
+        breach=(0.5, 0.25), pu=1e-40,
+    ),
 }
 
 DIGESTS = {
+    "strict-d2-k4-two-segments-local": {
+        "cloud_0": "aa1d1992113166d5db70471411a0b7ea13eb69ccab6b62e3a7d235e292067151",
+        "local": "b80ce514dad43c1061beb3b5e309167b05d3281fe9ddeb8e43e54167a2d2c66f",
+        "manifest": "af77a0ccfd448a12b108a9928b7bf1c81832739f69928ee154a957e9a53e35b7",
+    },
+    "strict-d4-k8-mid-byte": {
+        "cloud_0": "8c1ea5595172e13ae932038382d7a3b57e2b5ef69a1cca44e167efdcf99021e8",
+        "cloud_1": "a4f2f939b766f43307466c20538b0a690002d8737dcecb8b53de26b7c46bcb90",
+        "local": "636c469bacd672c77005f89799650db6e9e705f3f2e35773affed4587ef59a47",
+        "manifest": "8709231ca7572b0156e84547850941da5568503181abf6e89d0b8fe80414a102",
+    },
     "audit-strict-8B": {
         "cloud_0": "43f4ba16082fd31c998c5c4e650666d1600017640788ba5a3e3dd7b4d3124285",
         "local": "456db6ab9246a8f8571ac7d79dae81882e08df3399dbb30fbe108ec50d814fb4",

@@ -111,6 +111,34 @@ def test_byte_path_peaks_grow_by_the_packed_data_alone(k, n):
         assert growth <= BYTE_PATH_GROWTH_PER_BYTE, f"{name}: {growth:.1f} B/B"
 
 
+# the working set of a 2 MiB strict d=2 store, its peak less the shards the
+# root keeps: the shard payloads being filled (2 MiB) and one segment of
+# 256 KiB of payload, coded as int64 elements (8 B a k-bit element: 2 MiB
+# at k=8, 4 MiB at k=4) and packed back at base 2^k; a render of a digit a
+# byte beside them, each owner's digits of it packed again, took 8.26 MiB
+# at k=8 and 14.0 MiB at k=4
+STORE_WORKING_BYTES = {(8, 100): 6 << 20, (4, 15): 11 << 20}
+
+
+@pytest.mark.parametrize("k,n", sorted(STORE_WORKING_BYTES))
+def test_store_working_set_above_the_shards(k, n):
+    spec = gf.FieldSpec(k=k, d=2)
+    profile = SecurityProfile(breach=(0.5, 0.25, 0.1), pu=1e-6)
+    payload = np.random.default_rng(11).bytes(2 << 20)
+    pipeline.store_digits(  # fill the field, matrix and table caches first
+        pipeline.bytes_to_digits(payload[:64], 2), storage.MemoryRoot(3),
+        spec, n=n, profile=profile,
+    )
+    digits = pipeline.bytes_to_digits(payload, 2)
+    root = storage.MemoryRoot(3)
+    peak = _peak(lambda: pipeline.store_digits(digits, root, spec, n=n, profile=profile))
+    shards, local, _ = root.snapshot()
+    working = peak - sum(map(len, shards.values())) - len(local)
+    assert pipeline.digits_to_bytes(pipeline.recover(root)) == payload
+    bound = STORE_WORKING_BYTES[k, n]
+    assert working <= bound, f"{working / 2**20:.2f} MiB > {bound / 2**20:.0f} MiB"
+
+
 # a recover from a directory reads the packed shards (1 B per payload byte)
 # and fills one packed output (1 B), which the recovered message holds as it
 # is; digits_to_bytes copies it once the shards are released, so the output

@@ -13,7 +13,7 @@ import pytest
 
 from ncss import codec, gf, pipeline, planner, storage
 from ncss.codec import ALPHA_BOUNDED, STRICT, DigitString
-from ncss.errors import NcssError, PipelineError
+from ncss.errors import ConfigError, NcssError, PipelineError
 from ncss.planner import SecurityProfile
 
 ONE_SEGMENT = 1 << 40
@@ -155,5 +155,20 @@ def test_stream_longer_or_shorter_than_the_plan_writes_nothing(extra):
         storage.store_shards(
             plan, [stream[:40], stream[40:]], root, grouping, spec, (1, 2),
             SecurityProfile((0.5,), 1e-3),
+        )
+    assert root.snapshot() == ({}, None, None)
+
+
+def test_segment_of_another_base_writes_nothing():
+    # its packed bits would be copied at the wrong width a digit
+    spec = gf.FieldSpec(k=8, d=2)
+    grouping = codec.make_grouping_plan(80, spec, n=2, mode=STRICT)
+    lengths = codec.fixed_lengths(grouping.r, grouping.width)
+    plan = planner.make_plan(lengths, 2, 2, SecurityProfile((0.5,), 1e-3))
+    root = storage.MemoryRoot(1)
+    with pytest.raises(ConfigError, match="segment base 4"):
+        storage.store_shards(
+            plan, [DigitString(4, np.zeros(plan.total_digits, np.uint8))], root,
+            grouping, spec, (1, 2), SecurityProfile((0.5,), 1e-3),
         )
     assert root.snapshot() == ({}, None, None)

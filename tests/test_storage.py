@@ -670,6 +670,110 @@ class TestPipelineRoundTrip:
         assert not (tmp_path / "inf").exists()
         assert codec.min_width_alpha(8, 2, float("inf")) == 1
 
+    def test_numpy_points_are_stored_as_ints(self, tmp_path):
+        # numpy points once reached the manifest writer, which refused them
+        # after every shard was written
+        digits = DigitString(2, np.random.default_rng(4).integers(0, 2, 96))
+        root = storage.DirectoryRoot(tmp_path / "np", clouds=2)
+        result = pipeline.store_digits(
+            digits, root, gf.FieldSpec(k=8, d=2), n=4,
+            profile=SecurityProfile((0.5, 0.25), 1e-6), points=np.array([1, 2, 3, 4]),
+        )
+        assert result.manifest.points == (1, 2, 3, 4)
+        assert {type(x) for x in result.manifest.points} == {int}
+        assert pipeline.recover(storage.DirectoryRoot(tmp_path / "np")) == digits
+
+    def test_numpy_integer_caps_keep_working(self):
+        digits = DigitString(2, np.random.default_rng(5).integers(0, 2, 96))
+        root = storage.MemoryRoot(2)
+        result = pipeline.store_digits(
+            digits, root, gf.FieldSpec(k=8, d=2), n=np.int64(4),
+            profile=SecurityProfile((0.5, 0.25), 1e-6), caps=(np.int64(60), np.uint8(30)),
+        )
+        assert result.manifest.caps == (60, 30)
+        assert {type(x) for x in result.manifest.caps} == {int}
+        assert result.manifest.n == 4 and type(result.manifest.n) is int
+        assert result.plan.local_count == 6
+        assert pipeline.recover(root) == digits
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"n": 4.0}, {"n": True}, {"caps": (5.5, 3)}, {"caps": (True, 3)},
+         {"points": (1.0, 2.0, 3.0, 4.0)}, {"points": (True, 2, 3, 4)}],
+        ids=["n-float", "n-bool", "cap-float", "cap-bool", "points-float", "point-bool"],
+    )
+    def test_non_integer_options_refused_before_writing(self, tmp_path, option):
+        # n=4.0 raised a bare TypeError, caps=(5.5, 3) stored a cap of 5 and
+        # caps=(True, 3) one of 1
+        kwargs = {"n": 4, **option}
+        root = storage.DirectoryRoot(tmp_path / "bad", clouds=2)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            pipeline.store_digits(
+                DigitString(2, [1] * 40), root, gf.FieldSpec(k=8, d=2),
+                profile=SecurityProfile((0.5, 0.25), 1e-6), **kwargs,
+            )
+        assert not (tmp_path / "bad").exists()
+
+
+class TestStoreScatter:
+    """Differential: every shard and the local share a store writes equal
+    the oracle's packing of the one-segment render (encode_stream) taken
+    over that owner's runs, for strict stores cut into many segments and
+    alpha=5 stores, with caps that leave many short local pieces."""
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        k = draw(st.sampled_from([4, 8, 16]))
+        j = draw(st.sampled_from([j for j in (1, 2, 4, 8, 16) if k % j == 0]))
+        mode = draw(st.sampled_from([STRICT, ALPHA_BOUNDED]))
+        n, p = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+        alpha = 5.0 if mode == ALPHA_BOUNDED else None
+        spec = gf.FieldSpec(k=k, d=1 << j)
+        width = codec.make_grouping_plan(1, spec, n=n, mode=mode, alpha=alpha).width
+        m = draw(st.integers(17, 24)) * n * width - draw(st.integers(0, n * width - 1))
+        local = draw(st.sampled_from([0, 1, 2, 3, 5, 7]))  # digits per element
+        return spec, mode, alpha, n, p, m, local, draw(st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=cases())
+    def test_payloads_match_oracle(self, case):
+        spec, mode, alpha, n, p, m, local, seed = case
+        rng = np.random.default_rng(seed)
+        digits = DigitString(spec.d, rng.integers(0, spec.d, m))
+        grouping = codec.make_grouping_plan(m, spec, n=n, mode=mode, alpha=alpha)
+        matrix = gf.cached_vandermonde(spec.k, spec.reduction_poly, gf.default_points(n))
+        coded = codec.encode_stream(digits, grouping, matrix)
+        stream, total = coded.render_digits, coded.render_digits.size
+        # about local digits an element stay local, in pieces of 1 to 7;
+        # the clouds' caps split the rest at random
+        kept = min(total, local * grouping.r + int(rng.integers(0, grouping.r)))
+        cuts = np.sort(rng.integers(0, total - kept + 1, p - 1))
+        caps = tuple(int(c) for c in np.diff([0, *cuts, total - kept]))
+        profile = SecurityProfile(
+            tuple(float(b) for b in rng.choice([0.1, 0.5, 1.0], p)),
+            float(rng.choice([0.5, 1e-6, 1e-300])),
+        )
+        root = storage.MemoryRoot(p)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_SEGMENT_BYTES", int(rng.integers(1, 4)))
+            # every piece copied alone, pieces long and short, all short
+            patch.setattr(storage, "_LONG_PIECE_BITS", int(rng.choice([1, 16, 1 << 40])))
+            if mode == STRICT:  # step is at most 8 blocks of the 17 or more
+                assert len(list(codec.segments(grouping, n))) >= 2
+            manifest = pipeline.store_digits(
+                digits, root, spec, n=n, profile=profile, mode=mode, alpha=alpha, caps=caps
+            ).manifest
+        assert manifest.stored == caps
+        assert sum(b - a for a, b in manifest.local_runs) == kept
+        shards, share, _ = root.snapshot()
+        owners = [*manifest.cloud_runs, manifest.local_runs]
+        for runs, raw in zip(owners, [*map(shards.get, range(p)), share]):
+            held = np.concatenate([stream[:0]] + [stream[a:b] for a, b in runs])
+            assert int.from_bytes(raw[7:15], "big") == held.size
+            assert raw[15:] == oracles.slow_pack(held, spec.d)
+        assert pipeline.recover(root) == digits
+
 
 class TestRenderLengths:
     def test_hex_field_matches_per_element_format(self):
