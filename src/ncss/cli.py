@@ -79,8 +79,10 @@ def _merge(args: argparse.Namespace, keys: dict) -> dict:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if type(cfg) is not dict:
+            raise ConfigError("config file must hold a JSON object")
     out = {}
     for key, default in keys.items():
         value = getattr(args, key, None)

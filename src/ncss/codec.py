@@ -366,8 +366,9 @@ def _packed_elements(plan) -> bool:
 
 def regroup(b: DigitString, plan: GroupingPlan) -> np.ndarray:
     """Field elements of the message, big-endian within each width slice:
-    the packed message unpacked at base 2^k where _packed_elements, else the
-    folded digits (a packed string's unpacked for the fold, not kept on b)."""
+    the packed message unpacked at base 2^k, in digit_dtype(2^k), where
+    _packed_elements, else the folded digits as int64 (a packed string's
+    unpacked for the fold, not kept on b)."""
     if len(b) == 0:
         raise EmptyInputError("cannot regroup an empty digit string")
     if b.d != plan.d:
@@ -380,7 +381,7 @@ def regroup(b: DigitString, plan: GroupingPlan) -> np.ndarray:
         octets = np.zeros(-(-plan.r * plan.k // 8), dtype=np.uint8)  # zero padding
         packed = np.frombuffer(b._bytes(), dtype=np.uint8)
         octets[: packed.size] = packed
-        return unpack_digits(octets, 1 << plan.k, plan.r).astype(np.int64)
+        return unpack_digits(octets, 1 << plan.k, plan.r)
     digits = b._unpacked()
     if plan.pad_count:
         digits = np.concatenate([digits, np.zeros(plan.pad_count, digits.dtype)])
@@ -452,7 +453,8 @@ def expand_digits(values: np.ndarray, d: int, width: int, dtype=np.int64) -> np.
     out = np.empty((values.size, width), dtype=dtype)
     if d > 0 and d & (d - 1) == 0:
         j = d.bit_length() - 1
-        values = values.astype(np.int64, copy=False)
+        if values.dtype.itemsize == 8:  # uint64 and the int64 shifts mix to float
+            values = values.astype(np.int64, copy=False)
         # a shift of 63 already leaves only the sign, as floor division would
         shifts = np.minimum(j * np.arange(width - 1, -1, -1, dtype=np.int64), 63)
         np.right_shift(values.reshape(-1, 1), shifts, out=out, casting="unsafe")

@@ -9,9 +9,10 @@ Plank, Greenan & Miller, FAST 2013). No q x q product table is kept.
 
 Field.mat_vec_batch is the general matrix product: a broadcast log/antilog
 product for a short batch, per-column table gathers for a long one.
-EncodingMatrix.encode_blocks codes a message's blocks in place: for k <= 8
-one gather from the matrix's column table (Field._column_table) and one XOR
-per block, for k > 8 one mat_vec_batch call. EncodingMatrix.decode_blocks
+EncodingMatrix.encode_blocks codes a message's blocks in place, in any
+integer dtype, with no int64 copy of them: for k <= 8 one gather from the
+matrix's column table (Field._column_table) and one XOR per block, for
+k > 8 one mat_vec_batch call. EncodingMatrix.decode_blocks
 runs the same per-column gathers (Field._gather_xor) for k <= 8 over tables
 of the inverse that it builds once, in the field's dtype; for k > 8 it too
 makes one mat_vec_batch call.
@@ -92,6 +93,8 @@ class OpCounter:
 
 # batches up to this size take one broadcast product, faster than tables
 _BROADCAST_BATCH = 8
+# elements of the k <= 8 encode's gather index built at a time (32 KiB)
+_GATHER_WINDOW = 4096
 
 
 class Field:
@@ -197,11 +200,14 @@ class Field:
 
     @staticmethod
     def _operand(x) -> np.ndarray:
-        """x as int64. Raises ConfigError for a non-integer dtype, which the
+        """x as int64, or as it is if it is uint8 or uint16, which hold no
+        sign to widen. Raises ConfigError for a non-integer dtype, which the
         cast would truncate; an empty list arrives as float64 and passes."""
         arr = np.asarray(x)
         if arr.dtype.kind not in "iu" and arr.size:
             raise ConfigError(f"field operands must be integers, got dtype {arr.dtype}")
+        if arr.dtype in (np.uint8, np.uint16):
+            return arr
         return arr.astype(np.int64, copy=False)
 
     def _in_field(self, *arrays: np.ndarray) -> None:
@@ -249,7 +255,8 @@ class Field:
         the accumulator (_gather_xor), one column's table at a time. k > 8
         gathers twice, for the low byte and the high part of t, and computes
         the column's products directly instead when the batch is shorter
-        than the table (256 + 2^(k-8) rows).
+        than the table (256 + 2^(k-8) rows). uint8 and uint16 operands are
+        read as they are, not widened to int64; the product is int64.
         """
         m, vs = self._operand(m), self._operand(vs)
         if m.ndim != 2 or vs.ndim != 2 or m.shape[1] != vs.shape[1]:
@@ -305,7 +312,8 @@ class Field:
         return acc
 
     # The benchmark's tracer lists these two names (perfbench/tracer.py); no
-    # library code calls them. Drop them once that list does (ROADMAP item 8).
+    # library code calls them. Drop them once that list does (ROADMAP items 9
+    # and 18).
     def mat_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """m . v for one vector v: mat_vec_batch(m, v[None])[0]."""
         return self.mat_vec_batch(m, self._operand(v)[None])[0]
@@ -404,6 +412,7 @@ class EncodingMatrix:
         self.rows = rows
         self._inverse: np.ndarray | None = None
         self._columns: np.ndarray | None = None
+        self._offsets: np.ndarray | None = None
         self._decode: np.ndarray | None = None
 
     def inverse(self) -> np.ndarray:
@@ -414,27 +423,37 @@ class EncodingMatrix:
         return self._inverse
 
     def encode_blocks(self, blocks: np.ndarray) -> None:
-        """Code each row of blocks (C-contiguous int64 of shape (count, n),
-        entries in the field) in place: row i becomes A . row i, and
-        count * n^2 products are counted. k > 8 makes one mat_vec_batch call.
-        k <= 8 codes block by block from the column table, built once per
-        matrix: acceptance criterion 9 asserts that n=100 encodes no slower
-        than n=10, which holds for per-block dispatch and not for the batch
-        kernel (n multiplications per element make large n the slower)."""
+        """Code each row of blocks (C-contiguous, of shape (count, n), in any
+        integer dtype holding the field's elements) in place: row i becomes
+        A . row i, and count * n^2 products are counted. k > 8 makes one
+        mat_vec_batch call. k <= 8 codes block by block from the column
+        table, built once per matrix: acceptance criterion 9 asserts that
+        n=100 encodes no slower than n=10, which holds for per-block dispatch
+        and not for the batch kernel (n multiplications per element make
+        large n the slower). Block i's rows j q + v[j] are XORed into row i
+        of a uint64 accumulator, written back once. The gather index is
+        built _GATHER_WINDOW elements at a time in intp, the index dtype
+        take() uses: a narrower one would be converted on every call."""
         field, n = self.field, self.n
         if field.k > 8:
             blocks[:] = field.mat_vec_batch(self.rows, blocks)
             return
         if self._columns is None:
+            self._offsets = np.arange(n, dtype=np.intp) * field.q  # column j's rows
             self._columns = field._column_table(self.rows)
-        table = self._columns
-        blocks += np.arange(n) * field.q  # column j's rows start at j * q
-        # block i's coded bytes go to the front of its own 8n bytes, which
-        # take() has already read
-        coded = blocks.view(np.uint64)[:, : table.shape[1]]
-        for i, rows in enumerate(blocks):
-            np.bitwise_xor.reduce(table.take(rows, axis=0), axis=0, out=coded[i])
-        blocks[:] = blocks.view(np.uint8)[:, :n]
+        table, offsets = self._columns, self._offsets
+        coded = np.empty((len(blocks), table.shape[1]), np.uint64)
+        taken = np.empty((n, table.shape[1]), np.uint64)
+        window = np.empty((max(1, _GATHER_WINDOW // n), n), np.intp)
+        for first in range(0, len(blocks), len(window)):
+            part = blocks[first : first + len(window)]
+            index = np.add(part, offsets, out=window[: len(part)])
+            for rows, out in zip(index, coded[first : first + len(window)]):
+                # out= saves an allocation a block; "clip" keeps take from
+                # copying out, and every row is in range
+                table.take(rows, axis=0, out=taken, mode="clip")
+                np.bitwise_xor.reduce(taken, axis=0, out=out)
+        blocks[:] = coded.view(np.uint8)[:, :n]
         if field.counter is not None:
             field.counter.muls += blocks.size * n
 

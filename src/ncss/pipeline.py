@@ -15,12 +15,13 @@ recovered message holds uncopied. bytes_to_digits holds the caller's bytes
 as the packed digits and digits_to_bytes copies the packed output once, so
 a byte-base message (d in {2, 4, 16, 256}) is never held a digit a byte.
 Peak memory is the caller's bytes, the packed shards, a recover's packed
-output, one segment (its int64 elements and their packed form) and the
-matrix's tables, built by linearity (gf.Field._gather_table): about n^2 q
-bytes each for encode and decode at k <= 8; above k = 8 only one column's
-split table (1 KiB per row of the matrix at k = 16) while a segment is
-coded. An alpha-bounded message is one segment, coded before it is
-planned: its render lengths follow from the coded values.
+output, one segment (its elements in codec.digit_dtype(2^k), a byte each
+at k <= 8, the encode's uint64 accumulator and their packed form; no int64
+copy) and the matrix's tables, built by linearity (gf.Field._gather_table):
+about n^2 q bytes each for encode and decode at k <= 8; above k = 8 only
+one column's split table (1 KiB per row of the matrix at k = 16) while a
+segment is coded. An alpha-bounded message is one segment, coded before
+it is planned: its render lengths follow from the coded values.
 
 The CLI is a thin wrapper over these functions; anything it can do is
 reachable through this module with identical results.

@@ -358,7 +358,10 @@ class DirectoryRoot:
         path = self.path / "manifest.json"
         if not path.exists():
             raise MissingShardError(f"missing manifest {path}")
-        return path.read_text()
+        try:
+            return path.read_bytes().decode()  # written as UTF-8
+        except UnicodeDecodeError as exc:
+            raise PipelineError(f"manifest {path} is not UTF-8 text: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,17 @@ class TestStoreFetch:
         assert summary["pad_count"] == 1
         assert not (tmp_path / "cloud_0").exists()
 
+    def test_fetch_of_invalid_utf8_manifest_exits_3(self, tmp_path, stored_root, capsys):
+        _, _, root = stored_root
+        manifest = root / "manifest.json"
+        manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+        code, out, err = run(
+            capsys, "fetch", "--root", str(root), "--out", str(tmp_path / "out.bin")
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("pipeline error:") and "not UTF-8" in err
+        assert not (tmp_path / "out.bin").exists()
+
 
 class TestUtilityCommands:
     def test_decode(self, capsys):
@@ -342,6 +353,21 @@ class TestConfigHandling:
         )
         assert code == 0
         assert outfile.read_bytes() == payload
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"k=8"', "null"],
+                             ids=["array", "string", "null"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "optimize", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("invalid configuration:") and "JSON object" in err
+
+    def test_config_of_invalid_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, "optimize", "--config", str(cfg))
+        assert code == 2 and err.startswith("invalid configuration:")
 
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "optimize", "--m", "100")

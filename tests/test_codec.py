@@ -143,6 +143,17 @@ class TestRegroup:
         assert plan.pad_count == 2
         assert codec.regroup(b, plan).tolist() == [7, 7, 4]
 
+    @pytest.mark.parametrize("k,d", [(3, 2), (4, 4), (8, 2), (8, 16), (16, 2), (16, 256)])
+    def test_strict_elements_in_the_digit_dtype_of_the_field(self, k, d):
+        """A strict element is k bits of the packed message, held in
+        digit_dtype(2^k): a byte at k <= 8, two above."""
+        digits = np.random.default_rng(k * d).integers(0, d, size=300)
+        plan = codec.make_grouping_plan(300, gf.FieldSpec(k=k, d=d), n=3)
+        elements = codec.regroup(codec.DigitString(d, digits), plan)
+        assert elements.dtype == codec.digit_dtype(1 << k)
+        assert elements.dtype == (np.uint8 if k <= 8 else np.uint16)
+        assert codec.ungroup(elements, plan) == codec.DigitString(d, digits)
+
     def test_empty_rejected(self):
         plan = codec.make_grouping_plan(9, spec32(), n=3)
         with pytest.raises(EmptyInputError):

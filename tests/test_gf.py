@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -584,6 +585,52 @@ class TestDecodeBlocks:
         for batch in (1, 100, 600):
             a.decode_blocks(np.ones((batch, 6), np.uint16))
         assert a._decode is None
+
+
+@functools.lru_cache(maxsize=None)
+def encode_case(k, n):
+    """Blocks of n elements of GF(2^k), the first all q - 1 (at k=8, n=255
+    it gathers the column table's last row, 254 * 256 + 255), and their
+    products by the Vandermonde matrix of points 1..n, from the oracle."""
+    f = field_for(k)
+    a = gf.build_vandermonde(f, gf.default_points(n))
+    vs = np.random.default_rng(k * 1000 + n).integers(0, f.q, size=(2 if n > 100 else 20, n))
+    vs[0] = f.q - 1
+    rows = a.rows.tolist()
+    return a, vs, [oracles.slow_mat_vec(rows, v, f.poly, k) for v in vs.tolist()]
+
+
+ENCODE_CASES = [
+    (k, n, dtype)
+    for k, n in [(2, 1), (2, 3), (4, 1), (4, 15), (8, 1), (8, 12), (8, 255), (16, 9)]
+    for dtype in (np.uint8, np.uint16, np.int64)
+    if np.iinfo(dtype).max >= (1 << k) - 1  # the dtype holds the elements
+]
+
+
+class TestEncodeBlocks:
+    @pytest.mark.parametrize("k,n,dtype", ENCODE_CASES)
+    def test_codes_in_place_as_the_oracle(self, k, n, dtype):
+        """Every integer dtype holding the elements is coded in place, kept,
+        to the oracle's product, and count * n^2 products are counted."""
+        a, vs, expected = encode_case(k, n)
+        blocks = vs.astype(dtype)
+        a.field.counter = gf.OpCounter()
+        try:
+            assert a.encode_blocks(blocks) is None
+            assert a.field.counter.muls == len(vs) * n * n
+        finally:
+            a.field.counter = None
+        assert blocks.dtype == dtype and blocks.tolist() == expected
+
+    def test_column_table_and_offsets_built_once(self):
+        a, vs, _ = encode_case(8, 255)
+        a.encode_blocks(vs.astype(np.uint8))
+        offsets, columns = a._offsets, a._columns
+        assert offsets.tolist() == [256 * j for j in range(255)]
+        assert columns.shape == (255 * 256, 32)
+        a.encode_blocks(vs.astype(np.uint8))
+        assert a._offsets is offsets and a._columns is columns
 
 
 class TestOpCounter:

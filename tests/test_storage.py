@@ -593,6 +593,20 @@ class TestDirectoryRoot:
         assert len(synced) == 6  # each file, then its directory
         assert root.read_shard(0) == b"shard"
 
+    def test_manifest_of_invalid_utf8_is_a_pipeline_error(self, tmp_path):
+        root = storage.DirectoryRoot(tmp_path / "utf8", clouds=2)
+        pipeline.store_digits(
+            pipeline.bytes_to_digits(bytes(range(64)), 2), root,
+            gf.FieldSpec(k=8, d=2), n=4,
+            profile=SecurityProfile(breach=(0.5, 0.25), pu=1e-6),
+        )
+        path = tmp_path / "utf8" / "manifest.json"
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(PipelineError, match="not UTF-8"):
+            root.read_manifest()
+        with pytest.raises(PipelineError, match="not UTF-8"):
+            pipeline.recover(root)
+
 
 class TestPipelineRoundTrip:
     GRID = [
