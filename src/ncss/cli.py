@@ -70,6 +70,7 @@ def _assignment(text: str) -> list[list[int]]:
 
 
 REQUIRED = object()
+_PATHS = ("root", "infile", "manifest", "outfile")  # options naming a file
 
 
 def _merge(args: argparse.Namespace, keys: dict) -> dict:
@@ -90,6 +91,8 @@ def _merge(args: argparse.Namespace, keys: dict) -> dict:
             value = cfg.get(key, default)
         if value is REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+        if key in _PATHS and type(value) is not str:  # open(5) reads fd 5
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
         out[key] = value
     return out
 
@@ -266,10 +269,12 @@ def cmd_optimize(args) -> int:
         "m": REQUIRED, "d": 2, "k": REQUIRED, "p": REQUIRED,
         "breach": REQUIRED, "pu": REQUIRED, "sweep": "",
     })
+    p, breach = _int(opts["p"], "p"), _floats(opts["breach"], "breach")
+    if len(breach) > 1 and len(breach) != p:  # one value covers every cloud
+        raise ConfigError(f"breach lists {len(breach)} clouds, but p is {p}")
     base = CostProblem(
         m=_int(opts["m"], "m"), d=_int(opts["d"], "d"), k=_int(opts["k"], "k"),
-        p=_int(opts["p"], "p"), breach=max(_floats(opts["breach"], "breach")),
-        pu=_float(opts["pu"], "pu"),
+        p=p, breach=max(breach), pu=_float(opts["pu"], "pu"),
     )
     if opts["sweep"]:
         rows = optimizer.sweep(base, _ints(opts["sweep"], "sweep"))

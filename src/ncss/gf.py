@@ -11,15 +11,17 @@ Field.mat_vec_batch is the general matrix product: a broadcast log/antilog
 product for a short batch, per-column table gathers for a long one.
 EncodingMatrix.encode_blocks codes a message's blocks in place, in any
 integer dtype, with no int64 copy of them: for k <= 8 one gather from the
-matrix's column table (Field._column_table) and one XOR per block, for
-k > 8 one mat_vec_batch call. EncodingMatrix.decode_blocks
-runs the same per-column gathers (Field._gather_xor) for k <= 8 over tables
-of the inverse that it builds once, in the field's dtype; for k > 8 it too
-makes one mat_vec_batch call.
+matrix's column table (Field._column_table) and one XOR-reduce per block,
+which XORs the n gathered rows as isqrt(n) lanes side by side, for k > 8
+one mat_vec_batch call. EncodingMatrix.decode_blocks runs the same
+per-column gathers (Field._gather_xor) for k <= 8 over tables of the inverse
+that it builds once; for k > 8 it too makes one mat_vec_batch call, in the
+field's dtype. Neither widens the blocks to int64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -244,7 +246,7 @@ class Field:
         columns[:, :rows] = m.T  # zero entries pad each row of products
         return self._gather_table(columns).reshape(cols * self.q, -1).view(np.uint64)
 
-    def mat_vec_batch(self, m: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    def mat_vec_batch(self, m: np.ndarray, vs: np.ndarray, *, dtype=np.int64) -> np.ndarray:
         """out[b, i] = XOR_j m[i,j] * vs[b,j]: m times every row of vs. One
         vector v is the batch v[None]; a product a @ b is
         mat_vec_batch(a, b.T).T.
@@ -256,7 +258,9 @@ class Field:
         gathers twice, for the low byte and the high part of t, and computes
         the column's products directly instead when the batch is shorter
         than the table (256 + 2^(k-8) rows). uint8 and uint16 operands are
-        read as they are, not widened to int64; the product is int64.
+        read as they are, not widened to int64. The product is in dtype:
+        int64 by default, the field's dtype for EncodingMatrix, which codes
+        k > 8 blocks with no int64 copy of them.
         """
         m, vs = self._operand(m), self._operand(vs)
         if m.ndim != 2 or vs.ndim != 2 or m.shape[1] != vs.shape[1]:
@@ -268,7 +272,8 @@ class Field:
         if self.counter is not None:
             self.counter.muls += rows * cols * batch
         if batch <= _BROADCAST_BATCH:
-            return np.bitwise_xor.reduce(self._products(m, vs[:, None, :]), axis=2)
+            out = np.bitwise_xor.reduce(self._products(m, vs[:, None, :]), axis=2)
+            return out.astype(dtype, copy=False)
         columns = np.ascontiguousarray(vs.T)
         if self.k > 8 and batch < 256 + (self.q >> 8):
             acc = np.zeros((batch, rows), dtype=self.dtype)
@@ -276,7 +281,7 @@ class Field:
                 acc ^= self._products(v[:, None], a[None, :]).astype(self.dtype)
         else:
             acc = self._gather_xor(map(self._gather_table, m.T), columns, rows)
-        return acc.astype(np.int64)
+        return acc.astype(dtype, copy=False)
 
     def _gather_table(self, a: np.ndarray) -> np.ndarray:
         """The products of column a (int64 of shape (..., rows), entries in
@@ -430,30 +435,44 @@ class EncodingMatrix:
         table, built once per matrix: acceptance criterion 9 asserts that
         n=100 encodes no slower than n=10, which holds for per-block dispatch
         and not for the batch kernel (n multiplications per element make
-        large n the slower). Block i's rows j q + v[j] are XORed into row i
-        of a uint64 accumulator, written back once. The gather index is
-        built _GATHER_WINDOW elements at a time in intp, the index dtype
-        take() uses: a narrower one would be converted on every call."""
+        large n the slower). The gather index is built _GATHER_WINDOW
+        elements at a time in intp, the index dtype take() uses: a narrower
+        one would be converted on every call. Block i gathers its rows
+        j q + v[j] into an (n, W) uint64 buffer, W = ceil(n/8) words, padded
+        with zero rows to a multiple of g = isqrt(n). One XOR-reduce along
+        axis 0 of the buffer seen as (ceil(n/g), g W) takes ceil(n/g), about
+        sqrt(n), steps, not n, and leaves g partial products side by side. Once a
+        window, they are folded into one row a block and written back in
+        place: no buffer is the size of the segment."""
         field, n = self.field, self.n
         if field.k > 8:
-            blocks[:] = field.mat_vec_batch(self.rows, blocks)
+            blocks[:] = field.mat_vec_batch(self.rows, blocks, dtype=field.dtype)
             return
         if self._columns is None:
             self._offsets = np.arange(n, dtype=np.intp) * field.q  # column j's rows
             self._columns = field._column_table(self.rows)
         table, offsets = self._columns, self._offsets
-        coded = np.empty((len(blocks), table.shape[1]), np.uint64)
-        taken = np.empty((n, table.shape[1]), np.uint64)
+        words, g = table.shape[1], math.isqrt(n)
+        # the n gathered rows, then zero rows to a multiple of g: g lanes
+        taken = np.zeros((-(-n // g) * g, words), np.uint64)
+        gathered, lanes = taken[:n], taken.reshape(-1, g * words)
         window = np.empty((max(1, _GATHER_WINDOW // n), n), np.intp)
+        partial = np.empty((len(window), g * words), np.uint64)  # lanes a block
+        folds = partial.reshape(len(window), g, words)
+        coded = np.empty((len(window), words), np.uint64)
+        take, xor = table.take, np.bitwise_xor.reduce  # bound once: faster
         for first in range(0, len(blocks), len(window)):
             part = blocks[first : first + len(window)]
-            index = np.add(part, offsets, out=window[: len(part)])
-            for rows, out in zip(index, coded[first : first + len(window)]):
+            count = len(part)
+            index = np.add(part, offsets, out=window[:count])
+            for rows, out in zip(index, partial):
                 # out= saves an allocation a block; "clip" keeps take from
                 # copying out, and every row is in range
-                table.take(rows, axis=0, out=taken, mode="clip")
-                np.bitwise_xor.reduce(taken, axis=0, out=out)
-        blocks[:] = coded.view(np.uint8)[:, :n]
+                take(rows, 0, gathered, "clip")
+                xor(lanes, 0, None, out)
+            # fold each block's lanes, then write the window back in place
+            xor(folds[:count], 1, None, coded[:count])
+            part[:] = coded.view(np.uint8)[:count, :n]
         if field.counter is not None:
             field.counter.muls += blocks.size * n
 
@@ -466,7 +485,7 @@ class EncodingMatrix:
         2 n^2 (256 + 2^(k-8)) bytes, a gigabyte at k=16 and n=1000."""
         field = self.field
         if field.k > 8:
-            return field.mat_vec_batch(self.inverse(), blocks).astype(field.dtype)
+            return field.mat_vec_batch(self.inverse(), blocks, dtype=field.dtype)
         if self._decode is None:
             tables = field._gather_table(self.inverse().T)
             tables.setflags(write=False)

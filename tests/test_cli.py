@@ -369,6 +369,74 @@ class TestConfigHandling:
         code, _, err = run(capsys, "optimize", "--config", str(cfg))
         assert code == 2 and err.startswith("invalid configuration:")
 
+    # each config holds one path option that is not a string: an int would
+    # name an open file descriptor (4093 is closed, so the parent fails typed
+    # rather than reading or writing one); the other paths come as flags
+    @pytest.mark.parametrize("command,config", [
+        ("store", {"root": 5}),
+        ("store", {"root": ["a"]}),
+        ("store", {"root": None}),
+        ("store", {"infile": 4093}),
+        ("store", {"infile": ["input.bin"]}),
+        ("plan", {"infile": {"path": "input.bin"}}),
+        ("fetch", {"root": 5}),
+        ("fetch", {"manifest": ["manifest.json"]}),
+        ("fetch", {"outfile": ["out.bin"]}),
+    ], ids=[
+        "store-root-int", "store-root-list", "store-root-null",
+        "store-infile-int", "store-infile-list", "plan-infile-object",
+        "fetch-root-int", "fetch-manifest-list", "fetch-outfile-list",
+    ])
+    def test_path_that_is_not_a_string_exits_2(
+        self, tmp_path, stored_root, capsys, command, config
+    ):
+        _, infile, root = stored_root
+        key = next(iter(config))
+        if command == "fetch":
+            flags = {"root": str(root), "outfile": str(tmp_path / "out.bin")}
+            settings = config
+        else:
+            flags = {"infile": str(infile), "root": str(tmp_path / "r")}
+            if command == "plan":
+                del flags["root"]
+            settings = {"k": 8, "n": 4, "pu": 1e-6, "breach": "0.5,0.25", **config}
+        flags.pop(key, None)
+        names = {"infile": "--in", "outfile": "--out"}
+        argv = [x for k, v in flags.items() for x in (names.get(k, f"--{k}"), v)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run(capsys, command, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid configuration: {key} must be a path string")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "r").exists() and not (tmp_path / "out.bin").exists()
+
+    @pytest.mark.parametrize("breach", ["0.5,0.25", "0.5,0.25,0.1,0.1"])
+    def test_optimize_breach_list_not_of_p_clouds_exits_2(self, capsys, breach):
+        code, out, err = run(
+            capsys, "optimize", "--m", "1000", "--k", "8", "--p", "3",
+            "--breach", breach, "--pu", "1e-6",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid configuration: breach lists")
+        assert len(err.splitlines()) == 1
+
+    def test_optimize_breach_list_of_p_clouds(self, tmp_path, capsys):
+        # one value per cloud solves as their largest, from a flag or a config
+        code, out, _ = run(
+            capsys, "optimize", "--m", "1024", "--d", "2", "--k", "8",
+            "--p", "3", "--breach", "0.1,0.5,0.25", "--pu", "1e-6",
+        )
+        assert (code, out.strip()) == (0, "n=2 l=1 f=96")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 1024, "k": 8, "p": 2, "breach": [0.5, 0.25], "pu": 1e-6}))
+        code, out, err = run(capsys, "optimize", "--config", str(cfg))
+        assert code == 0, err
+        code, out, err = run(capsys, "optimize", "--config", str(cfg), "--p", "3")
+        assert code == 2 and err.startswith("invalid configuration: breach lists")
+
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "optimize", "--m", "100")
         assert code == 2

@@ -568,7 +568,7 @@ class TestColumnTableEncode:
         real = gf.Field.mat_vec_batch
         monkeypatch.setattr(
             gf.Field, "mat_vec_batch",
-            lambda f, m, vs: batches.append(len(vs)) or real(f, m, vs),
+            lambda f, m, vs, **kw: batches.append(len(vs)) or real(f, m, vs, **kw),
         )
         spec = gf.FieldSpec(k=16, d=16)
         self.check(*self.encode(spec, 3, 40, seed=16))

@@ -608,6 +608,23 @@ ENCODE_CASES = [
 ]
 
 
+# isqrt(n) divides the perfect squares, not 5, 17, 51 or 100
+LANE_CASES = [4, 5, 16, 17, 51, 64, 100]
+
+
+@functools.lru_cache(maxsize=None)
+def lane_case(n):
+    """2 * (_GATHER_WINDOW // n) + 3 random blocks of GF(2^8): two full
+    gather windows and a partial third; and their products by the
+    Vandermonde matrix of points 1..n, from the oracle."""
+    f = gf.get_field(8)
+    a = gf.build_vandermonde(f, gf.default_points(n))
+    count = 2 * (gf._GATHER_WINDOW // n) + 3
+    vs = np.random.default_rng(n).integers(0, f.q, size=(count, n))
+    rows = a.rows.tolist()
+    return a, vs, [oracles.slow_mat_vec(rows, v, f.poly, 8) for v in vs.tolist()]
+
+
 class TestEncodeBlocks:
     @pytest.mark.parametrize("k,n,dtype", ENCODE_CASES)
     def test_codes_in_place_as_the_oracle(self, k, n, dtype):
@@ -622,6 +639,27 @@ class TestEncodeBlocks:
         finally:
             a.field.counter = None
         assert blocks.dtype == dtype and blocks.tolist() == expected
+
+    @pytest.mark.parametrize("n", LANE_CASES)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_lanes_fold_across_gather_windows(self, n, dtype):
+        """Each block's gathered rows are XORed in isqrt(n) lanes side by
+        side, folded once a gather window: whether or not isqrt(n) divides n,
+        over three windows of which the last is partial, every block is the
+        oracle's product, the dtype is kept and count * n^2 products are
+        counted."""
+        a, vs, expected = lane_case(n)
+        blocks = vs.astype(dtype)
+        a.field.counter = gf.OpCounter()
+        try:
+            a.encode_blocks(blocks)
+            assert a.field.counter.muls == len(vs) * n * n
+        finally:
+            a.field.counter = None
+        assert blocks.dtype == dtype and blocks.tolist() == expected
+        empty = np.empty((0, n), dtype)
+        a.encode_blocks(empty)
+        assert empty.shape == (0, n)
 
     def test_column_table_and_offsets_built_once(self):
         a, vs, _ = encode_case(8, 255)
