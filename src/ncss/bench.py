@@ -20,7 +20,7 @@ import numpy as np
 from . import pipeline, storage
 from .codec import STRICT
 from .errors import ConfigError
-from .gf import FieldSpec, OpCounter, get_field
+from .gf import FieldSpec, OpCounter, check_count, get_field
 from .planner import SecurityProfile
 
 MIN_MUL_COUNT = 1_000_000
@@ -136,6 +136,7 @@ def bench_pipeline(
     """
     if reps < MIN_REPS:
         raise ConfigError(f"reps must be >= {MIN_REPS}, got {reps}")
+    file_bytes = check_count(file_bytes, "file_bytes", 1)
     rng = np.random.default_rng(seed)
     payload = rng.bytes(file_bytes)
     digits = pipeline.bytes_to_digits(payload, d)

@@ -11,12 +11,13 @@ Field.mat_vec_batch is the general matrix product: a broadcast log/antilog
 product for a short batch, per-column table gathers for a long one.
 EncodingMatrix.encode_blocks codes a message's blocks in place, in any
 integer dtype, with no int64 copy of them: for k <= 8 one gather from the
-matrix's column table (Field._column_table) and one XOR-reduce per block,
-which XORs the n gathered rows as isqrt(n) lanes side by side, for k > 8
-one mat_vec_batch call. EncodingMatrix.decode_blocks runs the same
-per-column gathers (Field._gather_xor) for k <= 8 over tables of the inverse
-that it builds once; for k > 8 it too makes one mat_vec_batch call, in the
-field's dtype. Neither widens the blocks to int64.
+matrix's column table (Field._column_table) and two XOR-reduces a window of
+at most 256 KiB of gathered rows, the first over each block's n rows as
+isqrt(n) lanes side by side, the second folding the lanes; for k > 8 one
+mat_vec_batch call. EncodingMatrix.decode_blocks runs the same per-column
+gathers (Field._gather_xor) for k <= 8 over tables of the inverse that it
+builds once; for k > 8 it too makes one mat_vec_batch call, in the field's
+dtype. Neither widens the blocks to int64.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class OpCounter:
 
 # batches up to this size take one broadcast product, faster than tables
 _BROADCAST_BATCH = 8
-# elements of the k <= 8 encode's gather index built at a time (32 KiB)
-_GATHER_WINDOW = 4096
+# bytes of gathered rows the k <= 8 encode takes per window of blocks
+_GATHER_BYTES = 1 << 18
 
 
 class Field:
@@ -431,19 +432,19 @@ class EncodingMatrix:
         """Code each row of blocks (C-contiguous, of shape (count, n), in any
         integer dtype holding the field's elements) in place: row i becomes
         A . row i, and count * n^2 products are counted. k > 8 makes one
-        mat_vec_batch call. k <= 8 codes block by block from the column
-        table, built once per matrix: acceptance criterion 9 asserts that
-        n=100 encodes no slower than n=10, which holds for per-block dispatch
-        and not for the batch kernel (n multiplications per element make
-        large n the slower). The gather index is built _GATHER_WINDOW
-        elements at a time in intp, the index dtype take() uses: a narrower
-        one would be converted on every call. Block i gathers its rows
-        j q + v[j] into an (n, W) uint64 buffer, W = ceil(n/8) words, padded
-        with zero rows to a multiple of g = isqrt(n). One XOR-reduce along
-        axis 0 of the buffer seen as (ceil(n/g), g W) takes ceil(n/g), about
-        sqrt(n), steps, not n, and leaves g partial products side by side. Once a
-        window, they are folded into one row a block and written back in
-        place: no buffer is the size of the segment."""
+        mat_vec_batch call. k <= 8 gathers each block's rows from the
+        column table, built once per matrix, not the batch kernel, whose n
+        table passes per element would make n=100 slower than n=10 against
+        acceptance criterion 9. Block i's rows j q + v[j], W = ceil(n/8)
+        uint64 words each, are padded with zero rows to a multiple of
+        g = isqrt(n). A window holds as many blocks as _GATHER_BYTES of such
+        rows, at most the call's count, and makes one add into an intp index
+        (the dtype take() uses; its pad columns stay 0, and table row 0 is
+        zeros), one take, one XOR-reduce along axis 1 of the rows seen as
+        (blocks, ceil(n/g), g W), about sqrt(n) steps, that leaves g partial
+        products side by side, one XOR-reduce that folds them, and one
+        write-back in place. No buffer is the size of the segment, and a
+        call of two blocks allocates two blocks' buffers."""
         field, n = self.field, self.n
         if field.k > 8:
             blocks[:] = field.mat_vec_batch(self.rows, blocks, dtype=field.dtype)
@@ -453,26 +454,25 @@ class EncodingMatrix:
             self._columns = field._column_table(self.rows)
         table, offsets = self._columns, self._offsets
         words, g = table.shape[1], math.isqrt(n)
-        # the n gathered rows, then zero rows to a multiple of g: g lanes
-        taken = np.zeros((-(-n // g) * g, words), np.uint64)
-        gathered, lanes = taken[:n], taken.reshape(-1, g * words)
-        window = np.empty((max(1, _GATHER_WINDOW // n), n), np.intp)
-        partial = np.empty((len(window), g * words), np.uint64)  # lanes a block
-        folds = partial.reshape(len(window), g, words)
-        coded = np.empty((len(window), words), np.uint64)
-        take, xor = table.take, np.bitwise_xor.reduce  # bound once: faster
-        for first in range(0, len(blocks), len(window)):
-            part = blocks[first : first + len(window)]
-            count = len(part)
-            index = np.add(part, offsets, out=window[:count])
-            for rows, out in zip(index, partial):
-                # out= saves an allocation a block; "clip" keeps take from
-                # copying out, and every row is in range
-                take(rows, 0, gathered, "clip")
-                xor(lanes, 0, None, out)
-            # fold each block's lanes, then write the window back in place
-            xor(folds[:count], 1, None, coded[:count])
-            part[:] = coded.view(np.uint8)[:count, :n]
+        rows = -(-n // g) * g  # the n gathered rows, then zero rows: g lanes
+        per = max(1, min(len(blocks), _GATHER_BYTES // (rows * words * 8)))
+        # pad columns stay 0: row 0 of the table is column 0 times 0, zeros
+        index = np.zeros((per, rows), np.intp)
+        taken = np.empty((per * rows, words), np.uint64)
+        lanes = taken.reshape(per, rows // g, g * words)
+        partial = np.empty((per, g * words), np.uint64)
+        folds = partial.reshape(per, g, words)
+        coded = np.empty((per, words), np.uint64)
+        xor = np.bitwise_xor.reduce
+        for first in range(0, len(blocks), per):
+            part = blocks[first : first + per]
+            c = len(part)
+            np.add(part, offsets, out=index[:c, :n])
+            # "clip" keeps take from copying out; every row is in range
+            table.take(index[:c].ravel(), 0, taken[: c * rows], "clip")
+            xor(lanes[:c], 1, None, partial[:c])
+            xor(folds[:c], 1, None, coded[:c])
+            part[:] = coded.view(np.uint8)[:c, :n]
         if field.counter is not None:
             field.counter.muls += blocks.size * n
 
@@ -504,12 +504,15 @@ def default_points(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def check_count(value, name: str, low: int) -> int:
-    """value as an int of at least low; a bool or a non-integer is refused."""
+def check_count(value, name: str, low: int, high: int | None = None) -> int:
+    """value as an int of at least low and, if high is given, at most high;
+    a bool or a non-integer is refused."""
     if type(value) is not int and not isinstance(value, np.integer):  # bool too
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{name} must be <= {high}, got {value}")
     return int(value)
 
 

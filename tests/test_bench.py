@@ -70,6 +70,13 @@ class TestBenchPipeline:
         with pytest.raises(ConfigError):
             bench.bench_pipeline(file_bytes=64, n_list=[16], k_list=[4])
 
+    @pytest.mark.parametrize("file_bytes", [0, -1])
+    def test_non_positive_bytes_rejected(self, monkeypatch, file_bytes):
+        """A payload of no bytes is refused before any store is timed."""
+        monkeypatch.setattr(bench, "_timed", None)  # a call would fail untyped
+        with pytest.raises(ConfigError, match="file_bytes must be >= 1"):
+            bench.bench_pipeline(file_bytes=file_bytes, n_list=[4], k_list=[8])
+
     def test_csv_parses(self):
         results = bench.bench_pipeline(
             file_bytes=1024, n_list=[2, 4], k_list=[4, 8], mode=STRICT, p=1

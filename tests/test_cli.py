@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from ncss import cli, gf, pipeline, storage
+from ncss import adversary, cli, gf, pipeline, storage
+from ncss.errors import ConfigError
 from ncss.planner import SecurityProfile
 
 
@@ -236,6 +237,41 @@ class TestUtilityCommands:
         assert out == ""
         assert err.startswith("invalid configuration:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("payload", ["-1", "0"])
+    def test_bench_pipeline_non_positive_bytes_exits_2(self, capsys, payload):
+        code, out, err = run(
+            capsys, "bench", "--suite", "pipeline", "--k", "8", "--n", "4",
+            "--bytes", payload, "--reps", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid configuration: file_bytes must be >= 1")
+        assert len(err.splitlines()) == 1
+
+    def test_simulate_guess_refuses_trials_above_the_bound(self, stored_root, monkeypatch):
+        """MAX_TRIALS + 1 trials are refused before any guess is drawn."""
+        root = storage.DirectoryRoot(stored_root[2])
+        sc = adversary.scenario_from_storage(pipeline.load_manifest(root), root, 1)
+        assert adversary.simulate_guess(sc, 10) >= 0
+        monkeypatch.setattr(adversary, "_draws", None)  # a draw would fail untyped
+        with pytest.raises(ConfigError, match="trials must be <= "):
+            adversary.simulate_guess(sc, adversary.MAX_TRIALS + 1)
+
+    @pytest.mark.parametrize("over", [1, 10_000_000_000_000])
+    def test_attack_trials_above_the_bound_exits_2(
+        self, stored_root, capsys, monkeypatch, over
+    ):
+        _, _, root = stored_root
+        monkeypatch.setattr(adversary, "_draws", None)  # a draw would fail untyped
+        code, out, err = run(
+            capsys, "attack", "--root", str(root), "--cloud", "1",
+            "--trials", str(adversary.MAX_TRIALS + over),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid configuration: trials must be <= {adversary.MAX_TRIALS}")
+        assert len(err.splitlines()) == 1
 
     def test_bench_mul_csv(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -588,13 +590,15 @@ class TestDecodeBlocks:
 
 
 @functools.lru_cache(maxsize=None)
-def encode_case(k, n):
-    """Blocks of n elements of GF(2^k), the first all q - 1 (at k=8, n=255
-    it gathers the column table's last row, 254 * 256 + 255), and their
-    products by the Vandermonde matrix of points 1..n, from the oracle."""
+def encode_case(k, n, count=None):
+    """count blocks (by default 2 if n > 100, else 20) of n elements of
+    GF(2^k), the first all q - 1 (at k=8, n=255 it gathers the column
+    table's last row, 254 * 256 + 255), and their products by the
+    Vandermonde matrix of points 1..n, from the oracle."""
     f = field_for(k)
     a = gf.build_vandermonde(f, gf.default_points(n))
-    vs = np.random.default_rng(k * 1000 + n).integers(0, f.q, size=(2 if n > 100 else 20, n))
+    count = count or (2 if n > 100 else 20)
+    vs = np.random.default_rng(k * 1000 + n).integers(0, f.q, size=(count, n))
     vs[0] = f.q - 1
     rows = a.rows.tolist()
     return a, vs, [oracles.slow_mat_vec(rows, v, f.poly, k) for v in vs.tolist()]
@@ -612,14 +616,26 @@ ENCODE_CASES = [
 LANE_CASES = [4, 5, 16, 17, 51, 64, 100]
 
 
+def gathered_bytes(n):
+    """Bytes of one block's gathered rows in the k <= 8 encode: ceil(n/g) g
+    rows, g = isqrt(n), of ceil(n/8) 8-byte words."""
+    g = math.isqrt(n)
+    return -(-n // g) * g * -(-n // 8) * 8
+
+
+def window_blocks(n):
+    """Blocks a k <= 8 encode window holds at n, for a long call."""
+    return max(1, gf._GATHER_BYTES // gathered_bytes(n))
+
+
 @functools.lru_cache(maxsize=None)
 def lane_case(n):
-    """2 * (_GATHER_WINDOW // n) + 3 random blocks of GF(2^8): two full
-    gather windows and a partial third; and their products by the
-    Vandermonde matrix of points 1..n, from the oracle."""
+    """2 * window_blocks(n) + 3 random blocks of GF(2^8): two full gather
+    windows and a partial third; and their products by the Vandermonde
+    matrix of points 1..n, from the oracle."""
     f = gf.get_field(8)
     a = gf.build_vandermonde(f, gf.default_points(n))
-    count = 2 * (gf._GATHER_WINDOW // n) + 3
+    count = 2 * window_blocks(n) + 3
     vs = np.random.default_rng(n).integers(0, f.q, size=(count, n))
     rows = a.rows.tolist()
     return a, vs, [oracles.slow_mat_vec(rows, v, f.poly, 8) for v in vs.tolist()]
@@ -660,6 +676,35 @@ class TestEncodeBlocks:
         empty = np.empty((0, n), dtype)
         a.encode_blocks(empty)
         assert empty.shape == (0, n)
+
+    @pytest.mark.parametrize("n", [1, 5, 51, 255])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("per", [1, 2, 3])
+    def test_windows_of_one_two_and_three_blocks(self, monkeypatch, n, dtype, per):
+        """With the window shrunk to hold 1, 2 and 3 blocks, seven blocks
+        span windows that end on and off a block count, and every block is
+        still the oracle's product."""
+        a, vs, expected = encode_case(8, n, count=7)
+        size = gathered_bytes(n)
+        monkeypatch.setattr(gf, "_GATHER_BYTES", per * size + size - 1)
+        assert window_blocks(n) == per
+        blocks = vs.astype(dtype)
+        a.encode_blocks(blocks)
+        assert blocks.dtype == dtype and blocks.tolist() == expected
+
+    def test_buffers_are_sized_to_a_small_call(self):
+        """A 2-block call allocates 2-block buffers, not a window's: its
+        tracemalloc peak, after the column table is built, is a few KiB."""
+        a = gf.build_vandermonde(gf.get_field(8), gf.default_points(4))
+        blocks = np.arange(8, dtype=np.uint8).reshape(2, 4)
+        a.encode_blocks(blocks.copy())  # builds the column table
+        tracemalloc.start()
+        try:
+            a.encode_blocks(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, peak
 
     def test_column_table_and_offsets_built_once(self):
         a, vs, _ = encode_case(8, 255)
